@@ -10,6 +10,7 @@ that governs it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -18,7 +19,7 @@ from .errors import MalformedInputError, PrefixTooShortError, ResourceLimitError
 #: Hard ceiling on greedy extension length, generous for desk-scale runs.
 DEFAULT_TERM_CAP = 1 << 20
 
-#: Checked integer width; values beyond this raise instead of growing.
+#: Checked integer width for every module; values beyond this raise instead of growing.
 INT_LIMIT = (1 << 63) - 1
 
 _LOG2_3 = math.log2(3.0)
@@ -43,9 +44,29 @@ def _check_terms(terms: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _has_progression(seq: Sequence[int], members: set[int]) -> bool:
+def _cover(terms: Sequence[int], stop: float = math.inf) -> tuple[int, int, int, int]:
+    """Shift-OR pass over the terms below ``stop``: ``(last, rev, fwd, cover)``.
+
+    With base = terms[0], each term x sets bit last - x of rev and x - base of fwd;
+    at y, rev's bits read y - x, so ``rev << (y - base)`` sets every 2y - x - base.
+    """
+    base = last = terms[0]
+    rev = fwd = cover = 0
+    for y in terms:
+        if y >= stop:
+            break
+        rev <<= y - last
+        cover |= rev << (y - base)
+        rev |= 1
+        fwd |= 1 << (y - base)
+        last = y
+    return last, rev, fwd, cover
+
+
+def _has_progression(seq: Sequence[int]) -> bool:
     # Any 3-term AP in an increasing list appears as terms[k] = 2*terms[j] - terms[i]
     # with i < j, so probing pair sums against the member set is complete.
+    members = set(seq)
     for j in range(1, len(seq)):
         doubled = 2 * seq[j]
         for i in range(j):
@@ -56,8 +77,7 @@ def _has_progression(seq: Sequence[int], members: set[int]) -> bool:
 
 def is_3_free(terms: Sequence[int]) -> bool:
     """True iff no three terms form an arithmetic progression.  O(n^2)."""
-    seq = _check_terms(terms)
-    return not _has_progression(seq, set(seq))
+    return not _has_progression(_check_terms(terms))
 
 
 def is_covered(z: int, terms: Sequence[int]) -> bool:
@@ -85,7 +105,7 @@ class StanleyPrefix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _check_terms(self.terms))
-        if _has_progression(self.terms, set(self.terms)):
+        if _has_progression(self.terms):
             raise MalformedInputError("terms contain a 3-term arithmetic progression")
         if not 1 <= self.generator_size <= len(self.terms):
             raise MalformedInputError(
@@ -108,20 +128,18 @@ class StanleyPrefix:
 SeedLike = Union[StanleyPrefix, Sequence[int]]
 
 
-def _as_prefix(seed: SeedLike) -> StanleyPrefix:
-    if isinstance(seed, StanleyPrefix):
-        return seed
-    return StanleyPrefix.from_terms(seed)
+def _terms_of(prefix: SeedLike) -> tuple[int, ...]:
+    """Terms of a prefix, validated unless a StanleyPrefix already was."""
+    return prefix.terms if isinstance(prefix, StanleyPrefix) else _check_terms(prefix)
 
 
 def greedy_extend(seed: SeedLike, target_len: int, *, cap: int = DEFAULT_TERM_CAP) -> StanleyPrefix:
     """Extend ``seed`` greedily until it has ``target_len`` terms.
 
-    Candidates are vetted with a growable table of "covered" integers
-    (values 2y - x over pairs x < y already present), so membership tests
-    are amortized O(1) and each accepted term costs O(n) updates.
+    The next term is the lowest value above the last that no pair covers; each
+    accepted term costs one shift-OR of the reversed term mask over the span.
     """
-    prefix = _as_prefix(seed)
+    prefix = seed if isinstance(seed, StanleyPrefix) else StanleyPrefix.from_terms(seed)
     if target_len < len(prefix):
         raise MalformedInputError(f"target_len {target_len} below seed length {len(prefix)}")
     if target_len > cap:
@@ -130,28 +148,21 @@ def greedy_extend(seed: SeedLike, target_len: int, *, cap: int = DEFAULT_TERM_CA
         return prefix
 
     terms = list(prefix.terms)
-    covered = bytearray(max(2 * terms[-1] + 4, 64))
-
-    def mark(value: int) -> None:
-        nonlocal covered
-        if value >= len(covered):
-            covered.extend(bytes(max(len(covered), value + 1 - len(covered))))
-        covered[value] = 1
-
-    for j in range(1, len(terms)):
-        doubled = 2 * terms[j]
-        for i in range(j):
-            mark(doubled - terms[i])
-
+    last, rev, _, cover = _cover(terms)
+    ahead = cover >> (last - terms[0] + 1)  # bit i: last + 1 + i is covered
     while len(terms) < target_len:
-        candidate = terms[-1] + 1
-        while candidate < len(covered) and covered[candidate]:
-            candidate += 1
-        for x in terms:
-            mark(2 * candidate - x)
-        terms.append(candidate)
-
-    return StanleyPrefix(tuple(terms), prefix.generator_size)
+        gap = (ahead ^ (ahead + 1)).bit_length()  # trailing ones of ahead, plus one
+        last += gap
+        # rev << gap has bit last - x; each 2*last - x sits at bit last - x - 1 of ahead
+        ahead = (ahead >> gap) | (rev << (gap - 1))
+        rev = (rev << gap) | 1
+        terms.append(last)
+    if last > INT_LIMIT:
+        raise ResourceLimitError(f"term {last} would exceed the checked 64-bit range")
+    grown = object.__new__(StanleyPrefix)  # greedy terms are 3-free: skip re-validation
+    object.__setattr__(grown, "terms", tuple(terms))
+    object.__setattr__(grown, "generator_size", prefix.generator_size)
+    return grown
 
 
 @dataclass(frozen=True)
@@ -188,7 +199,7 @@ def detect_character(prefix: SeedLike) -> CharacterProfile | None:
     there up.  A level ``k`` is checkable when the prefix holds at least
     ``2^(k+1)`` terms.
     """
-    terms = _check_terms(prefix.terms if isinstance(prefix, StanleyPrefix) else prefix)
+    terms = _terms_of(prefix)
     if len(terms) < 4:
         raise PrefixTooShortError("need at least 4 terms to check one doubling level")
     top = len(terms).bit_length() - 2  # largest k with 2^(k+1) <= len(terms)
@@ -223,34 +234,24 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
 
     The prefix must reach ``bound`` so that every pair able to cover a value
     below the bound is present; otherwise the answer would be provisional.
+    The omitted values are the zero bits of one shift-OR pass over the terms
+    below the bound, O(n) big-int operations (larger y cover only values above it).
     """
-    terms = _check_terms(prefix.terms if isinstance(prefix, StanleyPrefix) else prefix)
+    terms = _terms_of(prefix)
     if bound < 0:
         raise MalformedInputError("bound must be nonnegative")
     if terms[-1] < bound:
         raise PrefixTooShortError(f"last term {terms[-1]} below scan bound {bound}")
 
-    decided = bytearray(bound)
-    for value in terms:
-        if value >= bound:
-            break
-        decided[value] = 1
-    for j in range(1, len(terms)):
-        y = terms[j]
-        if y >= bound:  # 2y - x > y, so later pairs cannot land below bound
-            break
-        doubled = 2 * y
-        for i in range(j):
-            z = doubled - terms[i]
-            if z < bound:
-                decided[z] = 1
-    elements = tuple(z for z in range(bound) if not decided[z])
+    _, _, fwd, cover = _cover(terms, bound)
+    free = ~((fwd | cover) << terms[0]) & ((1 << bound) - 1)
+    elements = tuple(m.start() for m in re.finditer("1", bin(free)[:1:-1]))
     return OmittedSet(elements, elements[-1] if elements else None, bound)
 
 
 def growth_diagnostic(prefix: SeedLike) -> tuple[float, float]:
     """Min and max of a_n / n**log2(3) over the prefix's second half."""
-    terms = _check_terms(prefix.terms if isinstance(prefix, StanleyPrefix) else prefix)
+    terms = _terms_of(prefix)
     if len(terms) < 8:
         raise PrefixTooShortError("need at least 8 terms for a growth window")
     ratios = [terms[n] / n ** _LOG2_3 for n in range(len(terms) // 2, len(terms))]

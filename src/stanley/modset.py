@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
+from .core import INT_LIMIT
 from .errors import (
     FormatError,
     InvariantViolationError,
@@ -22,9 +23,6 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-
-#: Checked integer width shared with the sequence layer.
-INT_LIMIT = (1 << 63) - 1
 
 
 def _check_value(value: int, what: str) -> int:

@@ -29,6 +29,54 @@ def naive_is_covered(z, terms) -> bool:
     )
 
 
+def naive_greedy_table(seed, target_len) -> tuple[int, ...]:
+    """Greedy extension over a growable bytearray of covered integers.
+
+    Each accepted term marks its O(n) pairs one at a time.
+    """
+    terms = list(seed)
+    covered = bytearray(max(2 * terms[-1] + 4, 64))
+
+    def mark(value: int) -> None:
+        nonlocal covered
+        if value >= len(covered):
+            covered.extend(bytes(max(len(covered), value + 1 - len(covered))))
+        covered[value] = 1
+
+    for j in range(1, len(terms)):
+        doubled = 2 * terms[j]
+        for i in range(j):
+            mark(doubled - terms[i])
+
+    while len(terms) < target_len:
+        candidate = terms[-1] + 1
+        while candidate < len(covered) and covered[candidate]:
+            candidate += 1
+        for x in terms:
+            mark(2 * candidate - x)
+        terms.append(candidate)
+    return tuple(terms)
+
+
+def naive_omitted(terms, bound) -> tuple[int, ...]:
+    """Integers below ``bound`` that are neither terms nor 2y - x, pair by pair."""
+    decided = bytearray(bound)
+    for value in terms:
+        if value >= bound:
+            break
+        decided[value] = 1
+    for j in range(1, len(terms)):
+        y = terms[j]
+        if y >= bound:  # 2y - x > y, so later pairs cannot land below bound
+            break
+        doubled = 2 * y
+        for i in range(j):
+            z = doubled - terms[i]
+            if z < bound:
+                decided[z] = 1
+    return tuple(z for z in range(bound) if not decided[z])
+
+
 def naive_mod_3_free(a: st.ResidueSet) -> bool:
     for x in a.elements:
         for y in a.elements:

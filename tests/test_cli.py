@@ -61,6 +61,11 @@ def test_generate_bad_input(capsys):
     assert code == 2
 
 
+def test_generate_past_the_checked_range(capsys):
+    code, out, err = run(capsys, "generate", "--seed", str((1 << 63) - 1), "--count", "2")
+    assert code == 3 and out == "" and "resource limit:" in err
+
+
 def test_character_verb(capsys):
     code, out, _ = run(
         capsys, "character", "--seed", "0,1,6,7,10,15,16,18", "--count", "64", "--omitted"

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import stanley as st
+from stanley.core import INT_LIMIT
 from stanley.search import naive_greedy
 
 from conftest import naive_is_3_free, naive_is_covered
@@ -85,6 +86,14 @@ def test_greedy_argument_errors():
         st.greedy_extend([0, 2], 1)  # shorter than the seed
     with pytest.raises(st.ResourceLimitError):
         st.greedy_extend([0], 10, cap=5)
+
+
+def test_greedy_stops_at_the_checked_range():
+    assert st.greedy_extend([INT_LIMIT - 1], 2).terms == (INT_LIMIT - 1, INT_LIMIT)
+    with pytest.raises(st.ResourceLimitError):
+        st.greedy_extend([INT_LIMIT], 2)
+    with pytest.raises(st.ResourceLimitError):
+        st.greedy_extend([INT_LIMIT - 1, INT_LIMIT], 3)
 
 
 def test_detect_character_base_sequence():

@@ -3,6 +3,8 @@
 The product law is exercised part by part: the result keeps 0, keeps the
 no-progression property, and keeps full coverage.  Transforms must preserve
 the near-modular verdict, and the greedy generator must be prefix-stable.
+The shift-OR sequence core must agree with the pair-by-pair oracles in
+``conftest`` on dense and sparse inputs, with and without 0.
 """
 
 import math
@@ -10,6 +12,9 @@ import math
 from hypothesis import assume, given, settings, strategies as hs
 
 import stanley as st
+from stanley.core import INT_LIMIT
+
+from conftest import naive_greedy_table, naive_omitted
 
 # small verified near-modular operands for product/transform properties
 POOL = (
@@ -27,6 +32,21 @@ operand = hs.sampled_from(POOL)
 increasing = hs.lists(
     hs.integers(min_value=0, max_value=80), min_size=1, max_size=10, unique=True
 ).map(lambda xs: tuple(sorted(xs)))
+# scaled and shifted copies keep their progressions: sparse spans up to the
+# checked limit, and term lists that do not start at 0
+spread = hs.builds(
+    lambda xs, scale, shift: tuple(scale * x + shift for x in xs),
+    increasing,
+    hs.sampled_from((1, 2, 1000, 10**15)),
+    hs.sampled_from((0, 7, INT_LIMIT - 10**17)),
+)
+any_terms = hs.one_of(increasing, spread)
+# greedy seeds: small spans, so the byte-table oracle stays cheap
+seeds = hs.builds(
+    lambda xs, shift: tuple(sorted(x + shift for x in xs)),
+    hs.lists(hs.integers(min_value=0, max_value=300), min_size=1, max_size=8, unique=True),
+    hs.sampled_from((0, 0, 3, 50)),
+)
 
 
 def brute_3_free(terms):
@@ -57,7 +77,7 @@ def brute_mod_covers_all(a):
     return len(reached) == a.modulus
 
 
-@given(terms=increasing)
+@given(terms=any_terms)
 def test_three_free_matches_brute(terms):
     assert st.is_3_free(terms) == brute_3_free(terms)
 
@@ -80,6 +100,40 @@ def test_greedy_is_prefix_stable(terms, grow, more):
     assert longer.terms[: len(shorter)] == shorter.terms
     # restarting from any produced prefix must land on the same sequence
     assert st.greedy_extend(shorter, len(longer)) == longer
+
+
+@given(seed=seeds, grow=hs.integers(min_value=0, max_value=40))
+@settings(deadline=None)
+def test_greedy_matches_table_oracle(seed, grow):
+    assume(brute_3_free(seed))
+    target = len(seed) + grow
+    assert st.greedy_extend(seed, target).terms == naive_greedy_table(seed, target)
+
+
+@given(seed=seeds, grow=hs.integers(min_value=0, max_value=40))
+@settings(deadline=None)
+def test_greedy_result_revalidates(seed, grow):
+    assume(brute_3_free(seed))
+    prefix = st.greedy_extend(seed, len(seed) + grow)
+    assert st.StanleyPrefix(prefix.terms, prefix.generator_size) == prefix
+
+
+@given(seed=seeds, grow=hs.integers(min_value=0, max_value=40), cut=hs.floats(0, 1))
+@settings(deadline=None)
+def test_omitted_matches_oracle_on_greedy_prefixes(seed, grow, cut):
+    assume(brute_3_free(seed))
+    prefix = st.greedy_extend(seed, len(seed) + grow)
+    for bound in (0, int(cut * prefix.last), prefix.last):
+        gaps = st.omitted_set(prefix, bound)
+        assert gaps.elements == naive_omitted(prefix.terms, bound)
+        assert gaps.omega == (gaps.elements[-1] if gaps.elements else None)
+
+
+@given(terms=hs.one_of(increasing, seeds), cut=hs.floats(0, 1))
+def test_omitted_matches_oracle_on_any_terms(terms, cut):
+    # omitted_set does not require 3-freeness of a plain term list
+    bound = int(cut * terms[-1])
+    assert st.omitted_set(terms, bound).elements == naive_omitted(terms, bound)
 
 
 @given(a=operand, b=operand)
