@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="largest character to cover")
     p.add_argument("--deep-cap", type=int, default=100_000, help="skip deep phase above this modulus")
     p.add_argument("--no-deep", action="store_true", help="static checks only")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_coverage)
 
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="required top element")
     p.add_argument("--size", type=int, required=True, help="cardinality")
     p.add_argument("--budget", type=int, default=None, help=f"node budget (default ${BUDGET_ENV} or {DEFAULT_NODE_BUDGET})")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--resume", type=int, default=None, help="token from an earlier budget stop")
     p.add_argument("--no-zero", action="store_true", help="do not force 0 into the set")
     p.set_defaults(func=_cmd_search)

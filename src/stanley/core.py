@@ -22,6 +22,9 @@ DEFAULT_TERM_CAP = 1 << 20
 #: Checked integer width for every module; values beyond this raise instead of growing.
 INT_LIMIT = (1 << 63) - 1
 
+#: Widest span or modulus a bit mask may cover; larger inputs raise before allocating.
+BIT_LIMIT = 1 << 28
+
 _LOG2_3 = math.log2(3.0)
 
 
@@ -133,13 +136,34 @@ def _terms_of(prefix: SeedLike) -> tuple[int, ...]:
     return prefix.terms if isinstance(prefix, StanleyPrefix) else _check_terms(prefix)
 
 
+def _trusted(terms: tuple[int, ...], generator_size: int) -> StanleyPrefix:
+    """A StanleyPrefix over terms already known to be valid, without re-validation."""
+    prefix = object.__new__(StanleyPrefix)
+    object.__setattr__(prefix, "terms", terms)
+    object.__setattr__(prefix, "generator_size", generator_size)
+    return prefix
+
+
 def greedy_extend(seed: SeedLike, target_len: int, *, cap: int = DEFAULT_TERM_CAP) -> StanleyPrefix:
     """Extend ``seed`` greedily until it has ``target_len`` terms.
 
+    A raw seed is validated from the same shift-OR pass that starts the
+    extension: it holds a progression exactly when a covered value is a term.
     The next term is the lowest value above the last that no pair covers; each
     accepted term costs one shift-OR of the reversed term mask over the span.
     """
-    prefix = seed if isinstance(seed, StanleyPrefix) else StanleyPrefix.from_terms(seed)
+    terms = _terms_of(seed)
+    if terms[-1] - terms[0] > BIT_LIMIT:
+        raise ResourceLimitError(
+            f"seed span {terms[-1] - terms[0]} exceeds the {BIT_LIMIT}-bit mask budget"
+        )
+    last, rev, fwd, cover = _cover(terms)
+    if isinstance(seed, StanleyPrefix):
+        prefix = seed
+    elif cover & fwd:
+        raise MalformedInputError("terms contain a 3-term arithmetic progression")
+    else:
+        prefix = _trusted(terms, len(terms))
     if target_len < len(prefix):
         raise MalformedInputError(f"target_len {target_len} below seed length {len(prefix)}")
     if target_len > cap:
@@ -147,22 +171,18 @@ def greedy_extend(seed: SeedLike, target_len: int, *, cap: int = DEFAULT_TERM_CA
     if target_len == len(prefix):
         return prefix
 
-    terms = list(prefix.terms)
-    last, rev, _, cover = _cover(terms)
+    grown = list(terms)
     ahead = cover >> (last - terms[0] + 1)  # bit i: last + 1 + i is covered
-    while len(terms) < target_len:
+    while len(grown) < target_len:
         gap = (ahead ^ (ahead + 1)).bit_length()  # trailing ones of ahead, plus one
         last += gap
         # rev << gap has bit last - x; each 2*last - x sits at bit last - x - 1 of ahead
         ahead = (ahead >> gap) | (rev << (gap - 1))
         rev = (rev << gap) | 1
-        terms.append(last)
+        grown.append(last)
     if last > INT_LIMIT:
         raise ResourceLimitError(f"term {last} would exceed the checked 64-bit range")
-    grown = object.__new__(StanleyPrefix)  # greedy terms are 3-free: skip re-validation
-    object.__setattr__(grown, "terms", tuple(terms))
-    object.__setattr__(grown, "generator_size", prefix.generator_size)
-    return grown
+    return _trusted(tuple(grown), prefix.generator_size)  # greedy terms are 3-free
 
 
 @dataclass(frozen=True)

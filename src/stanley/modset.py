@@ -11,10 +11,11 @@ sets may exceed the modulus; only their residues matter to verification.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
-from .core import INT_LIMIT
+from .core import BIT_LIMIT, INT_LIMIT
 from .errors import (
     FormatError,
     InvariantViolationError,
@@ -112,12 +113,24 @@ def verify(a: ResidueSet) -> VerificationReport:
     identical, with x + z == 2y (mod N).  Degenerate triples are screened
     first: two elements sharing a residue, or sharing a doubled residue,
     each yield a violation on their own.
+
+    The rest is word-parallel over residue masks of at most 2N bits, so it
+    costs O(|A|) big-int operations of 2N bits.  Bit (-x) % N of a mask,
+    shifted left by 2y % N, lands on a bit whose residue is (2y - x) % N.
+    Walking y upward, ``cover`` collects those bits for x <= y, and y is a
+    middle term exactly when the shifted bits of every element hit the
+    residue mask, repeated over 2N bits, more than once (x = y always
+    hits).  A modulus above ``BIT_LIMIT`` raises ResourceLimitError before
+    any mask is built.
     """
     n = a.modulus
+    if n > BIT_LIMIT:
+        raise ResourceLimitError(f"modulus {n} exceeds the {BIT_LIMIT}-bit mask budget")
     elements = a.elements
     violation: tuple[int, int, int] | None = None
 
     by_residue: dict[int, int] = {}
+    residues = neg_all = 0
     for e in elements:
         r = e % n
         if r in by_residue:
@@ -125,6 +138,8 @@ def verify(a: ResidueSet) -> VerificationReport:
             violation = (other, other, e)  # x = y, z in the same class
             break
         by_residue[r] = e
+        residues |= 1 << r
+        neg_all |= 1 << (-r % n)
 
     if violation is None:
         by_doubled: dict[int, int] = {}
@@ -135,25 +150,24 @@ def verify(a: ResidueSet) -> VerificationReport:
                 break
             by_doubled[d] = e
 
-    if violation is None:
-        # Residues are now distinct, so any hit here is a genuine triple.
-        for y in elements:
-            doubled = 2 * y
+    residues_2n = residues | residues << n
+    neg = cover = 0
+    for y in elements:
+        s = 2 * y % n
+        neg |= 1 << (-y % n)
+        cover |= neg << s
+        # Residues are distinct once the screens pass, so each hit is one x.
+        if violation is None and ((neg_all << s) & residues_2n).bit_count() != 1:
             for x in elements:
                 if x == y:
                     continue
-                z = by_residue.get((doubled - x) % n)
+                z = by_residue.get((2 * y - x) % n)
                 if z is not None:
                     violation = (x, y, z)
                     break
-            if violation is not None:
-                break
 
-    covered = bytearray(n)
-    for i, x in enumerate(elements):
-        for y in elements[i:]:
-            covered[(2 * y - x) % n] = 1
-    uncovered = tuple(r for r in range(n) if not covered[r])
+    free = ~(cover | cover >> n) & ((1 << n) - 1)
+    uncovered = tuple(m.start() for m in re.finditer("1", bin(free)[:1:-1])) if free else ()
 
     three_free = violation is None
     near = three_free and not uncovered

@@ -9,6 +9,7 @@ scan against a full enumeration on tiny instances.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -54,6 +55,15 @@ class SearchResult:
     witness: ResidueSet | None
     nodes: int
     resume_token: int | None
+
+
+def check_threads(threads: int) -> None:
+    """Reject a worker-process count below 1 or above the host's CPU count."""
+    if threads < 1:
+        raise MalformedInputError("threads must be positive")
+    limit = os.cpu_count() or 1
+    if threads > limit:
+        raise MalformedInputError(f"threads {threads} exceeds the {limit} CPUs of this host")
 
 
 class _BudgetHit(Exception):
@@ -194,10 +204,9 @@ def search_near_modular(
     partitions are scanned in ascending order (possibly in parallel), and
     "first" always means search order, not wall clock.  With ``threads``
     above 1 the node budget is enforced per partition, so the combined
-    count can overshoot.
+    count can overshoot.  ``threads`` may not exceed ``os.cpu_count()``.
     """
-    if threads < 1:
-        raise MalformedInputError("threads must be positive")
+    check_threads(threads)
     n, t, s = spec.modulus, spec.max_element, spec.cardinality
     fixed = (0, t) if spec.require_zero else (t,)
     lo_base = 1 if spec.require_zero else 0

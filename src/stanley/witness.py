@@ -44,7 +44,7 @@ from .modset import (
     to_modular,
     verify,
 )
-from .search import SearchSpec, search_near_modular
+from .search import SearchSpec, check_threads, search_near_modular
 
 #: No sequence with the doubling structure attains these six characters.
 FORBIDDEN_CHARACTERS = frozenset({1, 3, 5, 9, 11, 15})
@@ -643,11 +643,10 @@ def coverage_report(
 ) -> CoverageReport:
     """Sweep characters 0..lambda_max and verify a witness for each
     admissible one.  Entries come back ordered by character regardless of
-    ``threads``."""
+    ``threads``, which may not exceed ``os.cpu_count()``."""
     if lambda_max < 16:
         raise PreconditionError("lambda_max must be at least 16")
-    if threads < 1:
-        raise MalformedInputError("threads must be positive")
+    check_threads(threads)
     jobs = [(target, deep, deep_cap) for target in range(lambda_max + 1)]
     if threads == 1:
         entries = [_coverage_entry(job) for job in jobs]

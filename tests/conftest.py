@@ -6,9 +6,13 @@ the optimized paths always have something independent to disagree with.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import stanley as st
+import stanley.search
+import stanley.witness
 from stanley.families import R_VARIANTS
 
 
@@ -97,6 +101,69 @@ def naive_mod_covers_all(a: st.ResidueSet) -> bool:
     return len(hit) == a.modulus
 
 
+def naive_verify(a: st.ResidueSet) -> st.VerificationReport:
+    """Full near-modular / modular verdict with a first violating triple.
+
+    Pair by pair: a dict probe for every (y, x) and a bytearray(N) coverage scan.
+
+    A violation is any ordered triple (x, y, z) of elements, not all three
+    identical, with x + z == 2y (mod N).  Degenerate triples are screened
+    first: two elements sharing a residue, or sharing a doubled residue,
+    each yield a violation on their own.
+    """
+    n = a.modulus
+    elements = a.elements
+    violation: tuple[int, int, int] | None = None
+
+    by_residue: dict[int, int] = {}
+    for e in elements:
+        r = e % n
+        if r in by_residue:
+            other = by_residue[r]
+            violation = (other, other, e)  # x = y, z in the same class
+            break
+        by_residue[r] = e
+
+    if violation is None:
+        by_doubled: dict[int, int] = {}
+        for e in elements:
+            d = (2 * e) % n
+            if d in by_doubled:
+                violation = (by_doubled[d], e, by_doubled[d])  # x = z, middle y
+                break
+            by_doubled[d] = e
+
+    if violation is None:
+        # Residues are now distinct, so any hit here is a genuine triple.
+        for y in elements:
+            doubled = 2 * y
+            for x in elements:
+                if x == y:
+                    continue
+                z = by_residue.get((doubled - x) % n)
+                if z is not None:
+                    violation = (x, y, z)
+                    break
+            if violation is not None:
+                break
+
+    covered = bytearray(n)
+    for i, x in enumerate(elements):
+        for y in elements[i:]:
+            covered[(2 * y - x) % n] = 1
+    uncovered = tuple(r for r in range(n) if not covered[r])
+
+    three_free = violation is None
+    near = three_free and not uncovered
+    return st.VerificationReport(
+        is_three_free_mod=three_free,
+        uncovered_residues=uncovered,
+        is_near_modular=near,
+        is_modular=near and a.max_element < n,
+        witness_violation=violation,
+    )
+
+
 def family_names() -> list[str]:
     names = []
     for n in (0, 1, 2):
@@ -123,6 +190,18 @@ def build_corpus() -> list[st.ResidueSet]:
     tables = st.load_appendix()
     sets += list(tables.mod28) + list(tables.mod30)
     return sets
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A host reporting two CPUs, on which starting a process pool fails the test."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(stanley.search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(stanley.witness, "ProcessPoolExecutor", no_pool)
 
 
 @pytest.fixture(scope="session")

@@ -66,6 +66,14 @@ def test_generate_past_the_checked_range(capsys):
     assert code == 3 and out == "" and "resource limit:" in err
 
 
+def test_mask_budget_is_a_resource_limit(capsys):
+    # both stop at the bit budget, before the first mask is built
+    code, out, err = run(capsys, "generate", "--seed", "0,1000000000000", "--count", "3")
+    assert code == 3 and out == "" and "mask budget" in err
+    code, out, err = run(capsys, "verify", "N=1000000000000000000; 0,1")
+    assert code == 3 and out == "" and "mask budget" in err
+
+
 def test_character_verb(capsys):
     code, out, _ = run(
         capsys, "character", "--seed", "0,1,6,7,10,15,16,18", "--count", "64", "--omitted"
@@ -205,6 +213,15 @@ def test_search_verb_found(capsys):
     assert lines[0] == "nodes: 666"
     assert lines[1] == "N=28; 0,5,11,13,16,18,24,57"
     assert lines[2] == "character: 87"
+
+
+def test_threads_above_cpu_count_are_usage_errors(capsys, two_cpus):
+    code, out, err = run(capsys, "coverage", "--max", "16", "--threads", "3")
+    assert code == 2 and out == "" and "threads 3" in err
+    code, out, err = run(
+        capsys, "search", "--mod", "28", "--max", "57", "--size", "8", "--threads", "3"
+    )
+    assert code == 2 and out == "" and "threads 3" in err
 
 
 def test_search_verb_exhausted(capsys):

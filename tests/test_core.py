@@ -5,6 +5,7 @@ import math
 import pytest
 
 import stanley as st
+from stanley import core
 from stanley.core import INT_LIMIT
 from stanley.search import naive_greedy
 
@@ -86,6 +87,25 @@ def test_greedy_argument_errors():
         st.greedy_extend([0, 2], 1)  # shorter than the seed
     with pytest.raises(st.ResourceLimitError):
         st.greedy_extend([0], 10, cap=5)
+
+
+def test_greedy_seed_errors_in_order():
+    # terms first, then the progression, then target_len
+    with pytest.raises(st.MalformedInputError, match="strictly increasing"):
+        st.greedy_extend([0, 2, 1], 1)
+    with pytest.raises(st.MalformedInputError, match="progression"):
+        st.greedy_extend([0, 1, 2], 1)
+    with pytest.raises(st.MalformedInputError, match="target_len"):
+        st.greedy_extend([0, 1, 3], 2)
+
+
+def test_greedy_mask_budget(monkeypatch):
+    monkeypatch.setattr(core, "BIT_LIMIT", 100)
+    assert st.greedy_extend([0, 100], 3).terms == (0, 100, 101)
+    with pytest.raises(st.ResourceLimitError):
+        st.greedy_extend([0, 101], 3)
+    with pytest.raises(st.ResourceLimitError):  # a validated prefix is budgeted too
+        st.greedy_extend(st.StanleyPrefix.from_terms([5, 106]), 3)
 
 
 def test_greedy_stops_at_the_checked_range():

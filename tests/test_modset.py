@@ -6,6 +6,7 @@ import math
 import pytest
 
 import stanley as st
+from stanley import modset
 
 from conftest import naive_mod_3_free, naive_mod_covers_all
 
@@ -77,6 +78,13 @@ def test_verify_near_but_not_modular():
     shifted = st.shift_max(st.ResidueSet(3, (0, 2)), 1)
     report = st.verify(shifted)
     assert report.is_near_modular and not report.is_modular
+
+
+def test_verify_mask_budget(monkeypatch):
+    monkeypatch.setattr(modset, "BIT_LIMIT", 27)
+    assert st.verify(ACAL1).is_modular
+    with pytest.raises(st.ResourceLimitError):
+        st.verify(st.ResidueSet(28, (0, 1)))
 
 
 def test_verify_matches_naive_oracles(small_corpus):

@@ -3,18 +3,20 @@
 The product law is exercised part by part: the result keeps 0, keeps the
 no-progression property, and keeps full coverage.  Transforms must preserve
 the near-modular verdict, and the greedy generator must be prefix-stable.
-The shift-OR sequence core must agree with the pair-by-pair oracles in
-``conftest`` on dense and sparse inputs, with and without 0.
+The shift-OR sequence core and the residue-mask ``verify`` must agree with
+the pair-by-pair oracles in ``conftest`` on dense and sparse inputs, with and
+without 0, valid or not.
 """
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
 import stanley as st
 from stanley.core import INT_LIMIT
 
-from conftest import naive_greedy_table, naive_omitted
+from conftest import naive_greedy_table, naive_is_3_free, naive_omitted, naive_verify
 
 # small verified near-modular operands for product/transform properties
 POOL = (
@@ -48,6 +50,34 @@ seeds = hs.builds(
     hs.sampled_from((0, 0, 3, 50)),
 )
 
+# sparse copies that stay inside the mask budget, so greedy validates them too
+scaled = hs.builds(
+    lambda xs, scale: tuple(scale * x for x in xs), increasing, hs.sampled_from((1, 3, 1000, 10**4))
+)
+
+
+@hs.composite
+def residue_sets(draw):
+    """Small moduli (N = 1 included) and elements up to 3N: residues and
+    doubled residues repeat often; an even N may also pair x with x + N/2."""
+    n = draw(hs.one_of(hs.just(1), hs.integers(min_value=2, max_value=40)))
+    xs = draw(hs.lists(hs.integers(min_value=0, max_value=3 * n), max_size=12))
+    if n % 2 == 0 and xs and draw(hs.booleans()):
+        xs.append(xs[0] + n // 2)  # same doubled residue as xs[0]
+    return st.ResidueSet.of(n, {0, *xs})
+
+
+def edited(a, edit, k):
+    """Corpus member with its top element dropped, moved up k moduli, or k added."""
+    elements = set(a.elements)
+    if edit == "add":
+        elements.add(k)
+    elif len(a) > 1:
+        elements.discard(a.max_element)
+        if edit == "shift":
+            elements.add(a.max_element + k * a.modulus)
+    return st.ResidueSet.of(a.modulus, elements)
+
 
 def brute_3_free(terms):
     n = len(terms)
@@ -80,6 +110,28 @@ def brute_mod_covers_all(a):
 @given(terms=any_terms)
 def test_three_free_matches_brute(terms):
     assert st.is_3_free(terms) == brute_3_free(terms)
+
+
+@given(terms=hs.one_of(increasing, seeds, scaled), grow=hs.integers(min_value=0, max_value=3))
+@settings(deadline=None)
+def test_greedy_rejects_exactly_the_progressions(terms, grow):
+    if naive_is_3_free(terms):
+        assert len(st.greedy_extend(terms, len(terms) + grow)) == len(terms) + grow
+    else:
+        with pytest.raises(st.MalformedInputError):
+            st.greedy_extend(terms, len(terms) + grow)
+
+
+@given(data=hs.data())
+def test_verify_matches_oracle(small_corpus, data):
+    corpus_edit = hs.builds(
+        edited,
+        hs.sampled_from(small_corpus),
+        hs.sampled_from(("keep", "drop", "shift", "add")),
+        hs.integers(min_value=1, max_value=90),
+    )
+    a = data.draw(hs.one_of(residue_sets(), corpus_edit))
+    assert st.verify(a) == naive_verify(a)
 
 
 @given(terms=increasing, z=hs.integers(min_value=0, max_value=160))

@@ -1,5 +1,6 @@
 """Search engine vs. unpruned enumeration, plus budget/resume plumbing."""
 
+import os
 import random
 from itertools import combinations
 
@@ -104,6 +105,15 @@ def test_budget_validation():
         st.SearchSpec(10, 2, 4)  # top below cardinality - 1
     with pytest.raises(st.MalformedInputError):
         st.search_near_modular(st.SearchSpec(10, 8, 4), threads=0)
+
+
+def test_threads_capped_at_cpu_count(two_cpus, monkeypatch):
+    spec = st.SearchSpec(28, 57, 8)
+    with pytest.raises(st.MalformedInputError):
+        st.search_near_modular(spec, threads=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown count: one worker
+    with pytest.raises(st.MalformedInputError):
+        st.search_near_modular(spec, threads=2)
 
 
 def test_threads_agree_with_sequential():

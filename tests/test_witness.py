@@ -251,6 +251,11 @@ def test_coverage_precondition():
         st.coverage_report(10)
 
 
+def test_coverage_threads_capped_at_cpu_count(two_cpus):
+    with pytest.raises(st.MalformedInputError):
+        st.coverage_report(16, threads=3)
+
+
 def test_coverage_threads_agree():
     solo = st.coverage_report(24, deep=True)
     pooled = st.coverage_report(24, deep=True, threads=2)
