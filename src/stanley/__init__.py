@@ -55,7 +55,7 @@ from .modset import (
     to_modular,
     verify,
 )
-from .search import SearchResult, SearchSpec, brute_character, naive_greedy, search_near_modular
+from .search import SearchResult, SearchSpec, search_near_modular
 from .witness import (
     FORBIDDEN_CHARACTERS,
     STRATEGIES,
@@ -76,72 +76,3 @@ from .witness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppendixReport",
-    "AppendixTables",
-    "BudgetExceededError",
-    "CharacterProfile",
-    "CoverageEntry",
-    "CoverageReport",
-    "ErratumEntry",
-    "FamilyId",
-    "ForbiddenCharacterError",
-    "FormatError",
-    "FORBIDDEN_CHARACTERS",
-    "InvariantViolationError",
-    "MalformedInputError",
-    "NegativeCharacterError",
-    "OmittedSet",
-    "PreconditionError",
-    "PrefixTooShortError",
-    "ResidueSet",
-    "ResourceLimitError",
-    "STRATEGIES",
-    "SearchResult",
-    "SearchSpec",
-    "StanleyError",
-    "TableRef",
-    "StanleyPrefix",
-    "VerificationError",
-    "VerificationReport",
-    "VerifiedWitness",
-    "WitnessRecipe",
-    "appendix_check",
-    "brute_character",
-    "build_Acal",
-    "build_At",
-    "build_Atk",
-    "build_Bcal",
-    "build_CDEF",
-    "build_R",
-    "build_T",
-    "build_Ttilde",
-    "build_U",
-    "build_Utilde",
-    "build_family",
-    "character_of",
-    "coverage_report",
-    "detect_character",
-    "execute_and_verify",
-    "format_set",
-    "greedy_extend",
-    "growth_diagnostic",
-    "is_3_free",
-    "is_covered",
-    "is_mod_ap",
-    "is_mod_covered",
-    "load_appendix",
-    "load_set_file",
-    "naive_greedy",
-    "omitted_set",
-    "parse_family",
-    "parse_set",
-    "product",
-    "read_sets",
-    "scale",
-    "search_near_modular",
-    "shift_max",
-    "to_modular",
-    "verify",
-    "witness_for",
-]

@@ -40,9 +40,10 @@ from .modset import (
 )
 from .search import DEFAULT_NODE_BUDGET, SearchSpec, search_near_modular
 from .witness import (
-    _describe_base,
+    DEFAULT_DEEP_CAP,
     appendix_check,
     coverage_report,
+    describe_base,
     execute_and_verify,
     load_appendix,
     witness_for,
@@ -189,7 +190,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     recipe = witness_for(args.target)
     result = execute_and_verify(recipe, deep=args.deep, deep_cap=args.deep_cap)
     print(f"strategy: {recipe.strategy}")
-    print(f"base: {_describe_base(recipe.base)}")
+    print(f"base: {describe_base(recipe.base)}")
     if recipe.shift_count:
         print(f"shifts: {recipe.shift_count}")
     if result.search_nodes:
@@ -319,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="construct and verify a witness for one character")
     p.add_argument("--lambda", dest="target", type=int, required=True, help="target character")
     p.add_argument("--deep", action="store_true", help="also verify the greedy extension")
-    p.add_argument("--deep-cap", type=int, default=100_000, help="skip deep phase above this modulus")
+    p.add_argument("--deep-cap", type=int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("coverage", help="verify witnesses for every character up to a bound")
     p.add_argument("--max", type=int, required=True, help="largest character to cover")
-    p.add_argument("--deep-cap", type=int, default=100_000, help="skip deep phase above this modulus")
+    p.add_argument("--deep-cap", type=int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
     p.add_argument("--no-deep", action="store_true", help="static checks only")
     p.add_argument("--threads", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--json", action="store_true", help="machine-readable output")

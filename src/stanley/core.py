@@ -28,6 +28,26 @@ BIT_LIMIT = 1 << 28
 _LOG2_3 = math.log2(3.0)
 
 
+def check_int(value: int, what: str) -> int:
+    """Return ``value`` if it is an int (not a bool) in 0..INT_LIMIT.
+
+    A non-integer or negative value raises MalformedInputError; one above
+    ``INT_LIMIT`` raises ResourceLimitError.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInputError(f"{what} {value!r} is not an integer")
+    if value < 0:
+        raise MalformedInputError(f"{what} {value} is negative")
+    if value > INT_LIMIT:
+        raise ResourceLimitError(f"{what} {value} exceeds the checked 64-bit range")
+    return value
+
+
+def set_bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of a nonnegative ``mask``, ascending."""
+    return tuple(m.start() for m in re.finditer("1", bin(mask)[:1:-1]))
+
+
 def _check_terms(terms: Sequence[int]) -> tuple[int, ...]:
     """Validate a strictly increasing tuple of checked nonnegative ints."""
     out = tuple(terms)
@@ -35,12 +55,7 @@ def _check_terms(terms: Sequence[int]) -> tuple[int, ...]:
         raise MalformedInputError("term list is empty")
     last = -1
     for value in out:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MalformedInputError(f"term {value!r} is not an integer")
-        if value < 0:
-            raise MalformedInputError(f"term {value} is negative")
-        if value > INT_LIMIT:
-            raise MalformedInputError(f"term {value} exceeds the checked 64-bit range")
+        check_int(value, "term")
         if value <= last:
             raise MalformedInputError("terms must be strictly increasing")
         last = value
@@ -144,7 +159,7 @@ def _trusted(terms: tuple[int, ...], generator_size: int) -> StanleyPrefix:
     return prefix
 
 
-def greedy_extend(seed: SeedLike, target_len: int, *, cap: int = DEFAULT_TERM_CAP) -> StanleyPrefix:
+def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
     """Extend ``seed`` greedily until it has ``target_len`` terms.
 
     A raw seed is validated from the same shift-OR pass that starts the
@@ -166,8 +181,8 @@ def greedy_extend(seed: SeedLike, target_len: int, *, cap: int = DEFAULT_TERM_CA
         prefix = _trusted(terms, len(terms))
     if target_len < len(prefix):
         raise MalformedInputError(f"target_len {target_len} below seed length {len(prefix)}")
-    if target_len > cap:
-        raise ResourceLimitError(f"target_len {target_len} exceeds cap {cap}")
+    if target_len > DEFAULT_TERM_CAP:
+        raise ResourceLimitError(f"target_len {target_len} exceeds cap {DEFAULT_TERM_CAP}")
     if target_len == len(prefix):
         return prefix
 
@@ -265,7 +280,7 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
 
     _, _, fwd, cover = _cover(terms, bound)
     free = ~((fwd | cover) << terms[0]) & ((1 << bound) - 1)
-    elements = tuple(m.start() for m in re.finditer("1", bin(free)[:1:-1]))
+    elements = set_bits(free)
     return OmittedSet(elements, elements[-1] if elements else None, bound)
 
 

@@ -11,11 +11,10 @@ sets may exceed the modulus; only their residues matter to verification.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
-from .core import BIT_LIMIT, INT_LIMIT
+from .core import BIT_LIMIT, INT_LIMIT, check_int, set_bits
 from .errors import (
     FormatError,
     InvariantViolationError,
@@ -26,16 +25,6 @@ from .errors import (
 )
 
 
-def _check_value(value: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInputError(f"{what} {value!r} is not an integer")
-    if value < 0:
-        raise MalformedInputError(f"{what} {value} is negative")
-    if value > INT_LIMIT:
-        raise ResourceLimitError(f"{what} {value} exceeds the checked 64-bit range")
-    return value
-
-
 @dataclass(frozen=True)
 class ResidueSet:
     """Ascending element tuple plus modulus; 0 is always a member."""
@@ -44,7 +33,7 @@ class ResidueSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_value(self.modulus, "modulus")
+        check_int(self.modulus, "modulus")
         if self.modulus < 1:
             raise MalformedInputError("modulus must be at least 1")
         elements = tuple(self.elements)
@@ -53,7 +42,7 @@ class ResidueSet:
             raise MalformedInputError("element list is empty")
         last = -1
         for value in elements:
-            _check_value(value, "element")
+            check_int(value, "element")
             if value == last:
                 raise MalformedInputError(f"duplicate element {value}")
             if value < last:
@@ -167,7 +156,7 @@ def verify(a: ResidueSet) -> VerificationReport:
                     break
 
     free = ~(cover | cover >> n) & ((1 << n) - 1)
-    uncovered = tuple(m.start() for m in re.finditer("1", bin(free)[:1:-1])) if free else ()
+    uncovered = set_bits(free) if free else ()
 
     three_free = violation is None
     near = three_free and not uncovered
@@ -203,7 +192,7 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 
 def scale(a: ResidueSet, c: int) -> ResidueSet:
     """Multiply every element by c; requires gcd(c, N) = 1."""
-    _check_value(c, "scale factor")
+    check_int(c, "scale factor")
     if c < 1:
         raise PreconditionError("scale factor must be positive")
     if math.gcd(c, a.modulus) != 1:
@@ -219,7 +208,7 @@ def shift_max(a: ResidueSet, multiples: int = 1) -> ResidueSet:
     Residues are unchanged, so every verification verdict is preserved;
     only the maximum (and with it the character) moves.
     """
-    _check_value(multiples, "multiples")
+    check_int(multiples, "multiples")
     if multiples < 1:
         raise PreconditionError("multiples must be positive")
     if a.max_element == 0:

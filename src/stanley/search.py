@@ -1,4 +1,4 @@
-"""Exhaustive search for near-modular sets, plus naive cross-check oracles.
+"""Exhaustive search for near-modular sets, and the process-pool helper.
 
 The searcher enumerates candidate sets {0, t} plus middle elements from
 [1, t-1] in colexicographic order and prunes any partial set that already
@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
-from .core import CharacterProfile
-from .errors import InvariantViolationError, MalformedInputError, PreconditionError
+from .errors import InvariantViolationError, MalformedInputError
 from .modset import ResidueSet, verify
 
 DEFAULT_NODE_BUDGET = 1_000_000_000
@@ -66,6 +68,24 @@ def check_threads(threads: int) -> None:
         raise MalformedInputError(f"threads {threads} exceeds the {limit} CPUs of this host")
 
 
+def ordered_map(fn: Callable, *iterables: Iterable, threads: int) -> Iterator:
+    """``map(fn, *iterables)`` across ``threads`` worker processes, in input order.
+
+    With one thread this is the lazy built-in ``map``, which reads each input
+    only when its result is asked for.  A pool reads every input at once and
+    hands out chunks of four tasks; closing the iterator early cancels the
+    queued chunks and waits for the running ones.  ``fn`` must be picklable.
+    """
+    if threads == 1:
+        yield from map(fn, *iterables)
+        return
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        yield from pool.map(fn, *iterables, chunksize=4)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 class _BudgetHit(Exception):
     pass
 
@@ -85,48 +105,50 @@ def _admissible_residues(modulus: int, dbl: int, pair: int) -> int:
     return mask
 
 
+def _place(
+    n: int, placed: Iterable[int], value: int, dbl: int, pair: int, cov: int
+) -> tuple[int, int, int]:
+    """The ``dbl``, ``pair`` and ``cov`` masks mod ``n`` after adding ``value`` to ``placed``."""
+    for q in placed:
+        dbl |= 1 << ((2 * value - q) % n)
+        dbl |= 1 << ((2 * q - value) % n)
+        pair |= 1 << ((q + value) % n)
+        hi, lo = (q, value) if q > value else (value, q)
+        cov |= 1 << ((2 * hi - lo) % n)
+    dbl |= 1 << (value % n)
+    pair |= 1 << ((2 * value) % n)
+    cov |= 1 << (value % n)
+    return dbl, pair, cov
+
+
 def _value_window(pattern: int, modulus: int, lo: int, hi: int) -> int:
     """Replicate a residue bitmask over the value range [lo, hi]."""
     out = 0
-    shift = 0
-    while shift <= hi:
+    for shift in range(0, hi + 1, modulus):
         out |= pattern << shift
-        shift += modulus
     out &= (1 << (hi + 1)) - 1
     return out >> lo << lo
 
 
 def _scan_partition(
     modulus: int,
-    max_element: int,
     cardinality: int,
     fixed: tuple[int, ...],
     masks: tuple[int, int, int],
     lo_base: int,
     outer_value: int,
     budget: int,
-) -> tuple[tuple[int, ...] | None, int, bool]:
+) -> tuple[tuple[int, ...] | None, int]:
     """Scan every candidate whose largest middle element is ``outer_value``.
 
-    Returns (witness elements or None, nodes examined, budget hit flag).
+    Returns (witness elements or None, nodes examined); the count is
+    ``budget + 1`` when the budget ran out.
     """
     n = modulus
     total_pairs = cardinality * (cardinality + 1) // 2
     middle = cardinality - len(fixed)
     chosen = list(fixed)
     nodes = 0
-
-    def place(value: int, dbl: int, pair: int, cov: int) -> tuple[int, int, int]:
-        for q in chosen:
-            dbl |= 1 << ((2 * value - q) % n)
-            dbl |= 1 << ((2 * q - value) % n)
-            pair |= 1 << ((q + value) % n)
-            hi, lo = (q, value) if q > value else (value, q)
-            cov |= 1 << ((2 * hi - lo) % n)
-        dbl |= 1 << (value % n)
-        pair |= 1 << ((2 * value) % n)
-        cov |= 1 << (value % n)
-        return dbl, pair, cov
 
     def rec(slot: int, lo: int, hi: int, dbl: int, pair: int, cov: int) -> tuple[int, ...] | None:
         nonlocal nodes
@@ -138,7 +160,7 @@ def _scan_partition(
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
-            ndbl, npair, ncov = place(value, dbl, pair, cov)
+            ndbl, npair, ncov = _place(n, chosen, value, dbl, pair, cov)
             chosen.append(value)
             depth = len(chosen)
             # Remaining placements can add at most the missing pair count.
@@ -147,22 +169,18 @@ def _scan_partition(
                     # a witness must contain 0; with require_zero off it can
                     # only arrive as a middle element
                     if ncov.bit_count() == n and 0 in chosen:
-                        found = tuple(sorted(chosen))
-                        chosen.pop()
-                        return found
+                        return tuple(sorted(chosen))
                 else:
                     got = rec(slot - 1, lo_base + slot - 2, value - 1, ndbl, npair, ncov)
                     if got is not None:
-                        chosen.pop()
                         return got
             chosen.pop()
         return None
 
     try:
-        witness = rec(middle, outer_value, outer_value, *masks)
+        return rec(middle, outer_value, outer_value, *masks), nodes
     except _BudgetHit:
-        return None, nodes, True
-    return witness, nodes, False
+        return None, nodes
 
 
 def _seed_masks(modulus: int, fixed: tuple[int, ...]) -> tuple[int, int, int] | None:
@@ -172,15 +190,7 @@ def _seed_masks(modulus: int, fixed: tuple[int, ...]) -> tuple[int, int, int] | 
     for e in fixed:
         if (dbl >> (e % modulus)) & 1 or (pair >> ((2 * e) % modulus)) & 1:
             return None
-        for q in placed:
-            dbl |= 1 << ((2 * e - q) % modulus)
-            dbl |= 1 << ((2 * q - e) % modulus)
-            pair |= 1 << ((q + e) % modulus)
-            hi, lo = (q, e) if q > e else (e, q)
-            cov |= 1 << ((2 * hi - lo) % modulus)
-        dbl |= 1 << (e % modulus)
-        pair |= 1 << ((2 * e) % modulus)
-        cov |= 1 << (e % modulus)
+        dbl, pair, cov = _place(modulus, placed, e, dbl, pair, cov)
         placed.append(e)
     return dbl, pair, cov
 
@@ -202,9 +212,8 @@ def search_near_modular(
 
     The space splits into partitions by the largest middle element;
     partitions are scanned in ascending order (possibly in parallel), and
-    "first" always means search order, not wall clock.  With ``threads``
-    above 1 the node budget is enforced per partition, so the combined
-    count can overshoot.  ``threads`` may not exceed ``os.cpu_count()``.
+    "first" always means search order, not wall clock.  ``threads`` may not
+    exceed ``os.cpu_count()``; it changes only the speed, never the result.
     """
     check_threads(threads)
     n, t, s = spec.modulus, spec.max_element, spec.cardinality
@@ -226,98 +235,17 @@ def search_near_modular(
         first_partition = max(first_partition, resume)
     partitions = range(first_partition, t)
 
+    # Each partition may spend what the earlier ones left.  A lazy map reads
+    # these after the previous result; a pool reads them all at the start, and
+    # a result past the shared budget is cut to what a sequential scan returns.
     nodes_total = 0
-    if threads == 1:
-        for outer in partitions:
-            witness, used, hit = _scan_partition(
-                n, t, s, fixed, masks, lo_base, outer, spec.budget - nodes_total
-            )
+    budgets = (spec.budget - nodes_total for _ in partitions)
+    scan = partial(_scan_partition, n, s, fixed, masks, lo_base)
+    with closing(ordered_map(scan, partitions, budgets, threads=threads)) as results:
+        for outer, (witness, used) in zip(partitions, results):
+            if nodes_total + used > spec.budget:
+                return SearchResult("budget_exceeded", None, spec.budget + 1, outer)
             nodes_total += used
             if witness is not None:
                 return _finish(witness, spec, nodes_total, outer)
-            if hit:
-                return SearchResult("budget_exceeded", None, nodes_total, outer)
-        return SearchResult("exhausted", None, nodes_total, None)
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_scan_partition, n, t, s, fixed, masks, lo_base, outer, spec.budget)
-            for outer in partitions
-        ]
-        try:
-            for outer, future in zip(partitions, futures):
-                witness, used, hit = future.result()
-                nodes_total += used
-                if witness is not None:
-                    return _finish(witness, spec, nodes_total, outer)
-                if hit:
-                    return SearchResult("budget_exceeded", None, nodes_total, outer)
-        finally:
-            for future in futures:
-                future.cancel()
     return SearchResult("exhausted", None, nodes_total, None)
-
-
-# --- naive oracles ---------------------------------------------------------
-
-
-def _naive_recheck(terms: list[int]) -> bool:
-    """Whole-list 3-freeness test, written independently of core."""
-    members = set(terms)
-    for j in range(1, len(terms)):
-        for i in range(j):
-            if 2 * terms[j] - terms[i] in members:
-                return False
-    return True
-
-
-def naive_greedy(seed: list[int], length: int) -> list[int]:
-    """Greedy extension by full recheck of every candidate; O(n^3) total."""
-    terms = list(seed)
-    while len(terms) < length:
-        candidate = terms[-1] + 1
-        while not _naive_recheck(terms + [candidate]):
-            candidate += 1
-        terms.append(candidate)
-    return terms
-
-
-def brute_character(seed: list[int], levels: int) -> CharacterProfile | None:
-    """Character detection by the naive path; cross-validates the fast one.
-
-    Extends the seed far enough to expose ``levels`` doubling levels past
-    the seed's scale and scans the two identities directly.
-    """
-    if not 1 <= levels <= 6:
-        raise PreconditionError("levels must be between 1 and 6")
-    if sorted(set(seed)) != list(seed) or (seed and seed[0] < 0):
-        raise PreconditionError("seed must be strictly increasing and nonnegative")
-    if not seed:
-        raise PreconditionError("seed is empty")
-    if not _naive_recheck(list(seed)):
-        raise PreconditionError("seed contains a 3-term arithmetic progression")
-
-    base_level = (len(seed) - 1).bit_length()  # least k with 2^k >= len(seed)
-    terms = naive_greedy(list(seed), 1 << (base_level + levels))
-
-    top = len(terms).bit_length() - 2
-    for settle in range(top + 1):
-        block = 1 << settle
-        value = 2 * terms[block - 1] - terms[block] + 1
-        if value < 0:
-            continue
-        consistent = True
-        for k in range(settle, top + 1):
-            block_k = 1 << k
-            if 2 * terms[block_k - 1] - terms[block_k] + 1 != value:
-                consistent = False
-                break
-            for i in range(block_k):
-                if terms[block_k + i] != terms[block_k] + terms[i]:
-                    consistent = False
-                    break
-            if not consistent:
-                break
-        if consistent:
-            return CharacterProfile(value, settle, terms[1 << settle], top)
-    return None

@@ -11,9 +11,8 @@ way down to a greedy extension of the fully modular form.
 from __future__ import annotations
 
 import importlib.resources
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 from typing import Union
 
 from .core import (
@@ -44,7 +43,7 @@ from .modset import (
     to_modular,
     verify,
 )
-from .search import SearchSpec, check_threads, search_near_modular
+from .search import SearchSpec, check_threads, ordered_map, search_near_modular
 
 #: No sequence with the doubling structure attains these six characters.
 FORBIDDEN_CHARACTERS = frozenset({1, 3, 5, 9, 11, 15})
@@ -514,7 +513,8 @@ def execute_and_verify(
 # coverage sweeps
 
 
-def _describe_base(base: BaseSpec) -> str:
+def describe_base(base: BaseSpec) -> str:
+    """One-line description of a recipe base, as shown in coverage and witness output."""
     if isinstance(base, FamilyId):
         return str(base)
     if isinstance(base, TableRef):
@@ -540,8 +540,7 @@ class CoverageEntry:
     detail: str | None = None
 
 
-def _coverage_entry(args: tuple[int, bool, int]) -> CoverageEntry:
-    target, deep, deep_cap = args
+def _coverage_entry(target: int, deep: bool, deep_cap: int) -> CoverageEntry:
     if target in FORBIDDEN_CHARACTERS:
         return CoverageEntry(target, "excluded")
     recipe = witness_for(target)
@@ -552,14 +551,14 @@ def _coverage_entry(args: tuple[int, bool, int]) -> CoverageEntry:
             target,
             "failed",
             recipe.strategy,
-            _describe_base(recipe.base),
+            describe_base(recipe.base),
             detail=str(exc),
         )
     return CoverageEntry(
         target,
         "verified",
         recipe.strategy,
-        _describe_base(recipe.base),
+        describe_base(recipe.base),
         result.witness.max_element,
         result.witness.modulus,
         result.deep_verified,
@@ -616,21 +615,7 @@ class CoverageReport:
             "verified": self.count("verified"),
             "excluded": self.count("excluded"),
             "failed": self.count("failed"),
-            "entries": [
-                {
-                    "character": e.character,
-                    "status": e.status,
-                    "strategy": e.strategy,
-                    "base": e.base,
-                    "max_element": e.max_element,
-                    "modulus": e.modulus,
-                    "deep_verified": e.deep_verified,
-                    "doubling_levels": e.doubling_levels,
-                    "omega": e.omega,
-                    "detail": e.detail,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 
@@ -647,10 +632,6 @@ def coverage_report(
     if lambda_max < 16:
         raise PreconditionError("lambda_max must be at least 16")
     check_threads(threads)
-    jobs = [(target, deep, deep_cap) for target in range(lambda_max + 1)]
-    if threads == 1:
-        entries = [_coverage_entry(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(_coverage_entry, jobs, chunksize=8))
+    entry = partial(_coverage_entry, deep=deep, deep_cap=deep_cap)
+    entries = ordered_map(entry, range(lambda_max + 1), threads=threads)
     return CoverageReport(lambda_max, deep_cap, tuple(entries))

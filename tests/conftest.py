@@ -12,7 +12,6 @@ import pytest
 
 import stanley as st
 import stanley.search
-import stanley.witness
 from stanley.families import R_VARIANTS
 
 
@@ -60,6 +59,69 @@ def naive_greedy_table(seed, target_len) -> tuple[int, ...]:
             mark(2 * candidate - x)
         terms.append(candidate)
     return tuple(terms)
+
+
+def _naive_recheck(terms: list[int]) -> bool:
+    """Whole-list 3-freeness test, written independently of core."""
+    members = set(terms)
+    for j in range(1, len(terms)):
+        for i in range(j):
+            if 2 * terms[j] - terms[i] in members:
+                return False
+    return True
+
+
+def naive_greedy(seed: list[int], length: int) -> list[int]:
+    """Greedy extension by full recheck of every candidate; O(n^3) total."""
+    terms = list(seed)
+    while len(terms) < length:
+        candidate = terms[-1] + 1
+        while not _naive_recheck(terms + [candidate]):
+            candidate += 1
+        terms.append(candidate)
+    return terms
+
+
+def brute_character(seed: list[int], levels: int) -> st.CharacterProfile | None:
+    """Character detection by the naive path; cross-validates the fast one.
+
+    Extends the seed with ``naive_greedy_table`` far enough to expose
+    ``levels`` doubling levels past the seed's scale and scans the two
+    identities directly.
+    """
+    if not 1 <= levels <= 6:
+        raise st.PreconditionError("levels must be between 1 and 6")
+    if sorted(set(seed)) != list(seed) or (seed and seed[0] < 0):
+        raise st.PreconditionError("seed must be strictly increasing and nonnegative")
+    if not seed:
+        raise st.PreconditionError("seed is empty")
+    if not _naive_recheck(list(seed)):
+        raise st.PreconditionError("seed contains a 3-term arithmetic progression")
+
+    base_level = (len(seed) - 1).bit_length()  # least k with 2^k >= len(seed)
+    terms = naive_greedy_table(list(seed), 1 << (base_level + levels))
+
+    top = len(terms).bit_length() - 2
+    for settle in range(top + 1):
+        block = 1 << settle
+        value = 2 * terms[block - 1] - terms[block] + 1
+        if value < 0:
+            continue
+        consistent = True
+        for k in range(settle, top + 1):
+            block_k = 1 << k
+            if 2 * terms[block_k - 1] - terms[block_k] + 1 != value:
+                consistent = False
+                break
+            for i in range(block_k):
+                if terms[block_k + i] != terms[block_k] + terms[i]:
+                    consistent = False
+                    break
+            if not consistent:
+                break
+        if consistent:
+            return st.CharacterProfile(value, settle, terms[1 << settle], top)
+    return None
 
 
 def naive_omitted(terms, bound) -> tuple[int, ...]:
@@ -201,7 +263,6 @@ def two_cpus(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(stanley.search, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(stanley.witness, "ProcessPoolExecutor", no_pool)
 
 
 @pytest.fixture(scope="session")

@@ -66,6 +66,14 @@ def test_generate_past_the_checked_range(capsys):
     assert code == 3 and out == "" and "resource limit:" in err
 
 
+def test_over_range_seed_is_a_resource_limit(capsys):
+    # the same exit code as an over-range set element or scale factor
+    code, out, err = run(capsys, "generate", "--seed", f"0,{1 << 63}", "--count", "3")
+    assert code == 3 and out == "" and "64-bit range" in err
+    code, out, err = run(capsys, "character", "--seed", f"0,{1 << 63}")
+    assert code == 3 and out == "" and "64-bit range" in err
+
+
 def test_mask_budget_is_a_resource_limit(capsys):
     # both stop at the bit budget, before the first mask is built
     code, out, err = run(capsys, "generate", "--seed", "0,1000000000000", "--count", "3")

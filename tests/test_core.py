@@ -6,10 +6,9 @@ import pytest
 
 import stanley as st
 from stanley import core
-from stanley.core import INT_LIMIT
-from stanley.search import naive_greedy
+from stanley.core import DEFAULT_TERM_CAP, INT_LIMIT
 
-from conftest import naive_is_3_free, naive_is_covered
+from conftest import brute_character, naive_greedy, naive_is_3_free, naive_is_covered
 
 
 def test_is_3_free_examples():
@@ -86,7 +85,7 @@ def test_greedy_argument_errors():
     with pytest.raises(st.MalformedInputError):
         st.greedy_extend([0, 2], 1)  # shorter than the seed
     with pytest.raises(st.ResourceLimitError):
-        st.greedy_extend([0], 10, cap=5)
+        st.greedy_extend([0], DEFAULT_TERM_CAP + 1)
 
 
 def test_greedy_seed_errors_in_order():
@@ -143,7 +142,7 @@ def test_detect_character_too_short():
 
 def test_detect_agrees_with_brute_oracle():
     for seed in ([0], [0, 2], [0, 2, 5, 6], [0, 1, 6, 7, 10, 15, 16, 18]):
-        brute = st.brute_character(list(seed), 3)
+        brute = brute_character(list(seed), 3)
         fast = st.detect_character(st.greedy_extend(seed, 1 << ((len(seed) - 1).bit_length() + 3)))
         assert (brute is None) == (fast is None)
         if brute is not None:

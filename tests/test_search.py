@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 
 import stanley as st
-from stanley.search import naive_greedy
+
+from conftest import brute_character, naive_greedy
 
 
 def brute_first_witness(spec: st.SearchSpec) -> st.ResidueSet | None:
@@ -124,25 +125,34 @@ def test_threads_agree_with_sequential():
     assert pooled.witness == solo.witness
 
 
+@pytest.mark.parametrize("budget", [50, 100])
+def test_threads_share_the_node_budget(budget):
+    spec = st.SearchSpec(28, 57, 8, budget=budget)
+    solo = st.search_near_modular(spec)
+    pooled = st.search_near_modular(spec, threads=2)
+    assert solo.status == "budget_exceeded"
+    assert pooled == solo  # same status, node count and resume token
+
+
 def test_naive_greedy_matches_fast():
     assert naive_greedy([0], 12) == list(st.greedy_extend([0], 12).terms)
 
 
 def test_brute_character_validation():
     with pytest.raises(st.PreconditionError):
-        st.brute_character([0], 0)
+        brute_character([0], 0)
     with pytest.raises(st.PreconditionError):
-        st.brute_character([0], 7)
+        brute_character([0], 7)
     with pytest.raises(st.PreconditionError):
-        st.brute_character([], 2)
+        brute_character([], 2)
     with pytest.raises(st.PreconditionError):
-        st.brute_character([2, 1], 2)
+        brute_character([2, 1], 2)
     with pytest.raises(st.PreconditionError):
-        st.brute_character([0, 1, 2], 2)
+        brute_character([0, 1, 2], 2)
 
 
 def test_brute_character_block_seed():
-    profile = st.brute_character([0, 2, 5, 6], 3)
+    profile = brute_character([0, 2, 5, 6], 3)
     assert profile is not None
     assert (profile.character, profile.settle_level) == (4, 2)
 
@@ -170,6 +180,6 @@ def test_brute_character_agrees_with_set_character(corpus):
     ]
     for member in rng.sample(eligible, 50):
         reduced, _steps = st.to_modular(member)
-        profile = st.brute_character(sorted(reduced.elements), 2)
+        profile = brute_character(sorted(reduced.elements), 2)
         assert profile is not None
         assert profile.character == st.character_of(member)
