@@ -25,6 +25,9 @@ INT_LIMIT = (1 << 63) - 1
 #: Widest span or modulus a bit mask may cover; larger inputs raise before allocating.
 BIT_LIMIT = 1 << 28
 
+#: Most elements a residue-set product may build; larger products raise before building.
+ELEMENT_LIMIT = 1 << 24
+
 _LOG2_3 = math.log2(3.0)
 
 

@@ -30,14 +30,24 @@ for _seed in (SEED_01, SEED_02, MOD10_A, MOD10_B, BLOCK):
 del _seed
 
 
+def _with_blocks(out: ResidueSet, n: int) -> ResidueSet:
+    """``out`` times n copies of BLOCK by repeated squaring (``product`` is
+    associative), so an oversized result is refused before its factors grow."""
+    block = BLOCK
+    while n:
+        if n & 1:
+            out = product(out, block)
+        n >>= 1
+        if n:
+            block = product(block, block)
+    return out
+
+
 def build_T(n: int) -> ResidueSet:
     """n-fold product of {0,1,6,7} mod 9; modulus 9**n, 4**n elements."""
     if n < 0:
         raise MalformedInputError("T requires n >= 0")
-    out = UNIT
-    for _ in range(n):
-        out = product(out, BLOCK)
-    return out
+    return _with_blocks(UNIT, n)
 
 
 def build_Ttilde(n: int) -> ResidueSet:
@@ -64,10 +74,7 @@ def build_U(n: int) -> ResidueSet:
     """{0,2} stacked under n-1 copies of the T block; modulus 3**(2n-1)."""
     if n < 1:
         raise MalformedInputError("U requires n >= 1")
-    out = SEED_02
-    for _ in range(n - 1):
-        out = product(out, BLOCK)
-    return out
+    return _with_blocks(SEED_02, n - 1)
 
 
 def build_Utilde(n: int) -> ResidueSet:

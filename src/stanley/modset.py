@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
 
-from .core import BIT_LIMIT, INT_LIMIT, check_int, set_bits
+from .core import BIT_LIMIT, ELEMENT_LIMIT, INT_LIMIT, check_int, set_bits
 from .errors import (
     FormatError,
     InvariantViolationError,
@@ -174,7 +174,8 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 
     Near-modularity of both inputs makes every sum distinct; a collision
     therefore signals an invalid input and is treated as an invariant
-    violation rather than silently deduplicated.
+    violation rather than silently deduplicated.  More than ``ELEMENT_LIMIT``
+    sums raise ResourceLimitError before any is built.
     """
     n = a.modulus
     new_modulus = n * b.modulus
@@ -182,8 +183,13 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
         raise ResourceLimitError(f"product modulus {new_modulus} exceeds the checked range")
     if a.max_element + n * b.max_element > INT_LIMIT:
         raise ResourceLimitError("product element exceeds the checked range")
+    count = len(a.elements) * len(b.elements)
+    if count > ELEMENT_LIMIT:
+        raise ResourceLimitError(
+            f"product of {count} elements exceeds the {ELEMENT_LIMIT}-element budget"
+        )
     sums = sorted(x + n * y for x in a.elements for y in b.elements)
-    if len(set(sums)) != len(a.elements) * len(b.elements):
+    if len(set(sums)) != count:
         raise InvariantViolationError(
             "product sums collided; an input set repeats a residue class"
         )
@@ -258,8 +264,10 @@ def format_set(a: ResidueSet) -> str:
 
 def _parse_number(token: str, line: str) -> int:
     body = token.strip()
-    if not body.isdigit() or (len(body) > 1 and body[0] == "0"):
+    if not (body.isascii() and body.isdigit()) or (len(body) > 1 and body[0] == "0"):
         raise FormatError(f"bad number {token!r} in {line.strip()!r}")
+    if len(body) > len(str(INT_LIMIT)):
+        raise ResourceLimitError(f"a {len(body)}-digit number exceeds the checked 64-bit range")
     return int(body)
 
 
@@ -290,7 +298,14 @@ def read_sets(lines: Iterable[str]) -> list[ResidueSet]:
 
 
 def load_set_file(source: Union[str, TextIO]) -> list[ResidueSet]:
+    """Sets from a text stream or an ASCII file; an unreadable file is malformed input."""
     if hasattr(source, "read"):
         return read_sets(source.read().splitlines())
-    with open(source, "r", encoding="ascii") as handle:
-        return read_sets(handle.read().splitlines())
+    try:
+        with open(source, "r", encoding="ascii") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{source}: non-ASCII byte at offset {exc.start}") from None
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read {source}: {exc.strerror or exc}") from None
+    return read_sets(text.splitlines())

@@ -1,10 +1,12 @@
 """Exhaustive search for near-modular sets, and the process-pool helper.
 
 The searcher enumerates candidate sets {0, t} plus middle elements from
-[1, t-1] in colexicographic order and prunes any partial set that already
-contains a violating triple modulo N.  Violations are monotone under
-supersets, so pruning never skips a witness; tests compare the pruned
-scan against a full enumeration on tiny instances.
+[1, t-1] in colexicographic order.  Each node keeps two residue masks mod N:
+``blocked`` (where a new element would close a progression, as an endpoint
+2y - x or as a midpoint r with 2r = x + z) and ``cov`` (the residues 2y - x
+covered so far).  New elements come from unblocked residues only.  Violations
+are monotone under supersets, so pruning never skips a witness; tests compare
+the pruned scan against a full enumeration on tiny instances.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvariantViolationError, MalformedInputError
+from .core import BIT_LIMIT, check_int
+from .errors import InvariantViolationError, MalformedInputError, ResourceLimitError
 from .modset import ResidueSet, verify
 
 DEFAULT_NODE_BUDGET = 1_000_000_000
@@ -29,7 +32,9 @@ class SearchSpec:
     The space is every ``cardinality``-element set containing
     ``max_element`` (and 0 unless ``require_zero`` is off) whose remaining
     members come from the open interval below the maximum.  ``budget``
-    bounds the number of candidate placements examined.
+    bounds the number of candidate placements examined.  Every search mask
+    is ``modulus`` bits wide, so a modulus above ``BIT_LIMIT`` raises
+    ResourceLimitError.
     """
 
     modulus: int
@@ -39,8 +44,12 @@ class SearchSpec:
     budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
+        for what in ("modulus", "max_element", "cardinality", "budget"):
+            check_int(getattr(self, what), what)
         if self.modulus < 1:
             raise MalformedInputError("modulus must be at least 1")
+        if self.modulus > BIT_LIMIT:
+            raise ResourceLimitError(f"modulus {self.modulus} exceeds the {BIT_LIMIT}-bit mask budget")
         if self.cardinality < 2:
             raise MalformedInputError("cardinality must be at least 2")
         if self.max_element < self.cardinality - 1:
@@ -90,35 +99,31 @@ class _BudgetHit(Exception):
     pass
 
 
-def _admissible_residues(modulus: int, dbl: int, pair: int) -> int:
-    """Bitmask of residues a new element may occupy given the masks.
+def _halves(p: int, n: int) -> int:
+    """Bitmask of the residues r with 2r = p (mod n)."""
+    if n % 2:
+        return 1 << (p * ((n + 1) // 2) % n)
+    if p % 2:
+        return 0
+    r = p // 2 % (n // 2)
+    return (1 << r) | (1 << (r + n // 2))
 
-    ``dbl`` holds residues of 2y - x over ordered pairs already placed (a
-    new element equal to one of them closes a triple as endpoint); ``pair``
-    holds residues of x + z (a new element whose double lands there closes
-    a triple as midpoint).
+
+def _place(n: int, placed: Iterable[int], value: int, blocked: int, cov: int) -> tuple[int, int]:
+    """The ``blocked`` and ``cov`` masks mod ``n`` after adding ``value`` to ``placed``.
+
+    A residue is blocked when a new element there would close a progression:
+    as an endpoint (2y - x for placed x, y) or as the midpoint of two placed
+    elements (its double is x + z).
     """
-    mask = 0
-    for r in range(modulus):
-        if not (dbl >> r) & 1 and not (pair >> ((2 * r) % modulus)) & 1:
-            mask |= 1 << r
-    return mask
-
-
-def _place(
-    n: int, placed: Iterable[int], value: int, dbl: int, pair: int, cov: int
-) -> tuple[int, int, int]:
-    """The ``dbl``, ``pair`` and ``cov`` masks mod ``n`` after adding ``value`` to ``placed``."""
     for q in placed:
-        dbl |= 1 << ((2 * value - q) % n)
-        dbl |= 1 << ((2 * q - value) % n)
-        pair |= 1 << ((q + value) % n)
+        blocked |= (1 << ((2 * value - q) % n)) | (1 << ((2 * q - value) % n))
+        blocked |= _halves(q + value, n)
         hi, lo = (q, value) if q > value else (value, q)
         cov |= 1 << ((2 * hi - lo) % n)
-    dbl |= 1 << (value % n)
-    pair |= 1 << ((2 * value) % n)
+    blocked |= _halves(2 * value, n)  # value itself is one of these
     cov |= 1 << (value % n)
-    return dbl, pair, cov
+    return blocked, cov
 
 
 def _value_window(pattern: int, modulus: int, lo: int, hi: int) -> int:
@@ -131,10 +136,10 @@ def _value_window(pattern: int, modulus: int, lo: int, hi: int) -> int:
 
 
 def _scan_partition(
-    modulus: int,
+    n: int,
     cardinality: int,
     fixed: tuple[int, ...],
-    masks: tuple[int, int, int],
+    masks: tuple[int, int],
     lo_base: int,
     outer_value: int,
     budget: int,
@@ -144,15 +149,15 @@ def _scan_partition(
     Returns (witness elements or None, nodes examined); the count is
     ``budget + 1`` when the budget ran out.
     """
-    n = modulus
     total_pairs = cardinality * (cardinality + 1) // 2
     middle = cardinality - len(fixed)
+    full = (1 << n) - 1
     chosen = list(fixed)
     nodes = 0
 
-    def rec(slot: int, lo: int, hi: int, dbl: int, pair: int, cov: int) -> tuple[int, ...] | None:
+    def rec(slot: int, lo: int, hi: int, blocked: int, cov: int) -> tuple[int, ...] | None:
         nonlocal nodes
-        window = _value_window(_admissible_residues(n, dbl, pair), n, lo, hi)
+        window = _value_window(~blocked & full, n, lo, hi)
         while window:
             bit = window & -window
             window ^= bit
@@ -160,7 +165,7 @@ def _scan_partition(
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
-            ndbl, npair, ncov = _place(n, chosen, value, dbl, pair, cov)
+            nblocked, ncov = _place(n, chosen, value, blocked, cov)
             chosen.append(value)
             depth = len(chosen)
             # Remaining placements can add at most the missing pair count.
@@ -171,7 +176,7 @@ def _scan_partition(
                     if ncov.bit_count() == n and 0 in chosen:
                         return tuple(sorted(chosen))
                 else:
-                    got = rec(slot - 1, lo_base + slot - 2, value - 1, ndbl, npair, ncov)
+                    got = rec(slot - 1, lo_base + slot - 2, value - 1, nblocked, ncov)
                     if got is not None:
                         return got
             chosen.pop()
@@ -181,18 +186,6 @@ def _scan_partition(
         return rec(middle, outer_value, outer_value, *masks), nodes
     except _BudgetHit:
         return None, nodes
-
-
-def _seed_masks(modulus: int, fixed: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """Masks after placing the fixed elements; None when they already clash."""
-    dbl = pair = cov = 0
-    placed: list[int] = []
-    for e in fixed:
-        if (dbl >> (e % modulus)) & 1 or (pair >> ((2 * e) % modulus)) & 1:
-            return None
-        dbl, pair, cov = _place(modulus, placed, e, dbl, pair, cov)
-        placed.append(e)
-    return dbl, pair, cov
 
 
 def _finish(elements: tuple[int, ...], spec: SearchSpec, nodes: int, token: int | None) -> SearchResult:
@@ -220,13 +213,15 @@ def search_near_modular(
     fixed = (0, t) if spec.require_zero else (t,)
     lo_base = 1 if spec.require_zero else 0
 
-    masks = _seed_masks(n, fixed)
-    if masks is None:
-        return SearchResult("exhausted", None, 0, None)
+    blocked = cov = 0
+    for i, e in enumerate(fixed):
+        if blocked >> (e % n) & 1:
+            return SearchResult("exhausted", None, 0, None)
+        blocked, cov = _place(n, fixed[:i], e, blocked, cov)
 
     middle = s - len(fixed)
     if middle == 0:
-        if masks[2].bit_count() == n:
+        if cov.bit_count() == n:
             return _finish(fixed, spec, 0, None)
         return SearchResult("exhausted", None, 0, None)
 
@@ -240,7 +235,7 @@ def search_near_modular(
     # a result past the shared budget is cut to what a sequential scan returns.
     nodes_total = 0
     budgets = (spec.budget - nodes_total for _ in partitions)
-    scan = partial(_scan_partition, n, s, fixed, masks, lo_base)
+    scan = partial(_scan_partition, n, s, fixed, (blocked, cov), lo_base)
     with closing(ordered_map(scan, partitions, budgets, threads=threads)) as results:
         for outer, (witness, used) in zip(partitions, results):
             if nodes_total + used > spec.budget:

@@ -143,6 +143,30 @@ def naive_omitted(terms, bound) -> tuple[int, ...]:
     return tuple(z for z in range(bound) if not decided[z])
 
 
+def naive_admissible(n: int, placed) -> int:
+    """Bitmask of residues mod ``n`` a new element may take beside ``placed``.
+
+    Two masks built pair by pair, then combined residue by residue.  ``dbl``
+    holds residues of 2y - x over ordered pairs already placed (a new element
+    equal to one of them closes a triple as endpoint); ``pair`` holds residues
+    of x + z (a new element whose double lands there closes a triple as
+    midpoint).
+    """
+    dbl = pair = 0
+    for i, value in enumerate(placed):
+        for q in placed[:i]:
+            dbl |= 1 << ((2 * value - q) % n)
+            dbl |= 1 << ((2 * q - value) % n)
+            pair |= 1 << ((q + value) % n)
+        dbl |= 1 << (value % n)
+        pair |= 1 << ((2 * value) % n)
+    mask = 0
+    for r in range(n):
+        if not (dbl >> r) & 1 and not (pair >> ((2 * r) % n)) & 1:
+            mask |= 1 << r
+    return mask
+
+
 def naive_mod_3_free(a: st.ResidueSet) -> bool:
     for x in a.elements:
         for y in a.elements:
@@ -255,13 +279,18 @@ def build_corpus() -> list[st.ResidueSet]:
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
+def reports_two_cpus(monkeypatch):
+    """A host reporting two CPUs whatever it has; process pools still start."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def two_cpus(reports_two_cpus, monkeypatch):
     """A host reporting two CPUs, on which starting a process pool fails the test."""
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(stanley.search, "ProcessPoolExecutor", no_pool)
 
 

@@ -223,6 +223,60 @@ def test_search_verb_found(capsys):
     assert lines[2] == "character: 87"
 
 
+@pytest.mark.parametrize(
+    "argv,code,lines",
+    [
+        (("--mod", "28", "--max", "57", "--size", "8", "--budget", "300"), 3,
+         ["nodes: 301", "budget exceeded", "resume: 20"]),
+        (("--mod", "28", "--max", "57", "--size", "8", "--no-zero"), 0, ["nodes: 2441"]),
+        (("--mod", "30", "--max", "46", "--size", "8"), 0, ["nodes: 680"]),
+        (("--mod", "32", "--max", "27", "--size", "8"), 1,
+         ["nodes: 1104", "exhausted: no witness in this space"]),
+    ],
+)
+def test_search_node_counts_are_pinned(capsys, argv, code, lines):
+    # the default space's 666 nodes are pinned in test_search_verb_found
+    got, out, _ = run(capsys, "search", *argv)
+    assert got == code
+    assert out.splitlines()[: len(lines)] == lines
+
+
+def test_search_modulus_budget(capsys):
+    code, out, err = run(capsys, "search", "--mod", str(10**15), "--max", "57", "--size", "8")
+    assert code == 3 and out == "" and "mask budget" in err
+
+
+def test_product_element_budget(capsys):
+    # 4^13 elements: refused before the large products are built
+    code, out, err = run(capsys, "family", "T:13")
+    assert code == 3 and out == "" and "element budget" in err
+
+
+@pytest.mark.parametrize(
+    "literal,code",
+    [
+        ("N=\u00b2; 0", 2),
+        ("N=\u0663; 0,\u0661", 2),
+        ("N=1; 0," + "1" * 5000, 3),
+        ("N=1; 0,9223372036854775808", 3),
+    ],
+    ids=["superscript", "arabic-indic", "5000-digits", "2^63"],
+)
+def test_verify_bad_numbers(capsys, literal, code):
+    got, out, err = run(capsys, "verify", literal)
+    assert got == code and out == ""
+    assert ("error:" if code == 2 else "resource limit:") in err
+
+
+def test_verify_unreadable_files(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))
+    assert code == 2 and out == "" and "missing.txt" in err
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("N=3; 0,1\nN=9; 0,2,5,6 # \u00e9\n".encode("utf-8"))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2 and out == "" and "non-ASCII" in err
+
+
 def test_threads_above_cpu_count_are_usage_errors(capsys, two_cpus):
     code, out, err = run(capsys, "coverage", "--max", "16", "--threads", "3")
     assert code == 2 and out == "" and "threads 3" in err

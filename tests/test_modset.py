@@ -114,6 +114,18 @@ def test_product_cardinality_and_verdict(small_corpus):
     assert st.verify(ab).is_near_modular
 
 
+def test_product_element_budget(monkeypatch):
+    # refused before any sum is built, so the limit can be tested small
+    monkeypatch.setattr(modset, "ELEMENT_LIMIT", 16)
+    block = st.ResidueSet(9, (0, 1, 6, 7))
+    assert len(st.product(block, block)) == 16
+    with pytest.raises(st.ResourceLimitError):
+        st.product(block, st.product(block, st.ResidueSet(3, (0, 1))))
+    assert len(st.build_family("T:2")) == 16  # no block is built past the result
+    with pytest.raises(st.ResourceLimitError):
+        st.build_family("T:3")
+
+
 def test_product_collision_rejected():
     with pytest.raises(st.InvariantViolationError):
         st.product(st.ResidueSet(2, (0, 2)), st.ResidueSet(3, (0, 1)))
@@ -199,6 +211,10 @@ def test_parse_rejects_malformed_lines():
         "N=27; 0,1x",
         "N=09; 0,1",
         "N=9; 0,011",  # leading zeros make the token ambiguous
+        "N=\u00b2; 0",  # digits are ASCII only
+        "N=\u0663; 0,\u0661",
+        "N=3; 0,\uff11",
+        "N=1_0; 0",
     ):
         with pytest.raises(st.FormatError):
             st.parse_set(line)
@@ -213,6 +229,25 @@ def test_read_sets_skips_comments_and_blanks():
     text = "# header\n\nN=3; 0,1\n  # inline comment line\nN=9; 0,1,6,7\n"
     sets = st.read_sets(text.splitlines())
     assert [a.modulus for a in sets] == [3, 9]
+
+
+def test_parse_long_number_is_a_resource_limit():
+    # longer than 2^63 - 1 has digits: over the checked range, like 2^63 itself
+    for line in ("N=1; 0," + "1" * 5000, "N=" + "9" * 20 + "; 0", "N=1; 0,9223372036854775808"):
+        with pytest.raises(st.ResourceLimitError):
+            st.parse_set(line)
+    assert st.parse_set("N=1; 0,9223372036854775807").max_element == (1 << 63) - 1
+
+
+def test_load_set_file_errors(tmp_path):
+    with pytest.raises(st.MalformedInputError):
+        st.load_set_file(str(tmp_path / "missing.txt"))
+    with pytest.raises(st.MalformedInputError):
+        st.load_set_file(str(tmp_path))  # a directory
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"N=3; 0,1\nN=3; 0,\xc2\xb2\n")
+    with pytest.raises(st.FormatError):
+        st.load_set_file(str(bad))
 
 
 def test_load_set_file_path_and_handle(tmp_path):

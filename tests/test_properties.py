@@ -3,9 +3,10 @@
 The product law is exercised part by part: the result keeps 0, keeps the
 no-progression property, and keeps full coverage.  Transforms must preserve
 the near-modular verdict, and the greedy generator must be prefix-stable.
-The shift-OR sequence core and the residue-mask ``verify`` must agree with
-the pair-by-pair oracles in ``conftest`` on dense and sparse inputs, with and
-without 0, valid or not.
+The shift-OR sequence core, the residue-mask ``verify`` and the search's
+blocked-residue mask must agree with the pair-by-pair oracles in
+``conftest`` on dense and sparse inputs, with and without 0, valid or not.
+The text parsers either answer or raise a ``StanleyError`` on any input.
 """
 
 import math
@@ -15,8 +16,16 @@ from hypothesis import assume, given, settings, strategies as hs
 
 import stanley as st
 from stanley.core import INT_LIMIT
+from stanley.families import FAMILY_NAMES
+from stanley.search import _place
 
-from conftest import naive_greedy_table, naive_is_3_free, naive_omitted, naive_verify
+from conftest import (
+    naive_admissible,
+    naive_greedy_table,
+    naive_is_3_free,
+    naive_omitted,
+    naive_verify,
+)
 
 # small verified near-modular operands for product/transform properties
 POOL = (
@@ -217,6 +226,44 @@ def test_product_geometry(a, b):
 @settings(deadline=None)
 def test_product_associates(a, b, c):
     assert st.product(st.product(a, b), c) == st.product(a, st.product(b, c))
+
+
+@given(
+    n=hs.integers(min_value=1, max_value=64),
+    placed=hs.lists(hs.integers(min_value=0, max_value=200), max_size=8),
+)
+def test_blocked_mask_matches_two_mask_rule(n, placed):
+    blocked = cov = 0
+    for i, value in enumerate(placed):
+        blocked, cov = _place(n, placed[:i], value, blocked, cov)
+    assert ~blocked & ((1 << n) - 1) == naive_admissible(n, placed)
+
+
+# near-miss numbers: non-ASCII digits, signs, separators, leading zeros, long runs
+number_text = hs.text(alphabet="0123456789 +-_.\u00b2\u0663\uff11", max_size=30)
+
+
+@given(text=hs.one_of(
+    hs.text(),
+    hs.builds("N={}; {}".format, number_text, number_text),
+    hs.builds("N={}; 0,{}".format, number_text, hs.lists(number_text).map(",".join)),
+))
+def test_parse_set_answers_or_raises_a_stanley_error(text):
+    try:
+        st.parse_set(text)
+    except st.StanleyError:
+        pass
+
+
+@given(text=hs.one_of(
+    hs.text(),
+    hs.builds("{}:{}".format, hs.sampled_from(FAMILY_NAMES + ("Nope",)), number_text),
+))
+def test_parse_family_answers_or_raises_a_stanley_error(text):
+    try:
+        st.parse_family(text)
+    except st.StanleyError:
+        pass
 
 
 @given(a=operand, c=hs.integers(min_value=1, max_value=12))

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import stanley as st
+from stanley.core import BIT_LIMIT
 
 from conftest import brute_character, naive_greedy
 
@@ -108,6 +109,22 @@ def test_budget_validation():
         st.search_near_modular(st.SearchSpec(10, 8, 4), threads=0)
 
 
+def test_spec_integers_are_checked():
+    # every search mask is modulus bits wide, so the modulus has a bit budget
+    for args in ((28.5, 57, 8), (28, 57.0, 8), (28, 57, 8.0), (28, 57, True)):
+        with pytest.raises(st.MalformedInputError):
+            st.SearchSpec(*args)
+    with pytest.raises(st.MalformedInputError):
+        st.SearchSpec(28, 57, 8, budget=10.0)
+    with pytest.raises(st.ResourceLimitError):
+        st.SearchSpec(BIT_LIMIT + 1, 57, 8)
+    with pytest.raises(st.ResourceLimitError):
+        st.SearchSpec(10**15, 57, 8)
+    with pytest.raises(st.ResourceLimitError):
+        st.SearchSpec(28, 1 << 63, 8)
+    assert st.SearchSpec(BIT_LIMIT, 57, 8).modulus == BIT_LIMIT
+
+
 def test_threads_capped_at_cpu_count(two_cpus, monkeypatch):
     spec = st.SearchSpec(28, 57, 8)
     with pytest.raises(st.MalformedInputError):
@@ -117,7 +134,7 @@ def test_threads_capped_at_cpu_count(two_cpus, monkeypatch):
         st.search_near_modular(spec, threads=2)
 
 
-def test_threads_agree_with_sequential():
+def test_threads_agree_with_sequential(reports_two_cpus):
     spec = st.SearchSpec(28, 57, 8)
     solo = st.search_near_modular(spec)
     pooled = st.search_near_modular(spec, threads=2)
@@ -126,7 +143,7 @@ def test_threads_agree_with_sequential():
 
 
 @pytest.mark.parametrize("budget", [50, 100])
-def test_threads_share_the_node_budget(budget):
+def test_threads_share_the_node_budget(budget, reports_two_cpus):
     spec = st.SearchSpec(28, 57, 8, budget=budget)
     solo = st.search_near_modular(spec)
     pooled = st.search_near_modular(spec, threads=2)

@@ -256,7 +256,7 @@ def test_coverage_threads_capped_at_cpu_count(two_cpus):
         st.coverage_report(16, threads=3)
 
 
-def test_coverage_threads_agree():
+def test_coverage_threads_agree(reports_two_cpus):
     solo = st.coverage_report(24, deep=True)
     pooled = st.coverage_report(24, deep=True, threads=2)
     assert solo.entries == pooled.entries
