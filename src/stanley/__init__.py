@@ -8,7 +8,6 @@ from .core import (
     greedy_extend,
     growth_diagnostic,
     is_3_free,
-    is_covered,
     omitted_set,
 )
 from .errors import (
@@ -44,8 +43,6 @@ from .modset import (
     VerificationReport,
     character_of,
     format_set,
-    is_mod_ap,
-    is_mod_covered,
     load_set_file,
     parse_set,
     product,

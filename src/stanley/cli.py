@@ -17,7 +17,7 @@ import time
 from typing import Sequence
 
 from . import __version__
-from .core import detect_character, greedy_extend, growth_diagnostic, omitted_set
+from .core import detect_character, greedy_extend, growth_diagnostic, omitted_set, read_int
 from .errors import (
     MalformedInputError,
     PreconditionError,
@@ -53,10 +53,15 @@ BUDGET_ENV = "STANLEY_NODE_BUDGET"
 
 
 def _parse_terms(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.replace(",", " ").split()]
-    except ValueError:
-        raise MalformedInputError(f"bad term list {text!r}") from None
+    return [read_int(part, "seed term") for part in text.replace(",", " ").split()]
+
+
+def _node_budget(flag: int | None) -> int:
+    """``--budget``, else ``$STANLEY_NODE_BUDGET``, else the default."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(BUDGET_ENV)
+    return DEFAULT_NODE_BUDGET if raw is None else read_int(raw, BUDGET_ENV)
 
 
 def _load_sets(source: str) -> list[ResidueSet]:
@@ -225,22 +230,12 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    budget = args.budget
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV)
-        if raw is not None:
-            try:
-                budget = int(raw)
-            except ValueError:
-                raise MalformedInputError(f"{BUDGET_ENV}={raw!r} is not an integer") from None
-        else:
-            budget = DEFAULT_NODE_BUDGET
     spec = SearchSpec(
         args.mod,
         args.max,
         args.size,
         require_zero=not args.no_zero,
-        budget=budget,
+        budget=_node_budget(args.budget),
     )
     result = search_near_modular(spec, threads=args.threads, resume=args.resume)
     print(f"nodes: {result.nodes}")
@@ -287,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="greedily extend a seed")
     p.add_argument("--seed", default="0", help="comma-separated starting terms")
-    p.add_argument("--count", "--len", type=int, required=True, help="total terms to produce")
+    p.add_argument("--count", "--len", type=read_int, required=True, help="total terms to produce")
     p.add_argument("--diagnostic", action="store_true", help="append a growth table")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("character", help="detect the repeat structure of a greedy sequence")
     p.add_argument("--seed", default="0", help="comma-separated starting terms")
-    p.add_argument("--count", "--len", type=int, default=None, help="terms to examine (default 4x seed)")
+    p.add_argument("--count", "--len", type=read_int, default=None, help="terms to examine (default 4x seed)")
     p.add_argument("--omitted", action="store_true", help="also list omitted values")
     p.set_defaults(func=_cmd_character)
 
@@ -305,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product", help="multiply sets and apply transforms")
     p.add_argument("sets", nargs="+", help="sets to fold left-to-right")
-    p.add_argument("--scale", type=int, default=None, help="scale by a coprime factor")
-    p.add_argument("--shift-max", type=int, default=0, help="raise the top element this many moduli")
+    p.add_argument("--scale", type=read_int, default=None, help="scale by a coprime factor")
+    p.add_argument("--shift-max", type=read_int, default=0, help="raise the top element this many moduli")
     p.add_argument("--to-modular", action="store_true", help="double until fully modular")
     p.add_argument("--character", action="store_true", help="print the character too")
     p.set_defaults(func=_cmd_product)
@@ -318,26 +313,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("witness", help="construct and verify a witness for one character")
-    p.add_argument("--lambda", dest="target", type=int, required=True, help="target character")
+    p.add_argument("--lambda", dest="target", type=read_int, required=True, help="target character")
     p.add_argument("--deep", action="store_true", help="also verify the greedy extension")
-    p.add_argument("--deep-cap", type=int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
+    p.add_argument("--deep-cap", type=read_int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("coverage", help="verify witnesses for every character up to a bound")
-    p.add_argument("--max", type=int, required=True, help="largest character to cover")
-    p.add_argument("--deep-cap", type=int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
+    p.add_argument("--max", type=read_int, required=True, help="largest character to cover")
+    p.add_argument("--deep-cap", type=read_int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
     p.add_argument("--no-deep", action="store_true", help="static checks only")
-    p.add_argument("--threads", type=int, default=1, help="worker processes, at most the CPU count")
+    p.add_argument("--threads", type=read_int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("search", help="exhaustive scan for a near-modular set")
-    p.add_argument("--mod", type=int, required=True, help="modulus")
-    p.add_argument("--max", type=int, required=True, help="required top element")
-    p.add_argument("--size", type=int, required=True, help="cardinality")
-    p.add_argument("--budget", type=int, default=None, help=f"node budget (default ${BUDGET_ENV} or {DEFAULT_NODE_BUDGET})")
-    p.add_argument("--threads", type=int, default=1, help="worker processes, at most the CPU count")
-    p.add_argument("--resume", type=int, default=None, help="token from an earlier budget stop")
+    p.add_argument("--mod", type=read_int, required=True, help="modulus")
+    p.add_argument("--max", type=read_int, required=True, help="required top element")
+    p.add_argument("--size", type=read_int, required=True, help="cardinality")
+    p.add_argument("--budget", type=read_int, default=None, help=f"node budget (default ${BUDGET_ENV} or {DEFAULT_NODE_BUDGET})")
+    p.add_argument("--threads", type=read_int, default=1, help="worker processes, at most the CPU count")
+    p.add_argument("--resume", type=read_int, default=None, help="token from an earlier budget stop")
     p.add_argument("--no-zero", action="store_true", help="do not force 0 into the set")
     p.set_defaults(func=_cmd_search)
 
@@ -351,10 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)  # option values go through read_int
         return args.func(args)
     except (MalformedInputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

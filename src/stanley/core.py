@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import MalformedInputError, PrefixTooShortError, ResourceLimitError
+from .errors import FormatError, MalformedInputError, PrefixTooShortError, ResourceLimitError
 
 #: Hard ceiling on greedy extension length, generous for desk-scale runs.
 DEFAULT_TERM_CAP = 1 << 20
@@ -46,21 +46,36 @@ def check_int(value: int, what: str) -> int:
     return value
 
 
+def read_int(text: str, what: str = "number") -> int:
+    """The int that ``text`` spells in plain ASCII decimal, checked like ``check_int``.
+
+    Surrounding whitespace is ignored.  Anything but ASCII digits (a sign, ``_``,
+    a digit from another script) or a leading zero raises FormatError; a value
+    above ``INT_LIMIT`` raises ResourceLimitError before a long run is converted.
+    """
+    body = text.strip()
+    if not (body.isascii() and body.isdigit()) or (len(body) > 1 and body[0] == "0"):
+        raise FormatError(f"bad {what}: {text!r}")
+    if len(body) > len(str(INT_LIMIT)):
+        raise ResourceLimitError(f"a {len(body)}-digit {what} exceeds the checked 64-bit range")
+    return check_int(int(body), what)
+
+
 def set_bits(mask: int) -> tuple[int, ...]:
     """Positions of the set bits of a nonnegative ``mask``, ascending."""
     return tuple(m.start() for m in re.finditer("1", bin(mask)[:1:-1]))
 
 
-def _check_terms(terms: Sequence[int]) -> tuple[int, ...]:
-    """Validate a strictly increasing tuple of checked nonnegative ints."""
+def check_terms(terms: Iterable[int], what: str = "term") -> tuple[int, ...]:
+    """``terms`` as a nonempty, strictly increasing tuple of ``check_int`` values."""
     out = tuple(terms)
     if not out:
-        raise MalformedInputError("term list is empty")
+        raise MalformedInputError(f"{what} list is empty")
     last = -1
     for value in out:
-        check_int(value, "term")
+        check_int(value, what)
         if value <= last:
-            raise MalformedInputError("terms must be strictly increasing")
+            raise MalformedInputError(f"{what}s must be strictly increasing")
         last = value
     return out
 
@@ -98,20 +113,7 @@ def _has_progression(seq: Sequence[int]) -> bool:
 
 def is_3_free(terms: Sequence[int]) -> bool:
     """True iff no three terms form an arithmetic progression.  O(n^2)."""
-    return not _has_progression(_check_terms(terms))
-
-
-def is_covered(z: int, terms: Sequence[int]) -> bool:
-    """True iff z = 2y - x for some terms x < y.  O(n) with a hash probe."""
-    seq = _check_terms(terms)
-    members = set(seq)
-    for y in seq:
-        if y >= z:  # z = 2y - x with x < y forces y < z
-            return False
-        x = 2 * y - z
-        if x < y and x in members:
-            return True
-    return False
+    return not _has_progression(check_terms(terms))
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class StanleyPrefix:
     generator_size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _check_terms(self.terms))
+        object.__setattr__(self, "terms", check_terms(self.terms))
         if _has_progression(self.terms):
             raise MalformedInputError("terms contain a 3-term arithmetic progression")
         if not 1 <= self.generator_size <= len(self.terms):
@@ -151,7 +153,7 @@ SeedLike = Union[StanleyPrefix, Sequence[int]]
 
 def _terms_of(prefix: SeedLike) -> tuple[int, ...]:
     """Terms of a prefix, validated unless a StanleyPrefix already was."""
-    return prefix.terms if isinstance(prefix, StanleyPrefix) else _check_terms(prefix)
+    return prefix.terms if isinstance(prefix, StanleyPrefix) else check_terms(prefix)
 
 
 def _trusted(terms: tuple[int, ...], generator_size: int) -> StanleyPrefix:
@@ -274,10 +276,13 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     below the bound is present; otherwise the answer would be provisional.
     The omitted values are the zero bits of one shift-OR pass over the terms
     below the bound, O(n) big-int operations (larger y cover only values above it).
+    A bound above ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
     """
     terms = _terms_of(prefix)
     if bound < 0:
         raise MalformedInputError("bound must be nonnegative")
+    if bound > BIT_LIMIT:
+        raise ResourceLimitError(f"scan bound {bound} exceeds the {BIT_LIMIT}-bit mask budget")
     if terms[-1] < bound:
         raise PrefixTooShortError(f"last term {terms[-1]} below scan bound {bound}")
 

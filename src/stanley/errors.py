@@ -12,7 +12,7 @@ class MalformedInputError(StanleyError):
 
 
 class FormatError(MalformedInputError):
-    """A set file line could not be parsed."""
+    """A number or a set line could not be parsed."""
 
 
 class PrefixTooShortError(MalformedInputError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .core import check_int, read_int
 from .errors import InvariantViolationError, MalformedInputError, PreconditionError
 from .modset import ResidueSet, product, scale, shift_max, verify
 
@@ -195,8 +196,7 @@ class FamilyId:
                 f"family {self.name} takes {arity} parameter(s), got {len(params)}"
             )
         for value in params:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise MalformedInputError(f"family parameter {value!r} is not an integer")
+            check_int(value, "family parameter")
 
     def __str__(self) -> str:
         return f"{self.name}:" + ",".join(str(p) for p in self.params)
@@ -207,10 +207,7 @@ def parse_family(text: str) -> FamilyId:
     name, sep, tail = text.strip().partition(":")
     if not sep:
         raise MalformedInputError(f"expected 'Name:params', got {text!r}")
-    try:
-        params = tuple(int(p.strip()) for p in tail.split(","))
-    except ValueError:
-        raise MalformedInputError(f"bad family parameters in {text!r}") from None
+    params = tuple(read_int(p, "family parameter") for p in tail.split(","))
     return FamilyId(name.strip(), params)
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
 
-from .core import BIT_LIMIT, ELEMENT_LIMIT, INT_LIMIT, check_int, set_bits
+from .core import BIT_LIMIT, ELEMENT_LIMIT, INT_LIMIT, check_int, check_terms, read_int, set_bits
 from .errors import (
     FormatError,
     InvariantViolationError,
@@ -36,19 +36,8 @@ class ResidueSet:
         check_int(self.modulus, "modulus")
         if self.modulus < 1:
             raise MalformedInputError("modulus must be at least 1")
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
-        if not elements:
-            raise MalformedInputError("element list is empty")
-        last = -1
-        for value in elements:
-            check_int(value, "element")
-            if value == last:
-                raise MalformedInputError(f"duplicate element {value}")
-            if value < last:
-                raise MalformedInputError("elements must be sorted ascending")
-            last = value
-        if elements[0] != 0:
+        object.__setattr__(self, "elements", check_terms(self.elements, "element"))
+        if self.elements[0] != 0:
             raise MalformedInputError("0 must be an element")
 
     @classmethod
@@ -74,25 +63,6 @@ class VerificationReport:
     is_near_modular: bool
     is_modular: bool
     witness_violation: tuple[int, int, int] | None
-
-
-def is_mod_ap(x: int, y: int, z: int, modulus: int) -> bool:
-    """True iff x + z == 2y modulo ``modulus``."""
-    if modulus < 1:
-        raise MalformedInputError("modulus must be at least 1")
-    return (x + z - 2 * y) % modulus == 0
-
-
-def is_mod_covered(z: int, a: ResidueSet) -> bool:
-    """True iff 2y - x lands on z's residue for some elements x <= y."""
-    n = a.modulus
-    target = z % n
-    elements = a.elements
-    for i, x in enumerate(elements):
-        for y in elements[i:]:
-            if (2 * y - x) % n == target:
-                return True
-    return False
 
 
 def verify(a: ResidueSet) -> VerificationReport:
@@ -262,27 +232,18 @@ def format_set(a: ResidueSet) -> str:
     return f"N={a.modulus}; " + ",".join(str(e) for e in a.elements)
 
 
-def _parse_number(token: str, line: str) -> int:
-    body = token.strip()
-    if not (body.isascii() and body.isdigit()) or (len(body) > 1 and body[0] == "0"):
-        raise FormatError(f"bad number {token!r} in {line.strip()!r}")
-    if len(body) > len(str(INT_LIMIT)):
-        raise ResourceLimitError(f"a {len(body)}-digit number exceeds the checked 64-bit range")
-    return int(body)
-
-
 def parse_set(line: str) -> ResidueSet:
     """Parse one canonical set line (whitespace-tolerant, format-strict)."""
     body = line.strip()
     head, sep, tail = body.partition(";")
     head = "".join(head.split())
     if not sep or not head.startswith("N="):
-        raise FormatError(f"expected 'N=<modulus>; <elements>', got {line.strip()!r}")
-    modulus = _parse_number(head[2:], line)
-    items = tail.split(",")
+        raise FormatError(f"expected 'N=<modulus>; <elements>', got {body!r}")
+    what = f"number in {body!r}"
+    modulus = read_int(head[2:], what)
     if not tail.strip():
-        raise FormatError(f"no elements in {line.strip()!r}")
-    elements = tuple(_parse_number(item, line) for item in items)
+        raise FormatError(f"no elements in {body!r}")
+    elements = tuple(read_int(item, what) for item in tail.split(","))
     return ResidueSet(modulus, elements)
 
 

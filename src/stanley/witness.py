@@ -250,7 +250,7 @@ class ErratumEntry:
     max_element: int
     note: str  # flag text from the data file, describing the defect
     row: tuple[int, ...]  # elements actually served
-    resolution: str  # "natural-reading-verified" | "search-replacement"
+    resolution: str  # "natural-reading-verified": the row verifies as read
 
 
 #: exact top-element bands the dispatcher's arithmetic relies on
@@ -260,33 +260,17 @@ _EXPECTED_TOPS = {
 }
 
 
-def _resolve_erratum(candidate: ResidueSet, note: str) -> tuple[ResidueSet, ErratumEntry]:
-    """Keep a flagged row if it verifies as-is, else search for a stand-in
-    with the same modulus, top element and cardinality."""
-    if verify(candidate).is_near_modular:
-        entry = ErratumEntry(
-            candidate.modulus,
-            candidate.max_element,
-            note,
-            candidate.elements,
-            "natural-reading-verified",
-        )
-        return candidate, entry
-    spec = SearchSpec(candidate.modulus, candidate.max_element, len(candidate))
-    result = search_near_modular(spec)
-    if result.status != "found" or result.witness is None:
-        raise VerificationError(
-            "appendix",
-            f"no replacement row mod {candidate.modulus} with top {candidate.max_element}",
-        )
-    entry = ErratumEntry(
+def _resolve_erratum(candidate: ResidueSet, note: str) -> ErratumEntry:
+    """Serve a flagged row as read, and only if it verifies."""
+    if not verify(candidate).is_near_modular:
+        raise VerificationError("appendix", f"flagged row {format_set(candidate)} does not verify")
+    return ErratumEntry(
         candidate.modulus,
         candidate.max_element,
         note,
-        result.witness.elements,
-        "search-replacement",
+        candidate.elements,
+        "natural-reading-verified",
     )
-    return result.witness, entry
 
 
 def _read_table(name: str, modulus: int) -> tuple[list[ResidueSet], list[ErratumEntry]]:
@@ -310,8 +294,7 @@ def _read_table(name: str, modulus: int) -> tuple[list[ResidueSet], list[Erratum
         if row.modulus != modulus:
             raise FormatError(f"{name}: expected modulus {modulus}, got {row.modulus}")
         if note is not None:
-            row, entry = _resolve_erratum(row, " ".join(note))
-            errata.append(entry)
+            errata.append(_resolve_erratum(row, " ".join(note)))
             note = None
         rows.append(row)
     return rows, errata
@@ -337,7 +320,8 @@ class AppendixTables:
 
 @lru_cache(maxsize=1)
 def load_appendix() -> AppendixTables:
-    """Parse the bundled tables once, resolving any flagged rows."""
+    """Parse the bundled tables once; a flagged row that fails ``verify`` raises
+    VerificationError."""
     mod28, errata28 = _read_table("mod28.txt", 28)
     mod30, errata30 = _read_table("mod30.txt", 30)
     return AppendixTables(tuple(mod28), tuple(mod30), tuple(errata28 + errata30))

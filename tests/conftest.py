@@ -167,24 +167,32 @@ def naive_admissible(n: int, placed) -> int:
     return mask
 
 
+def naive_is_mod_ap(x: int, y: int, z: int, modulus: int) -> bool:
+    """True iff x + z == 2y modulo ``modulus``."""
+    return (x + z - 2 * y) % modulus == 0
+
+
+def naive_is_mod_covered(z: int, a: st.ResidueSet) -> bool:
+    """True iff 2y - x lands on z's residue for some elements x <= y."""
+    return any(
+        (2 * y - x) % a.modulus == z % a.modulus
+        for i, x in enumerate(a.elements)
+        for y in a.elements[i:]
+    )
+
+
 def naive_mod_3_free(a: st.ResidueSet) -> bool:
-    for x in a.elements:
-        for y in a.elements:
-            for z in a.elements:
-                if x == y == z:
-                    continue
-                if (x + z - 2 * y) % a.modulus == 0:
-                    return False
-    return True
+    return not any(
+        naive_is_mod_ap(x, y, z, a.modulus)
+        for x in a.elements
+        for y in a.elements
+        for z in a.elements
+        if not x == y == z
+    )
 
 
 def naive_mod_covers_all(a: st.ResidueSet) -> bool:
-    hit = set()
-    for x in a.elements:
-        for y in a.elements:
-            if x <= y:
-                hit.add((2 * y - x) % a.modulus)
-    return len(hit) == a.modulus
+    return all(naive_is_mod_covered(r, a) for r in range(a.modulus))
 
 
 def naive_verify(a: st.ResidueSet) -> st.VerificationReport:

@@ -67,10 +67,14 @@ def test_generate_past_the_checked_range(capsys):
 
 
 def test_over_range_seed_is_a_resource_limit(capsys):
-    # the same exit code as an over-range set element or scale factor
+    # the same exit code as an over-range or 5000-digit set element or scale factor
     code, out, err = run(capsys, "generate", "--seed", f"0,{1 << 63}", "--count", "3")
     assert code == 3 and out == "" and "64-bit range" in err
     code, out, err = run(capsys, "character", "--seed", f"0,{1 << 63}")
+    assert code == 3 and out == "" and "64-bit range" in err
+    code, out, err = run(capsys, "generate", "--seed", "0," + "1" * 5000, "--count", "4")
+    assert code == 3 and out == "" and "64-bit range" in err
+    code, out, err = run(capsys, "generate", "--count", str(1 << 63))
     assert code == 3 and out == "" and "64-bit range" in err
 
 
@@ -305,6 +309,26 @@ def test_search_budget_env(monkeypatch, capsys):
     )
     assert code == 0
     assert "N=28; 0,5,11,13,16,18,24,57" in out
+
+
+@pytest.mark.parametrize(
+    "env,argv",
+    [
+        ({}, ("generate", "--seed", "0,\u0663", "--count", "4")),
+        ({}, ("family", "T:\u0663")),
+        ({}, ("witness", "--lambda", "\u0666\u0663")),
+        ({}, ("generate", "--count", "1_0")),
+        ({}, ("generate", "--count", "08")),
+        ({"STANLEY_NODE_BUDGET": "\u0665\u0660"}, ("search", "--mod", "28", "--max", "57", "--size", "8")),
+        ({}, ("search", "--mod", "\u0662\u0668", "--max", "57", "--size", "8")),
+    ],
+    ids=["seed", "family", "lambda", "underscore", "leading-zero", "budget-env", "option"],
+)
+def test_numbers_are_plain_ascii_decimals(monkeypatch, capsys, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "error: bad " in err
 
 
 def test_search_budget_env_malformed(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import stanley as st
 from stanley import core
-from stanley.core import DEFAULT_TERM_CAP, INT_LIMIT
+from stanley.core import DEFAULT_TERM_CAP, INT_LIMIT, read_int
 
 from conftest import brute_character, naive_greedy, naive_is_3_free, naive_is_covered
 
@@ -18,16 +18,37 @@ def test_is_3_free_examples():
 
 
 def test_is_covered_examples():
-    assert st.is_covered(5, [0, 1, 3, 4])  # 2*3-1
-    assert st.is_covered(7, [0, 1, 3, 4])  # 2*4-1
-    assert not st.is_covered(9, [0, 1, 3, 4])
-    assert not st.is_covered(3, [0, 1, 3, 4])  # being a term is not coverage
+    assert naive_is_covered(5, [0, 1, 3, 4])  # 2*3-1
+    assert naive_is_covered(7, [0, 1, 3, 4])  # 2*4-1
+    assert not naive_is_covered(9, [0, 1, 3, 4])
+    assert not naive_is_covered(3, [0, 1, 3, 4])  # being a term is not coverage
 
 
-def test_covered_matches_oracle():
+def test_greedy_terms_are_the_least_uncovered_values():
     terms = st.greedy_extend([0], 20).terms
-    for z in range(0, 2 * terms[-1] + 2):
-        assert st.is_covered(z, terms) == naive_is_covered(z, terms)
+    for k in range(1, len(terms)):
+        gap = range(terms[k - 1] + 1, terms[k])
+        assert all(naive_is_covered(z, terms[:k]) for z in gap)
+        assert not naive_is_covered(terms[k], terms[:k])
+
+
+@pytest.mark.parametrize("text,value", [("0", 0), (" 42\n", 42), (str(INT_LIMIT), INT_LIMIT)])
+def test_read_int_reads_plain_ascii_decimals(text, value):
+    assert read_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", " ", "+1", "-1", "1_0", "007", "1.0", "0x1", "1 2", "\u0663", "\uff11", "\u00b2"]
+)
+def test_read_int_rejects_anything_else(text):
+    with pytest.raises(st.FormatError):
+        read_int(text)
+
+
+@pytest.mark.parametrize("text", [str(INT_LIMIT + 1), "9" * 20, "1" * 5000])
+def test_read_int_over_range_is_a_resource_limit(text):
+    with pytest.raises(st.ResourceLimitError, match="64-bit range"):
+        read_int(text)
 
 
 def test_term_validation():
@@ -169,6 +190,14 @@ def test_omitted_bound_below_character():
     profile = st.detect_character(prefix)
     gaps = st.omitted_set(prefix, prefix.last)
     assert gaps.omega is not None and gaps.omega < profile.character
+
+
+def test_omitted_mask_budget(monkeypatch):
+    # the bound is checked before any mask is built, so a lowered limit shows it
+    monkeypatch.setattr(core, "BIT_LIMIT", 100)
+    assert st.omitted_set([0, 100, 101], 100).elements == tuple(range(1, 100))
+    with pytest.raises(st.ResourceLimitError, match="mask budget"):
+        st.omitted_set([0, 101, 102], 101)
 
 
 def test_omitted_requires_scanned_range():

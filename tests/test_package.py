@@ -1,14 +1,16 @@
-"""Package structure: modules share only public names."""
+"""Package structure: modules share only public names, and one reader owns ``int``."""
 
 import ast
 from pathlib import Path
 
 import stanley
 
+MODULES = sorted(Path(stanley.__file__).parent.glob("*.py"))
+
 
 def test_no_module_imports_a_private_name():
     offenders = []
-    for path in sorted(Path(stanley.__file__).parent.glob("*.py")):
+    for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 offenders += [
@@ -16,4 +18,33 @@ def test_no_module_imports_a_private_name():
                     for alias in node.names
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
+    assert offenders == []
+
+
+def _is_int(node):
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def test_only_the_number_reader_uses_int():
+    # int() outside core.read_int, or int handed to a call (add_argument's
+    # type=int, map(int, ...)), would read text the reader rejects
+    offenders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        reader = {
+            id(inner)
+            for node in ast.walk(tree)
+            if path.name == "core.py" and isinstance(node, ast.FunctionDef)
+            and node.name == "read_int"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in reader:
+                continue
+            passed = [*node.args, *(keyword.value for keyword in node.keywords)]
+            if _is_int(node.func) or (
+                not (isinstance(node.func, ast.Name) and node.func.id == "isinstance")
+                and any(_is_int(arg) for arg in passed)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert offenders == []

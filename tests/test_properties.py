@@ -6,15 +6,20 @@ the near-modular verdict, and the greedy generator must be prefix-stable.
 The shift-OR sequence core, the residue-mask ``verify`` and the search's
 blocked-residue mask must agree with the pair-by-pair oracles in
 ``conftest`` on dense and sparse inputs, with and without 0, valid or not.
-The text parsers either answer or raise a ``StanleyError`` on any input.
+The text parsers either answer or raise a ``StanleyError`` on any input, and
+every reader of a number (set element, family parameter, seed term, node
+budget) gives the same answer for the same text.
 """
 
 import math
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
 import stanley as st
+from stanley.cli import BUDGET_ENV, _node_budget, _parse_terms
 from stanley.core import INT_LIMIT
 from stanley.families import FAMILY_NAMES
 from stanley.search import _place
@@ -143,14 +148,6 @@ def test_verify_matches_oracle(small_corpus, data):
     assert st.verify(a) == naive_verify(a)
 
 
-@given(terms=increasing, z=hs.integers(min_value=0, max_value=160))
-def test_covered_matches_brute(terms, z):
-    brute = any(
-        2 * y - x == z for i, x in enumerate(terms) for y in terms[i + 1 :]
-    )
-    assert st.is_covered(z, terms) == brute
-
-
 @given(terms=increasing, grow=hs.integers(min_value=0, max_value=6),
        more=hs.integers(min_value=0, max_value=6))
 @settings(deadline=None)
@@ -264,6 +261,37 @@ def test_parse_family_answers_or_raises_a_stanley_error(text):
         st.parse_family(text)
     except st.StanleyError:
         pass
+
+
+def read_outcome(read, text):
+    """What ``read(text)`` gives: an int, or the class of the StanleyError it raises."""
+    try:
+        return read(text)
+    except st.StanleyError as exc:
+        return type(exc)
+
+
+def read_budget(text):
+    with mock.patch.dict(os.environ, {BUDGET_ENV: text}):
+        return _node_budget(None)
+
+
+NUMBER_READERS = (
+    lambda text: st.parse_set(f"N=1; 0,{text}").elements[1],
+    lambda text: st.parse_family(f"T:{text}").params[0],
+    lambda text: _parse_terms(text)[0],
+    read_budget,
+)
+
+
+# one token per text, as a seed list splits on whitespace; "0" would repeat the set's 0
+@given(text=hs.one_of(
+    number_text.filter(lambda t: len(t.split()) == 1 and t.strip() != "0"),
+    hs.integers(min_value=1, max_value=2 * INT_LIMIT).map(str),
+))
+def test_every_number_reader_agrees(text):
+    first, *rest = (read_outcome(read, text) for read in NUMBER_READERS)
+    assert all(outcome == first for outcome in rest)
 
 
 @given(a=operand, c=hs.integers(min_value=1, max_value=12))

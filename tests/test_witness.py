@@ -1,8 +1,11 @@
 """Recipe dispatch, bundled tables, and the execute/verify pipeline."""
 
+import dataclasses
+
 import pytest
 
 import stanley as st
+from stanley import witness
 from stanley.witness import SMALL_CASE_PARAMS, _split_pow3
 
 
@@ -155,6 +158,28 @@ def test_appendix_erratum_entry():
     assert entry.row == (0, 11, 13, 18, 24, 29, 44, 61)
     # the served row is the one the dispatcher will use
     assert st.load_appendix().row(28, 61).elements == entry.row
+
+
+@pytest.fixture
+def fresh_appendix():
+    """Tables parsed anew in the test, and again by whoever loads them next."""
+    st.load_appendix.cache_clear()
+    yield
+    st.load_appendix.cache_clear()
+
+
+def test_flagged_row_that_fails_verify_raises(monkeypatch, fresh_appendix):
+    real_verify = witness.verify
+
+    def rejects_the_flagged_row(a):
+        report = real_verify(a)
+        if (a.modulus, a.max_element) == (28, 61):
+            return dataclasses.replace(report, is_near_modular=False, is_modular=False)
+        return report
+
+    monkeypatch.setattr(witness, "verify", rejects_the_flagged_row)
+    with pytest.raises(st.VerificationError, match="appendix"):
+        st.load_appendix()
 
 
 def test_execute_smallest_even():
