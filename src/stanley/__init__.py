@@ -5,6 +5,7 @@ from .core import (
     OmittedSet,
     StanleyPrefix,
     detect_character,
+    doubled_prefix,
     greedy_extend,
     growth_diagnostic,
     is_3_free,

@@ -53,7 +53,8 @@ BUDGET_ENV = "STANLEY_NODE_BUDGET"
 
 
 def _parse_terms(text: str) -> list[int]:
-    return [read_int(part, "seed term") for part in text.replace(",", " ").split()]
+    """Comma-separated seed terms, read like the elements of a set line."""
+    return [read_int(part, "seed term") for part in text.split(",")]
 
 
 def _node_budget(flag: int | None) -> int:

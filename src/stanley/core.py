@@ -292,6 +292,51 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     return OmittedSet(elements, elements[-1] if elements else None, bound)
 
 
+def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, OmittedSet] | None:
+    """The greedy extension of a fully modular ``seed`` A mod N to 4|A| terms, and
+    its omitted set, proved from one shift-OR pass; None when the proof fails.
+
+    Self-similarity predicts the prefix P = A + {0, N, 3N, 4N}.  P is the greedy
+    extension exactly when it is 3-free and every value in (max A, max P) outside
+    P is 2y - x for terms x < y of P.  If so, by induction each next term of P is
+    admissible (it joins a subset of the 3-free P), and each value skipped before
+    it is covered by two terms below that value, so already grown; greedy growth
+    is unique, so it grows P.  Conversely greedy skips a value only when a pair
+    covers it.  No omitted value lies above max A: every value there is a term or
+    covered.  So the omitted set is the zero bits of the same pass below max A,
+    equal to ``omitted_set(P, P.last)`` field for field.
+
+    A modulus not above max A raises MalformedInputError; a prefix ending above
+    ``BIT_LIMIT`` raises ResourceLimitError before any tuple or mask is built.
+    """
+    terms = check_terms(seed)
+    top = terms[-1]
+    if check_int(modulus, "modulus") <= top:
+        raise MalformedInputError(f"modulus {modulus} does not exceed the seed maximum {top}")
+    if top + 4 * modulus > BIT_LIMIT:
+        raise ResourceLimitError(
+            f"prefix end {top + 4 * modulus} exceeds the {BIT_LIMIT}-bit mask budget"
+        )
+
+    predicted = tuple(x + k * modulus for k in (0, 1, 3, 4) for x in terms)
+    omitted = _greedy_certificate(predicted, top)
+    return None if omitted is None else (_trusted(predicted, len(terms)), omitted)
+
+
+def _greedy_certificate(terms: tuple[int, ...], top: int) -> OmittedSet | None:
+    """``omitted_set(terms, terms[-1])`` if ``terms`` are the greedy extension of
+    their terms up to ``top`` (< terms[-1]), else None: one shift-OR pass checks
+    that they are 3-free and that every value in (top, terms[-1]) is a term or covered."""
+    last, _, fwd, cover = _cover(terms)
+    base = terms[0]
+    decided = fwd | cover
+    gaps = (1 << (last - base)) - (1 << (top - base + 1))  # bits of (top, last)
+    if cover & fwd or gaps & ~decided:
+        return None
+    elements = set_bits(~(decided << base) & ((1 << top) - 1))
+    return OmittedSet(elements, elements[-1] if elements else None, last)
+
+
 def growth_diagnostic(prefix: SeedLike) -> tuple[float, float]:
     """Min and max of a_n / n**log2(3) over the prefix's second half."""
     terms = _terms_of(prefix)

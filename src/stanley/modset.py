@@ -236,11 +236,11 @@ def parse_set(line: str) -> ResidueSet:
     """Parse one canonical set line (whitespace-tolerant, format-strict)."""
     body = line.strip()
     head, sep, tail = body.partition(";")
-    head = "".join(head.split())
-    if not sep or not head.startswith("N="):
+    name, eq, number = head.partition("=")
+    if not sep or not eq or name.strip() != "N":
         raise FormatError(f"expected 'N=<modulus>; <elements>', got {body!r}")
     what = f"number in {body!r}"
-    modulus = read_int(head[2:], what)
+    modulus = read_int(number, what)
     if not tail.strip():
         raise FormatError(f"no elements in {body!r}")
     elements = tuple(read_int(item, what) for item in tail.split(","))

@@ -19,8 +19,8 @@ from .core import (
     CharacterProfile,
     OmittedSet,
     detect_character,
+    doubled_prefix,
     greedy_extend,
-    omitted_set,
 )
 from .errors import (
     BudgetExceededError,
@@ -409,6 +409,19 @@ def _reduced_modulus(witness: ResidueSet) -> int:
     return modulus
 
 
+def _departure(form: ResidueSet) -> str:
+    """Where the greedy extension of a modular form first leaves A + {0, N, 3N, 4N}."""
+    grown = greedy_extend(form.elements, 4 * len(form)).terms
+    predicted = [x + k * form.modulus for k in (0, 1, 3, 4) for x in form.elements]
+    for i, (got, want) in enumerate(zip(grown, predicted)):
+        if got != want:
+            return (
+                f"greedy extension of {format_set(form)} leaves A+{{0,N,3N,4N}}"
+                f" at term {i}: {got}, not {want}"
+            )
+    raise InvariantViolationError(f"certificate rejected the greedy prefix of {format_set(form)}")
+
+
 def execute_and_verify(
     recipe: WitnessRecipe,
     *,
@@ -419,11 +432,18 @@ def execute_and_verify(
 
     Static checks always run: near-modularity, the expected top element and
     modulus, and the character itself.  With ``deep`` the set is doubled
-    down to a fully modular form, extended greedily to four times its size,
-    and the observed doubling structure (at least two levels) plus the
-    omitted-value bound are checked against the target; a reduction whose
-    modulus would exceed ``deep_cap`` skips the deep phase instead of
-    thrashing.  Any failed check raises VerificationError.
+    down to a fully modular form A mod N, and its greedy extension to 4|A|
+    terms is proved rather than regrown (``doubled_prefix``): greedy skips a
+    value only when two smaller terms cover it, so the predicted prefix
+    P = A + {0, N, 3N, 4N} is that extension exactly when P is 3-free and
+    covers every value between max A and max P that it skips.  For the same
+    reason no omitted value lies above max A, and the one pass over P also
+    yields the omitted set.  The doubling structure of P (at least two
+    levels) and the omitted-value bound are then checked against the
+    target; a reduction whose modulus would exceed ``deep_cap`` skips the
+    deep phase instead of thrashing.  Any failed check raises
+    VerificationError; a rejected certificate names the first term where
+    greedy growth leaves P.
     """
     base, nodes = _resolve_base(recipe)
     witness = shift_max(base, recipe.shift_count) if recipe.shift_count else base
@@ -458,7 +478,10 @@ def execute_and_verify(
     omitted = None
     if deep and _reduced_modulus(witness) <= deep_cap:
         modular_form, doubling_steps = to_modular(witness)
-        prefix = greedy_extend(modular_form.elements, 4 * len(modular_form))
+        certified = doubled_prefix(modular_form.elements, modular_form.modulus)
+        if certified is None:
+            raise VerificationError("doubling-structure", _departure(modular_form))
+        prefix, omitted = certified
         profile = detect_character(prefix)
         if profile is None or profile.character != recipe.target_character:
             raise VerificationError(
@@ -471,7 +494,6 @@ def execute_and_verify(
                 "doubling-structure", "fewer than two doubled levels verified"
             )
         checks.append("doubling-structure")
-        omitted = omitted_set(prefix, prefix.last)
         if omitted.omega is not None and omitted.omega >= recipe.target_character:
             raise VerificationError(
                 "omitted-bound",

@@ -1,5 +1,6 @@
 """Exact CLI behavior: outputs, exit codes, and stream separation."""
 
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,13 @@ def test_generate_bad_input(capsys):
     assert code == 2 and "error:" in err
     code, _, _ = run(capsys, "generate", "--seed", "0,2", "--count", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", ["0,,2", "0,2,", "0 2"])
+def test_generate_seed_items_are_set_elements(capsys, seed):
+    # every comma-separated item is one number, as in a set line
+    code, out, err = run(capsys, "generate", "--seed", seed, "--count", "4")
+    assert code == 2 and out == "" and "bad seed term" in err
 
 
 def test_generate_past_the_checked_range(capsys):
@@ -193,6 +201,14 @@ def test_witness_verb_deep(capsys):
     assert lines[-1] == "verified: deep"
 
 
+def test_witness_deep_prefix_over_the_mask_budget_exits_3(capsys):
+    # Atk:1,21523363 reduces to mod 3**17, where max A + 4N passes the bit budget
+    code, out, err = run(
+        capsys, "witness", "--lambda", "43046724", "--deep", "--deep-cap", "1000000000"
+    )
+    assert code == 3 and out == "" and "mask budget" in err
+
+
 def test_witness_forbidden_is_usage_error(capsys):
     code, _, err = run(capsys, "witness", "--lambda", "15")
     assert code == 2
@@ -210,6 +226,14 @@ def test_coverage_json(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["verified"] == 11 and blob["failed"] == 0
+
+
+def test_coverage_to_1000_is_pinned(capsys):
+    # every row of the deep sweep, lvl and omega cells included, byte for byte
+    code, out, _ = run(capsys, "coverage", "--max", "1000")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == "634856330de75179f49809c069fbd1eed7cbc3494eeaf6dde67416807cd5db06"
 
 
 def test_coverage_is_deterministic(capsys):
@@ -263,8 +287,9 @@ def test_product_element_budget(capsys):
         ("N=\u0663; 0,\u0661", 2),
         ("N=1; 0," + "1" * 5000, 3),
         ("N=1; 0,9223372036854775808", 3),
+        ("N=2 7; 0,1,6,7,10,15,16,18", 2),
     ],
-    ids=["superscript", "arabic-indic", "5000-digits", "2^63"],
+    ids=["superscript", "arabic-indic", "5000-digits", "2^63", "split-modulus"],
 )
 def test_verify_bad_numbers(capsys, literal, code):
     got, out, err = run(capsys, "verify", literal)

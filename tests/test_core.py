@@ -205,6 +205,42 @@ def test_omitted_requires_scanned_range():
         st.omitted_set([0, 1, 3, 4], 10)  # prefix only decides values up to 4
 
 
+def test_doubled_prefix_is_the_greedy_prefix():
+    seed = (0, 1, 6, 7, 10, 15, 16, 18)  # Acal:1, modular mod 27
+    prefix, gaps = st.doubled_prefix(seed, 27)
+    assert prefix == st.greedy_extend(seed, 32)
+    assert prefix.terms[8:10] == (27, 28) and prefix.terms[16:18] == (81, 82)
+    assert gaps == st.omitted_set(prefix, prefix.last)
+    assert gaps.elements == (3, 4, 5, 9) and gaps.scan_bound == 18 + 4 * 27
+
+
+def test_doubled_prefix_rejects_what_greedy_does_not_grow():
+    assert st.doubled_prefix([0, 1], 5) is None  # greedy takes 3, not 5
+    assert st.doubled_prefix([0, 1], 2) is None  # 0,1,2 is a progression
+    assert st.doubled_prefix([0, 1, 2], 9) is None  # so is the seed itself
+    assert st.doubled_prefix([0], 1)[0].terms == (0, 1, 3, 4)
+
+
+def test_doubled_prefix_argument_errors():
+    with pytest.raises(st.MalformedInputError, match="seed maximum"):
+        st.doubled_prefix([0, 3], 3)
+    with pytest.raises(st.MalformedInputError):
+        st.doubled_prefix([0, 3], -4)
+    with pytest.raises(st.MalformedInputError):
+        st.doubled_prefix([3, 0], 9)
+
+
+def test_doubled_prefix_mask_budget(monkeypatch):
+    # checked before any tuple or mask: max A + 4N, the end of the prefix
+    with pytest.raises(st.ResourceLimitError, match="mask budget"):
+        st.doubled_prefix([0, 1], 2**26)
+    monkeypatch.setattr(core, "BIT_LIMIT", 14)
+    assert st.doubled_prefix([0, 2], 3)[0].terms == (0, 2, 3, 5, 9, 11, 12, 14)
+    monkeypatch.setattr(core, "BIT_LIMIT", 13)
+    with pytest.raises(st.ResourceLimitError, match="mask budget"):
+        st.doubled_prefix([0, 2], 3)
+
+
 def test_growth_diagnostic_window():
     low, high = st.growth_diagnostic(st.greedy_extend([0], 256))
     assert 0.5 < low <= high < 1.5

@@ -215,6 +215,9 @@ def test_parse_rejects_malformed_lines():
         "N=\u0663; 0,\u0661",
         "N=3; 0,\uff11",
         "N=1_0; 0",
+        "N=2 7; 0,1,6,7,10,15,16,18",  # a gap inside the modulus, as inside an element
+        "M=27; 0,1",
+        "N 27; 0,1",
     ):
         with pytest.raises(st.FormatError):
             st.parse_set(line)

@@ -6,6 +6,8 @@ the near-modular verdict, and the greedy generator must be prefix-stable.
 The shift-OR sequence core, the residue-mask ``verify`` and the search's
 blocked-residue mask must agree with the pair-by-pair oracles in
 ``conftest`` on dense and sparse inputs, with and without 0, valid or not.
+The deep check's certificate accepts a predicted prefix exactly when greedy
+growth yields it, and then agrees with ``omitted_set``.
 The text parsers either answer or raise a ``StanleyError`` on any input, and
 every reader of a number (set element, family parameter, seed term, node
 budget) gives the same answer for the same text.
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
 import stanley as st
+from stanley import core
 from stanley.cli import BUDGET_ENV, _node_budget, _parse_terms
 from stanley.core import INT_LIMIT
 from stanley.families import FAMILY_NAMES
@@ -194,6 +197,67 @@ def test_omitted_matches_oracle_on_any_terms(terms, cut):
     assert st.omitted_set(terms, bound).elements == naive_omitted(terms, bound)
 
 
+def predicted_prefix(seed, modulus):
+    return tuple(x + k * modulus for k in (0, 1, 3, 4) for x in seed)
+
+
+# fully modular forms, for which the certificate must accept, and arbitrary
+# 3-free seeds under a modulus just above their maximum, for which it mostly rejects
+modular_forms = hs.builds(
+    lambda a, b, k: st.to_modular(st.product(st.shift_max(a, k) if k and len(a) > 1 else a, b))[0],
+    operand,
+    operand,
+    hs.integers(min_value=0, max_value=2),
+).map(lambda form: (form.elements, form.modulus))
+certificate_cases = hs.one_of(
+    modular_forms,
+    hs.tuples(seeds, hs.integers(min_value=1, max_value=40)).map(
+        lambda case: (case[0], case[0][-1] + case[1])
+    ),
+)
+
+
+@given(case=certificate_cases)
+@settings(deadline=None)
+def test_certificate_accepts_exactly_the_greedy_prefix(case):
+    seed, modulus = case
+    assume(brute_3_free(seed))
+    grown = st.greedy_extend(seed, 4 * len(seed))
+    assert grown.terms == naive_greedy_table(seed, 4 * len(seed))
+    certified = st.doubled_prefix(seed, modulus)
+    assert (certified is not None) == (grown.terms == predicted_prefix(seed, modulus))
+    if certified is not None:
+        prefix, gaps = certified
+        assert prefix == grown
+        assert gaps == st.omitted_set(grown, grown.last)
+
+
+@given(form=modular_forms, data=hs.data())
+@settings(deadline=None)
+def test_certificate_rejects_a_prefix_with_one_term_moved_dropped_or_added(form, data):
+    # mutate the accepted prefix above the seed; a mutant passes the acceptance
+    # check only when it is still a greedy prefix (the last term dropped, or the
+    # next greedy term added), which the oracle decides
+    seed, modulus = form
+    terms = list(predicted_prefix(seed, modulus))
+    top = seed[-1]
+    i = data.draw(hs.integers(min_value=len(seed), max_value=len(terms) - 1))
+    edit = data.draw(hs.sampled_from(("move", "drop", "add")))
+    if edit == "drop":
+        del terms[i]
+    else:
+        value = data.draw(hs.integers(min_value=top + 1, max_value=terms[-1] + modulus))
+        assume(value not in terms)
+        if edit == "move":
+            del terms[i]
+        terms = sorted(terms + [value])
+    greedy = naive_greedy_table(seed, len(terms))
+    accepted = core._greedy_certificate(tuple(terms), top)
+    assert (accepted is not None) == (tuple(terms) == greedy)
+    if accepted is not None:
+        assert accepted == st.omitted_set(terms, terms[-1])
+
+
 @given(a=operand, b=operand)
 def test_product_keeps_zero(a, b):
     assert 0 in st.product(a, b).elements
@@ -284,9 +348,9 @@ NUMBER_READERS = (
 )
 
 
-# one token per text, as a seed list splits on whitespace; "0" would repeat the set's 0
+# "0" would repeat the set's 0
 @given(text=hs.one_of(
-    number_text.filter(lambda t: len(t.split()) == 1 and t.strip() != "0"),
+    number_text.filter(lambda t: t.strip() != "0"),
     hs.integers(min_value=1, max_value=2 * INT_LIMIT).map(str),
 ))
 def test_every_number_reader_agrees(text):

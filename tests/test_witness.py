@@ -223,6 +223,26 @@ def test_execute_respects_deep_cap():
     assert result.checks == ("near-modular", "max-element", "modulus", "character")
 
 
+#: Atk:1,21523363 mod 3 reduces to 131072 elements mod 3**17, so max A + 4N passes BIT_LIMIT
+OVER_BUDGET_CHARACTER = 43046724
+
+
+def test_deep_prefix_over_the_mask_budget_raises_before_building_it():
+    recipe = st.witness_for(OVER_BUDGET_CHARACTER)
+    assert not st.execute_and_verify(recipe, deep=True).deep_verified  # default deep_cap
+    with pytest.raises(st.ResourceLimitError, match="mask budget"):
+        st.execute_and_verify(recipe, deep=True, deep_cap=10**9)
+
+
+def test_rejected_certificate_names_the_first_departing_term(monkeypatch):
+    # no verified witness fails the certificate, so hand the deep phase a form
+    # whose greedy extension takes 3 where A + {0, N, 3N, 4N} predicts 5
+    monkeypatch.setattr(witness, "to_modular", lambda a: (st.ResidueSet(5, (0, 1)), 0))
+    with pytest.raises(st.VerificationError, match="at term 2: 3, not 5") as err:
+        st.execute_and_verify(st.witness_for(10), deep=True)
+    assert err.value.check == "doubling-structure"
+
+
 def test_execute_rejects_wrong_geometry():
     base = st.load_appendix().row(28, 58)  # max 58, not the expected 57
     recipe = st.WitnessRecipe(87, "mod28-table", base, 0, 57, 28)
