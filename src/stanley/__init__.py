@@ -43,9 +43,11 @@ from .modset import (
     ResidueSet,
     VerificationReport,
     character_of,
+    doubling_reduction,
     format_set,
     load_set_file,
     parse_set,
+    power,
     product,
     read_sets,
     scale,

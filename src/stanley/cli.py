@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from functools import reduce
 from typing import Sequence
 
 from . import __version__
@@ -66,10 +67,11 @@ def _node_budget(flag: int | None) -> int:
 
 
 def _load_sets(source: str) -> list[ResidueSet]:
-    """A literal 'N=...; ...' string, a file path, or '-' for stdin."""
+    """A literal 'N=...; ...' string (a ';', and only N before the first '='),
+    a file path, or '-' for stdin."""
     if source == "-":
         return load_set_file(sys.stdin)
-    if "N=" in source:
+    if ";" in source and source.partition("=")[0].strip() == "N":
         return [parse_set(source)]
     return load_set_file(source)
 
@@ -161,10 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    sets = [_load_one(source) for source in args.sets]
-    acc = sets[0]
-    for other in sets[1:]:
-        acc = product(acc, other)
+    acc = reduce(product, [_load_one(source) for source in args.sets])
     if args.scale is not None:
         acc = scale(acc, args.scale)
     if args.shift_max:

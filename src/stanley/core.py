@@ -118,27 +118,18 @@ def is_3_free(terms: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class StanleyPrefix:
-    """A finite greedy prefix: strictly increasing, 3-AP-free terms.
-
-    ``generator_size`` remembers how many leading terms were the seed.
-    """
+    """A finite greedy prefix: strictly increasing, 3-AP-free terms."""
 
     terms: tuple[int, ...]
-    generator_size: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", check_terms(self.terms))
         if _has_progression(self.terms):
             raise MalformedInputError("terms contain a 3-term arithmetic progression")
-        if not 1 <= self.generator_size <= len(self.terms):
-            raise MalformedInputError(
-                f"generator_size {self.generator_size} outside 1..{len(self.terms)}"
-            )
 
     @classmethod
     def from_terms(cls, terms: Iterable[int]) -> "StanleyPrefix":
-        seq = tuple(terms)
-        return cls(seq, len(seq))
+        return cls(tuple(terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -156,19 +147,18 @@ def _terms_of(prefix: SeedLike) -> tuple[int, ...]:
     return prefix.terms if isinstance(prefix, StanleyPrefix) else check_terms(prefix)
 
 
-def _trusted(terms: tuple[int, ...], generator_size: int) -> StanleyPrefix:
+def _trusted(terms: tuple[int, ...]) -> StanleyPrefix:
     """A StanleyPrefix over terms already known to be valid, without re-validation."""
     prefix = object.__new__(StanleyPrefix)
     object.__setattr__(prefix, "terms", terms)
-    object.__setattr__(prefix, "generator_size", generator_size)
     return prefix
 
 
 def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
     """Extend ``seed`` greedily until it has ``target_len`` terms.
 
-    A raw seed is validated from the same shift-OR pass that starts the
-    extension: it holds a progression exactly when a covered value is a term.
+    The seed is checked by the same shift-OR pass that starts the extension:
+    it holds a progression exactly when a covered value is a term.
     The next term is the lowest value above the last that no pair covers; each
     accepted term costs one shift-OR of the reversed term mask over the span.
     """
@@ -178,18 +168,12 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
             f"seed span {terms[-1] - terms[0]} exceeds the {BIT_LIMIT}-bit mask budget"
         )
     last, rev, fwd, cover = _cover(terms)
-    if isinstance(seed, StanleyPrefix):
-        prefix = seed
-    elif cover & fwd:
+    if cover & fwd:
         raise MalformedInputError("terms contain a 3-term arithmetic progression")
-    else:
-        prefix = _trusted(terms, len(terms))
-    if target_len < len(prefix):
-        raise MalformedInputError(f"target_len {target_len} below seed length {len(prefix)}")
+    if target_len < len(terms):
+        raise MalformedInputError(f"target_len {target_len} below seed length {len(terms)}")
     if target_len > DEFAULT_TERM_CAP:
         raise ResourceLimitError(f"target_len {target_len} exceeds cap {DEFAULT_TERM_CAP}")
-    if target_len == len(prefix):
-        return prefix
 
     grown = list(terms)
     ahead = cover >> (last - terms[0] + 1)  # bit i: last + 1 + i is covered
@@ -202,7 +186,7 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
         grown.append(last)
     if last > INT_LIMIT:
         raise ResourceLimitError(f"term {last} would exceed the checked 64-bit range")
-    return _trusted(tuple(grown), prefix.generator_size)  # greedy terms are 3-free
+    return _trusted(tuple(grown))  # greedy terms are 3-free
 
 
 @dataclass(frozen=True)
@@ -269,6 +253,13 @@ class OmittedSet:
     scan_bound: int
 
 
+def _omitted(decided: int, base: int, below: int, scan_bound: int) -> OmittedSet:
+    """The values in [0, below) that mask ``decided`` (bit i: base + i is a term
+    or covered) leaves unset, as an OmittedSet over ``scan_bound``."""
+    elements = set_bits(~(decided << base) & ((1 << below) - 1))
+    return OmittedSet(elements, elements[-1] if elements else None, scan_bound)
+
+
 def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     """Collect omitted integers in [0, bound).
 
@@ -287,9 +278,7 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
         raise PrefixTooShortError(f"last term {terms[-1]} below scan bound {bound}")
 
     _, _, fwd, cover = _cover(terms, bound)
-    free = ~((fwd | cover) << terms[0]) & ((1 << bound) - 1)
-    elements = set_bits(free)
-    return OmittedSet(elements, elements[-1] if elements else None, bound)
+    return _omitted(fwd | cover, terms[0], bound, bound)
 
 
 def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, OmittedSet] | None:
@@ -320,7 +309,7 @@ def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, Om
 
     predicted = tuple(x + k * modulus for k in (0, 1, 3, 4) for x in terms)
     omitted = _greedy_certificate(predicted, top)
-    return None if omitted is None else (_trusted(predicted, len(terms)), omitted)
+    return None if omitted is None else (_trusted(predicted), omitted)
 
 
 def _greedy_certificate(terms: tuple[int, ...], top: int) -> OmittedSet | None:
@@ -333,8 +322,7 @@ def _greedy_certificate(terms: tuple[int, ...], top: int) -> OmittedSet | None:
     gaps = (1 << (last - base)) - (1 << (top - base + 1))  # bits of (top, last)
     if cover & fwd or gaps & ~decided:
         return None
-    elements = set_bits(~(decided << base) & ((1 << top) - 1))
-    return OmittedSet(elements, elements[-1] if elements else None, last)
+    return _omitted(decided, base, top, last)
 
 
 def growth_diagnostic(prefix: SeedLike) -> tuple[float, float]:

@@ -13,47 +13,34 @@ from typing import Union
 
 from .core import check_int, read_int
 from .errors import InvariantViolationError, MalformedInputError, PreconditionError
-from .modset import ResidueSet, product, scale, shift_max, verify
+from .modset import DOUBLING_BLOCK, ResidueSet, power, product, scale, shift_max, verify
 
-#: Elementary blocks.  All four are verified near-modular at import time.
+#: The unit set and the elementary blocks besides modset's DOUBLING_BLOCK,
+#: {0,1} mod 3.  All four blocks are verified near-modular at import time.
 UNIT = ResidueSet(1, (0,))
-SEED_01 = ResidueSet(3, (0, 1))
 SEED_02 = ResidueSet(3, (0, 2))
 MOD10_A = ResidueSet(10, (0, 7, 9, 16))
 MOD10_B = ResidueSet(10, (0, 1, 7, 8))
 
 #: The repeated factor of the T family: {0,1,6,7} mod 9.
-BLOCK = product(SEED_01, SEED_02)
+BLOCK = product(DOUBLING_BLOCK, SEED_02)
 
-for _seed in (SEED_01, SEED_02, MOD10_A, MOD10_B, BLOCK):
+for _seed in (DOUBLING_BLOCK, SEED_02, MOD10_A, MOD10_B, BLOCK):
     if not verify(_seed).is_near_modular:  # pragma: no cover - constant data
         raise InvariantViolationError(f"elementary block {_seed} failed verification")
 del _seed
-
-
-def _with_blocks(out: ResidueSet, n: int) -> ResidueSet:
-    """``out`` times n copies of BLOCK by repeated squaring (``product`` is
-    associative), so an oversized result is refused before its factors grow."""
-    block = BLOCK
-    while n:
-        if n & 1:
-            out = product(out, block)
-        n >>= 1
-        if n:
-            block = product(block, block)
-    return out
 
 
 def build_T(n: int) -> ResidueSet:
     """n-fold product of {0,1,6,7} mod 9; modulus 9**n, 4**n elements."""
     if n < 0:
         raise MalformedInputError("T requires n >= 0")
-    return _with_blocks(UNIT, n)
+    return power(UNIT, BLOCK, n)
 
 
 def build_Ttilde(n: int) -> ResidueSet:
     """T_n widened by a doubling block: modulus 3**(2n+1)."""
-    return product(build_T(n), SEED_01)
+    return product(build_T(n), DOUBLING_BLOCK)
 
 
 def _swap_pivot(base: ResidueSet, pivot: int) -> ResidueSet:
@@ -75,12 +62,12 @@ def build_U(n: int) -> ResidueSet:
     """{0,2} stacked under n-1 copies of the T block; modulus 3**(2n-1)."""
     if n < 1:
         raise MalformedInputError("U requires n >= 1")
-    return _with_blocks(SEED_02, n - 1)
+    return power(SEED_02, BLOCK, n - 1)
 
 
 def build_Utilde(n: int) -> ResidueSet:
     """U_n widened by a doubling block: modulus 3**(2n)."""
-    return product(build_U(n), SEED_01)
+    return product(build_U(n), DOUBLING_BLOCK)
 
 
 def build_Bcal(n: int) -> ResidueSet:

@@ -199,18 +199,45 @@ def shift_max(a: ResidueSet, multiples: int = 1) -> ResidueSet:
 DOUBLING_BLOCK = ResidueSet(3, (0, 1))
 
 
-def to_modular(a: ResidueSet) -> tuple[ResidueSet, int]:
-    """Product with {0,1} mod 3 until the maximum drops below the modulus.
+def power(a: ResidueSet, block: ResidueSet, n: int) -> ResidueSet:
+    """``a`` times n copies of ``block``, by repeated squaring.
 
-    Each step multiplies the modulus by 3 while adding only the old modulus
-    to the maximum, so the loop terminates at the least sufficient step
-    count, which is returned alongside the modular set.
+    ``product`` is associative (both groupings of A x B x C hold every
+    x + N*y + N*M*z), so this equals n successive products.  Each set built
+    on the way is no larger than the answer, and ``product`` checks its
+    budget before it builds any sums, so an answer over budget is refused
+    by the product that would build it, before any larger set exists.
     """
-    current, steps = a, 0
-    while current.max_element >= current.modulus:
-        current = product(current, DOUBLING_BLOCK)
-        steps += 1
-    return current, steps
+    check_int(n, "power exponent")
+    while n:
+        if n & 1:
+            a = product(a, block)
+        n >>= 1
+        if n:
+            block = product(block, block)
+    return a
+
+
+def doubling_reduction(a: ResidueSet) -> tuple[int, int]:
+    """``(steps, modulus)`` of ``to_modular(a)``, by arithmetic alone: each step
+    adds the modulus to the maximum and triples the modulus."""
+    top, modulus, steps = a.max_element, a.modulus, 0
+    while top >= modulus:
+        top, modulus, steps = top + modulus, 3 * modulus, steps + 1
+    return steps, modulus
+
+
+def to_modular(a: ResidueSet) -> tuple[ResidueSet, int]:
+    """The fully modular form of ``a`` and its number of doubling steps.
+
+    ``doubling_reduction`` counts the least number of products with {0,1}
+    mod 3 that bring the maximum below the modulus, before any set is built;
+    ``power`` then builds them, equal by associativity to successive ones.
+    So a form over the element budget is refused after O(log steps) small
+    products, where successive ones would first build every step that fits.
+    """
+    steps, _ = doubling_reduction(a)
+    return power(a, DOUBLING_BLOCK, steps), steps
 
 
 def character_of(a: ResidueSet) -> int:

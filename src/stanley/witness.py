@@ -37,6 +37,7 @@ from .families import FamilyId, build_family
 from .modset import (
     ResidueSet,
     character_of,
+    doubling_reduction,
     format_set,
     parse_set,
     shift_max,
@@ -401,14 +402,6 @@ def _resolve_base(recipe: WitnessRecipe) -> tuple[ResidueSet, int]:
     raise MalformedInputError(f"unsupported recipe base {base!r}")
 
 
-def _reduced_modulus(witness: ResidueSet) -> int:
-    """Modulus the doubling reduction will end at, without building it."""
-    top, modulus = witness.max_element, witness.modulus
-    while top >= modulus:
-        top, modulus = top + modulus, 3 * modulus
-    return modulus
-
-
 def _departure(form: ResidueSet) -> str:
     """Where the greedy extension of a modular form first leaves A + {0, N, 3N, 4N}."""
     grown = greedy_extend(form.elements, 4 * len(form)).terms
@@ -476,7 +469,7 @@ def execute_and_verify(
     doubling_steps = None
     profile = None
     omitted = None
-    if deep and _reduced_modulus(witness) <= deep_cap:
+    if deep and doubling_reduction(witness)[1] <= deep_cap:
         modular_form, doubling_steps = to_modular(witness)
         certified = doubled_prefix(modular_form.elements, modular_form.modulus)
         if certified is None:

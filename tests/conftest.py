@@ -143,6 +143,16 @@ def naive_omitted(terms, bound) -> tuple[int, ...]:
     return tuple(z for z in range(bound) if not decided[z])
 
 
+def naive_to_modular(a: st.ResidueSet) -> tuple[st.ResidueSet, int]:
+    """Fold products with {0,1} mod 3 one step at a time, each written out as
+    the sums x + N*y, until the maximum lies below the modulus."""
+    steps = 0
+    while a.max_element >= a.modulus:
+        a = st.ResidueSet.of(3 * a.modulus, [x + a.modulus * y for x in a for y in (0, 1)])
+        steps += 1
+    return a, steps
+
+
 def naive_admissible(n: int, placed) -> int:
     """Bitmask of residues mod ``n`` a new element may take beside ``placed``.
 

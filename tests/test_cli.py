@@ -119,6 +119,12 @@ def test_verify_literal(capsys):
     assert out == "N=27; 0,1,6,7,10,15,16,18  => modular, character 10\n"
 
 
+def test_verify_literal_with_spaced_head(capsys):
+    code, out, _ = run(capsys, "verify", " N = 27 ; 0,1,6,7,10,15,16,18")
+    assert code == 0
+    assert out == "N=27; 0,1,6,7,10,15,16,18  => modular, character 10\n"
+
+
 def test_verify_failure_exit(capsys):
     code, out, _ = run(capsys, "verify", "N=9; 0,1,2,7")
     assert code == 1
@@ -277,6 +283,14 @@ def test_search_modulus_budget(capsys):
 def test_product_element_budget(capsys):
     # 4^13 elements: refused before the large products are built
     code, out, err = run(capsys, "family", "T:13")
+    assert code == 3 and out == "" and "element budget" in err
+
+
+def test_to_modular_element_budget(capsys):
+    # 2^26 elements: refused before the doubling reduction builds any large step
+    code, out, err = run(
+        capsys, "product", "N=9; 0,1,6,7", "--shift-max", "100000000000", "--to-modular"
+    )
     assert code == 3 and out == "" and "element budget" in err
 
 

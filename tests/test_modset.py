@@ -172,6 +172,44 @@ def test_to_modular_two_steps():
     assert st.character_of(reduced) == st.character_of(row)
 
 
+def test_power_equals_successive_products():
+    for a, block in ((ACAL1, st.ResidueSet(3, (0, 1))), (st.ResidueSet(3, (0, 2)), st.build_T(1))):
+        folded = a
+        for n in range(6):
+            assert st.power(a, block, n) == folded
+            folded = st.product(folded, block)
+    with pytest.raises(st.MalformedInputError):
+        st.power(ACAL1, ACAL1, -1)
+
+
+def test_doubling_reduction_counts_without_building():
+    row = st.load_appendix().row(30, 74)
+    assert st.doubling_reduction(row) == (2, 270)
+    assert st.doubling_reduction(ACAL1) == (0, 27)
+    huge = st.shift_max(st.build_T(1), 10**11)
+    steps, modulus = st.doubling_reduction(huge)
+    assert modulus == 9 * 3**steps and huge.max_element + 9 * (3**steps - 1) // 2 < modulus
+
+
+def test_to_modular_over_budget_builds_little(monkeypatch):
+    # a form of 4 * 2^10 elements under a budget of 2^10 sums; one product
+    # at a time would build 8 + 16 + ... + 1024 = 2040 sums before the refusal
+    near = st.shift_max(st.build_T(1), 10**4)  # ten doubling steps
+    built = []
+    real = modset.product
+
+    def counting(a, b):
+        out = real(a, b)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(modset, "ELEMENT_LIMIT", 1 << 10)
+    monkeypatch.setattr(modset, "product", counting)
+    with pytest.raises(st.ResourceLimitError, match="element budget"):
+        st.to_modular(near)
+    assert sum(built) < modset.ELEMENT_LIMIT
+
+
 def test_to_modular_takes_no_extra_steps(corpus):
     # each doubling adds the old modulus to the max, so after j steps the
     # max is max + N*(3^j - 1)/2; minimality means the second-to-last

@@ -32,6 +32,7 @@ from conftest import (
     naive_greedy_table,
     naive_is_3_free,
     naive_omitted,
+    naive_to_modular,
     naive_verify,
 )
 
@@ -176,7 +177,7 @@ def test_greedy_matches_table_oracle(seed, grow):
 def test_greedy_result_revalidates(seed, grow):
     assume(brute_3_free(seed))
     prefix = st.greedy_extend(seed, len(seed) + grow)
-    assert st.StanleyPrefix(prefix.terms, prefix.generator_size) == prefix
+    assert st.StanleyPrefix(prefix.terms) == prefix
 
 
 @given(seed=seeds, grow=hs.integers(min_value=0, max_value=40), cut=hs.floats(0, 1))
@@ -382,6 +383,15 @@ def test_to_modular_reaches_modular_form(a):
     assert reduced.modulus == a.modulus * 3**steps
     if 2 * a.max_element + 1 >= a.modulus:
         assert st.character_of(reduced) == st.character_of(a)
+
+
+@given(a=operand, b=operand, k=hs.integers(min_value=0, max_value=300))
+@settings(deadline=None)
+def test_to_modular_matches_step_by_step_fold(a, b, k):
+    near = st.product(a, b)
+    if k and len(near) > 1:
+        near = st.shift_max(near, k)
+    assert st.to_modular(near) == naive_to_modular(near)
 
 
 @given(a=operand, k=hs.integers(min_value=0, max_value=3))
