@@ -127,10 +127,6 @@ class StanleyPrefix:
         if _has_progression(self.terms):
             raise MalformedInputError("terms contain a 3-term arithmetic progression")
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[int]) -> "StanleyPrefix":
-        return cls(tuple(terms))
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -232,8 +228,9 @@ def detect_character(prefix: SeedLike) -> CharacterProfile | None:
     additive_ok = []
     for k in range(top + 1):
         block = 1 << k
-        candidates.append(2 * terms[block - 1] - terms[block] + 1)
-        additive_ok.append(all(terms[block + i] == terms[block] + terms[i] for i in range(block)))
+        head = terms[block]
+        candidates.append(2 * terms[block - 1] - head + 1)
+        additive_ok.append(terms[block : 2 * block] == tuple([head + x for x in terms[:block]]))
 
     for settle in range(top + 1):
         value = candidates[settle]
@@ -283,7 +280,7 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
 
 def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, OmittedSet] | None:
     """The greedy extension of a fully modular ``seed`` A mod N to 4|A| terms, and
-    its omitted set, proved from one shift-OR pass; None when the proof fails.
+    its omitted set, proved from two passes over A; None when the proof fails.
 
     Self-similarity predicts the prefix P = A + {0, N, 3N, 4N}.  P is the greedy
     extension exactly when it is 3-free and every value in (max A, max P) outside
@@ -292,37 +289,53 @@ def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, Om
     it is covered by two terms below that value, so already grown; greedy growth
     is unique, so it grows P.  Conversely greedy skips a value only when a pair
     covers it.  No omitted value lies above max A: every value there is a term or
-    covered.  So the omitted set is the zero bits of the same pass below max A,
+    covered.  So the omitted set is the zero bits of the same masks below max A,
     equal to ``omitted_set(P, P.last)`` field for field.
+
+    The pairs of P follow its blocks A + iN, each wholly below the next as
+    N > max A.  A pair a + iN < b + iN inside a block covers 2b - a + iN, so these
+    pairs cover D< + {0, N, 3N, 4N} with D< = {2b - a : a < b in A}.  A pair
+    a + iN < b + jN across blocks covers 2b - a + (2j - i)N, so these pairs cover
+    D + {2, 5, 6, 7, 8}N with D = {2b - a : a, b in A}.  The check reads values
+    up to max P = max A + 4N.  D + 6N starts at 6N + 2 min A - max A, above max P
+    because N > max A, and 7N and 8N lie higher still.  D + 5N can reach max P
+    (when N < 2 max A) but decides nothing.  Take v = 2b - a + 5N <= max P and
+    w = v - 4N, which lies in (min A, max A].  If w is in A, the pair a, b + N
+    covers the term w + N, and P fails anyway.  If w is in D<, v is in D< + 4N.
+    Otherwise w + 3N is a value in (max A, max P) outside P that only D + 2N can
+    cover; if it does, w + N is a value of D above max A, so in D<, and v is in
+    D< + 3N; if not, P fails anyway.  So, up to max P, cover(P) is
+    D< + {0, N, 3N, 4N} with D + 2N, and fwd(P) = fwd(A) + {0, N, 3N, 4N}.  One
+    shift-OR pass over A gives fwd(A), its reversed mask and D<; one shift of the
+    reversed mask per b in A, by 2(b - min A), gives D.
 
     A modulus not above max A raises MalformedInputError; a prefix ending above
     ``BIT_LIMIT`` raises ResourceLimitError before any tuple or mask is built.
     """
     terms = check_terms(seed)
-    top = terms[-1]
+    base, top = terms[0], terms[-1]
     if check_int(modulus, "modulus") <= top:
         raise MalformedInputError(f"modulus {modulus} does not exceed the seed maximum {top}")
-    if top + 4 * modulus > BIT_LIMIT:
-        raise ResourceLimitError(
-            f"prefix end {top + 4 * modulus} exceeds the {BIT_LIMIT}-bit mask budget"
-        )
+    end = top + 4 * modulus
+    if end > BIT_LIMIT:
+        raise ResourceLimitError(f"prefix end {end} exceeds the {BIT_LIMIT}-bit mask budget")
 
-    predicted = tuple(x + k * modulus for k in (0, 1, 3, 4) for x in terms)
-    omitted = _greedy_certificate(predicted, top)
-    return None if omitted is None else (_trusted(predicted), omitted)
-
-
-def _greedy_certificate(terms: tuple[int, ...], top: int) -> OmittedSet | None:
-    """``omitted_set(terms, terms[-1])`` if ``terms`` are the greedy extension of
-    their terms up to ``top`` (< terms[-1]), else None: one shift-OR pass checks
-    that they are 3-free and that every value in (top, terms[-1]) is a term or covered."""
-    last, _, fwd, cover = _cover(terms)
-    base = terms[0]
+    _, rev, fwd_a, within = _cover(terms)  # rev: bit top - a; fwd_a, within: bit v - base
+    across = 0
+    for b in terms:  # bit 2b - a - (2 base - top), for every a
+        across |= rev << 2 * (b - base)
+    blocks = (0, modulus, 3 * modulus, 4 * modulus)
+    cover = across << (2 * modulus - (top - base))  # D + 2N, at bit v - base
+    fwd = 0
+    for k in blocks:
+        cover |= within << k
+        fwd |= fwd_a << k
     decided = fwd | cover
-    gaps = (1 << (last - base)) - (1 << (top - base + 1))  # bits of (top, last)
+    gaps = (1 << (end - base)) - (1 << (top - base + 1))  # bits of (top, end)
     if cover & fwd or gaps & ~decided:
         return None
-    return _omitted(decided, base, top, last)
+    predicted = tuple([x + k for k in blocks for x in terms])
+    return _trusted(predicted), _omitted(decided, base, top, end)
 
 
 def growth_diagnostic(prefix: SeedLike) -> tuple[float, float]:

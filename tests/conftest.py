@@ -143,6 +143,31 @@ def naive_omitted(terms, bound) -> tuple[int, ...]:
     return tuple(z for z in range(bound) if not decided[z])
 
 
+def naive_certificate(terms, top) -> st.OmittedSet | None:
+    """``omitted_set(terms, terms[-1])`` if ``terms`` are the greedy extension of
+    their terms up to ``top``, else None, from one shift-OR pass over every term.
+
+    Bit v - terms[0] of ``fwd`` marks a term v and of ``cover`` a value 2y - x
+    with x < y; the terms are greedy exactly when no term is covered and every
+    value in (top, terms[-1]) is a term or covered.
+    """
+    base, last = terms[0], terms[-1]
+    rev = fwd = cover = 0
+    prev = base
+    for y in terms:
+        rev <<= y - prev  # bit y - x for each earlier x
+        cover |= rev << (y - base)
+        rev |= 1
+        fwd |= 1 << (y - base)
+        prev = y
+    decided = fwd | cover
+    gaps = (1 << (last - base)) - (1 << (top - base + 1))
+    if cover & fwd or gaps & ~decided:
+        return None
+    elements = tuple(z for z in range(top) if z < base or not (decided >> (z - base)) & 1)
+    return st.OmittedSet(elements, elements[-1] if elements else None, last)
+
+
 def naive_to_modular(a: st.ResidueSet) -> tuple[st.ResidueSet, int]:
     """Fold products with {0,1} mod 3 one step at a time, each written out as
     the sums x + N*y, until the maximum lies below the modulus."""

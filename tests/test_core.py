@@ -59,8 +59,8 @@ def test_term_validation():
 
 def test_prefix_rejects_progressions():
     with pytest.raises(st.MalformedInputError):
-        st.StanleyPrefix.from_terms([0, 1, 2])
-    prefix = st.StanleyPrefix.from_terms([0, 1, 3, 4])
+        st.StanleyPrefix([0, 1, 2])
+    prefix = st.StanleyPrefix([0, 1, 3, 4])
     assert len(prefix) == 4 and prefix.last == 4
 
 
@@ -125,7 +125,7 @@ def test_greedy_mask_budget(monkeypatch):
     with pytest.raises(st.ResourceLimitError):
         st.greedy_extend([0, 101], 3)
     with pytest.raises(st.ResourceLimitError):  # a validated prefix is budgeted too
-        st.greedy_extend(st.StanleyPrefix.from_terms([5, 106]), 3)
+        st.greedy_extend(st.StanleyPrefix([5, 106]), 3)
 
 
 def test_greedy_stops_at_the_checked_range():

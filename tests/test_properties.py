@@ -7,7 +7,8 @@ The shift-OR sequence core, the residue-mask ``verify`` and the search's
 blocked-residue mask must agree with the pair-by-pair oracles in
 ``conftest`` on dense and sparse inputs, with and without 0, valid or not.
 The deep check's certificate accepts a predicted prefix exactly when greedy
-growth yields it, and then agrees with ``omitted_set``.
+growth yields it, and then agrees with ``omitted_set``; built from masks over
+the seed, it equals the whole-prefix shift-OR pass of ``conftest`` field for field.
 The text parsers either answer or raise a ``StanleyError`` on any input, and
 every reader of a number (set element, family parameter, seed term, node
 budget) gives the same answer for the same text.
@@ -21,7 +22,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
 import stanley as st
-from stanley import core
 from stanley.cli import BUDGET_ENV, _node_budget, _parse_terms
 from stanley.core import INT_LIMIT
 from stanley.families import FAMILY_NAMES
@@ -29,6 +29,7 @@ from stanley.search import _place
 
 from conftest import (
     naive_admissible,
+    naive_certificate,
     naive_greedy_table,
     naive_is_3_free,
     naive_omitted,
@@ -233,6 +234,53 @@ def test_certificate_accepts_exactly_the_greedy_prefix(case):
         assert gaps == st.omitted_set(grown, grown.last)
 
 
+@hs.composite
+def edited_forms(draw):
+    """A modular form with one element moved, dropped or added, or its modulus
+    moved by one: arbitrary 3-free seeds almost always fail the certificate, so
+    these edits are what reach the boundary between accepting and rejecting."""
+    seed, modulus = draw(modular_forms)
+    elements = set(seed)
+    edit = draw(hs.sampled_from(("move", "drop", "add", "modulus")))
+    if edit == "modulus":
+        modulus += draw(hs.sampled_from((-1, 1)))
+    if edit in ("move", "drop") and len(seed) > 1:
+        elements.discard(draw(hs.sampled_from(seed)))
+    if edit in ("move", "add"):
+        elements.add(draw(hs.integers(min_value=0, max_value=modulus)))
+    seed = tuple(sorted(elements))
+    return seed, max(modulus, seed[-1] + 1)
+
+
+# seeds that do not start at 0: translated modular forms (accepted exactly when
+# the form is) and arbitrary seeds under a modulus just above their maximum
+offset_seeds = hs.one_of(
+    hs.tuples(modular_forms, hs.integers(min_value=1, max_value=30)).map(
+        lambda case: (
+            tuple(x + case[1] for x in case[0][0]),
+            max(case[0][1], case[0][0][-1] + case[1] + 1),
+        )
+    ),
+    hs.tuples(seeds.filter(lambda seed: seed[0] > 0), hs.integers(min_value=1, max_value=40)).map(
+        lambda case: (case[0], case[0][-1] + case[1])
+    ),
+)
+
+
+@given(case=hs.one_of(modular_forms, edited_forms(), offset_seeds))
+@settings(deadline=None)
+def test_block_certificate_equals_the_whole_prefix_pass(case):
+    seed, modulus = case
+    predicted = predicted_prefix(seed, modulus)
+    certified = st.doubled_prefix(seed, modulus)
+    expected = naive_certificate(predicted, seed[-1])
+    assert (certified is None) == (expected is None)
+    if certified is not None:
+        prefix, gaps = certified
+        assert prefix.terms == predicted
+        assert gaps == expected
+
+
 @given(form=modular_forms, data=hs.data())
 @settings(deadline=None)
 def test_certificate_rejects_a_prefix_with_one_term_moved_dropped_or_added(form, data):
@@ -253,7 +301,7 @@ def test_certificate_rejects_a_prefix_with_one_term_moved_dropped_or_added(form,
             del terms[i]
         terms = sorted(terms + [value])
     greedy = naive_greedy_table(seed, len(terms))
-    accepted = core._greedy_certificate(tuple(terms), top)
+    accepted = naive_certificate(tuple(terms), top)
     assert (accepted is not None) == (tuple(terms) == greedy)
     if accepted is not None:
         assert accepted == st.omitted_set(terms, terms[-1])

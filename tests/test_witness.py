@@ -234,6 +234,17 @@ def test_deep_prefix_over_the_mask_budget_raises_before_building_it():
         st.execute_and_verify(recipe, deep=True, deep_cap=10**9)
 
 
+@pytest.mark.parametrize("lam", [600, 1999])
+def test_accepted_certificate_regrows_nothing(monkeypatch, lam):
+    def no_regrowth(*args, **kwargs):
+        raise AssertionError("greedy_extend was called")
+
+    monkeypatch.setattr(witness, "greedy_extend", no_regrowth)
+    result = st.execute_and_verify(st.witness_for(lam), deep=True)
+    assert result.deep_verified
+    assert result.checks[-2:] == ("doubling-structure", "omitted-bound")
+
+
 def test_rejected_certificate_names_the_first_departing_term(monkeypatch):
     # no verified witness fails the certificate, so hand the deep phase a form
     # whose greedy extension takes 3 where A + {0, N, 3N, 4N} predicts 5
