@@ -8,7 +8,6 @@ from .core import (
     doubled_prefix,
     greedy_extend,
     growth_diagnostic,
-    is_3_free,
     omitted_set,
 )
 from .errors import (

@@ -111,8 +111,10 @@ def _cmd_character(args: argparse.Namespace) -> int:
     _warn_seed(seed)
     count = args.count if args.count is not None else max(16, 4 * len(seed))
     prefix = greedy_extend(seed, count)
-    print(f"terms: {len(prefix)}")
     profile = detect_character(prefix)
+    # everything that can raise runs first, so a failure prints nothing to stdout
+    gaps = omitted_set(prefix, prefix.last) if profile is not None and args.omitted else None
+    print(f"terms: {len(prefix)}")
     if profile is None:
         print("no stable character: the doubled levels disagree")
         return 1
@@ -122,8 +124,7 @@ def _cmd_character(args: argparse.Namespace) -> int:
     )
     print(f"character: {profile.character}")
     print(f"repeat factor: {profile.repeat_factor}")
-    if args.omitted:
-        gaps = omitted_set(prefix, prefix.last)
+    if gaps is not None:
         shown = ",".join(str(v) for v in gaps.elements) if gaps.elements else "none"
         print(f"omitted values up to {gaps.scan_bound}: {shown}")
     return 0

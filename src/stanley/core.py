@@ -111,11 +111,6 @@ def _has_progression(seq: Sequence[int]) -> bool:
     return False
 
 
-def is_3_free(terms: Sequence[int]) -> bool:
-    """True iff no three terms form an arithmetic progression.  O(n^2)."""
-    return not _has_progression(check_terms(terms))
-
-
 @dataclass(frozen=True)
 class StanleyPrefix:
     """A finite greedy prefix: strictly increasing, 3-AP-free terms."""

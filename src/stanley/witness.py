@@ -13,7 +13,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from typing import Union
+from typing import ClassVar, Union
 
 from .core import (
     CharacterProfile,
@@ -60,6 +60,17 @@ STRATEGIES = (
 
 DEFAULT_DEEP_CAP = 100_000
 
+#: modulus -> the top elements of the rows of ``data/mod<N>.txt``, in file
+#: order: one row per top residue, skipping the residue of N/2 and of 0.
+#: Recipes, loading and row lookup all read the bundled tables from here.
+_BANDS = {
+    28: tuple(x for x in range(57, 84) if x != 70),
+    30: tuple(x for x in range(46, 75) if x != 60),
+}
+
+#: modulus -> {top % N: top}: the band row a table recipe shifts up from
+_BAND_BY_RESIDUE = {n: {top % n: top for top in tops} for n, tops in _BANDS.items()}
+
 
 @dataclass(frozen=True)
 class TableRef:
@@ -70,7 +81,7 @@ class TableRef:
     max_element: int
 
     def __post_init__(self) -> None:
-        if self.modulus not in (28, 30):
+        if self.modulus not in _BANDS:
             raise MalformedInputError(f"no bundled table mod {self.modulus}")
 
 
@@ -148,16 +159,17 @@ def _split_pow3(n: int) -> tuple[int, int]:
     return exponent, n
 
 
+#: u % 6 -> (family letter, the u of its base set, its top element / 3**n)
+#: for the characters 10*u*3**n + 1 routed to the mod-60 families
+_MOD60_FAMILIES = {1: ("C", 7, 50), 2: ("D", 8, 55), 4: ("E", 4, 35), 5: ("F", 5, 40)}
+
+
 def _table_recipe(target: int, table_modulus: int) -> WitnessRecipe:
     # top = (target-1)/2 + N/2 makes 2*top+1-N == target; the bundled rows
     # cover one full residue band of tops, so shifting down by whole moduli
-    # always lands on a row.
+    # always lands on a row (top is never 0 or N/2 mod N for targets routed here).
     top = (target - 1) // 2 + table_modulus // 2
-    r = top % table_modulus
-    if table_modulus == 28:
-        base_top = 56 + r  # r is never 0 or 14 for targets routed here
-    else:
-        base_top = 30 + r if r >= 16 else 60 + r  # r is never 0 or 15
+    base_top = _BAND_BY_RESIDUE[table_modulus][top % table_modulus]
     return WitnessRecipe(
         target,
         f"mod{table_modulus}-table",
@@ -203,9 +215,7 @@ def witness_for(target: int) -> WitnessRecipe:
     if target % 30 == 1:
         n, u = _split_pow3((target - 1) // 10)  # n >= 1 here
         if u not in (1, 2):
-            letter = {1: "C", 2: "D", 4: "E", 5: "F"}[u % 6]
-            start = {"C": 7, "D": 8, "E": 4, "F": 5}[letter]
-            base_top = {"C": 50, "D": 55, "E": 35, "F": 40}[letter] * 3**n
+            letter, start, base_top = _MOD60_FAMILIES[u % 6]
             shifts = (u - start) // 6
             modulus = 10 * 3 ** (n + 1)
             return WitnessRecipe(
@@ -213,7 +223,7 @@ def witness_for(target: int) -> WitnessRecipe:
                 "mod60-family",
                 FamilyId(letter, (n,)),
                 shifts,
-                base_top + shifts * modulus,
+                base_top * 3**n + shifts * modulus,
                 modulus,
             )
         if target >= 87:
@@ -251,30 +261,13 @@ class ErratumEntry:
     max_element: int
     note: str  # flag text from the data file, describing the defect
     row: tuple[int, ...]  # elements actually served
-    resolution: str  # "natural-reading-verified": the row verifies as read
+    #: a flagged row is served as read, and only if it verifies
+    resolution: ClassVar[str] = "natural-reading-verified"
 
 
-#: exact top-element bands the dispatcher's arithmetic relies on
-_EXPECTED_TOPS = {
-    28: tuple(x for x in range(57, 84) if x != 70),
-    30: tuple(x for x in range(46, 75) if x != 60),
-}
-
-
-def _resolve_erratum(candidate: ResidueSet, note: str) -> ErratumEntry:
-    """Serve a flagged row as read, and only if it verifies."""
-    if not verify(candidate).is_near_modular:
-        raise VerificationError("appendix", f"flagged row {format_set(candidate)} does not verify")
-    return ErratumEntry(
-        candidate.modulus,
-        candidate.max_element,
-        note,
-        candidate.elements,
-        "natural-reading-verified",
-    )
-
-
-def _read_table(name: str, modulus: int) -> tuple[list[ResidueSet], list[ErratumEntry]]:
+def _read_table(modulus: int) -> tuple[tuple[ResidueSet, ...], list[ErratumEntry]]:
+    """Rows of ``data/mod<N>.txt``; their tops must run through the band exactly."""
+    name = f"mod{modulus}.txt"
     text = (importlib.resources.files("stanley") / "data" / name).read_text("ascii")
     rows: list[ResidueSet] = []
     errata: list[ErratumEntry] = []
@@ -295,10 +288,17 @@ def _read_table(name: str, modulus: int) -> tuple[list[ResidueSet], list[Erratum
         if row.modulus != modulus:
             raise FormatError(f"{name}: expected modulus {modulus}, got {row.modulus}")
         if note is not None:
-            errata.append(_resolve_erratum(row, " ".join(note)))
+            if not verify(row).is_near_modular:
+                raise VerificationError("appendix", f"flagged row {format_set(row)} does not verify")
+            errata.append(ErratumEntry(modulus, row.max_element, " ".join(note), row.elements))
             note = None
         rows.append(row)
-    return rows, errata
+    tops = tuple(row.max_element for row in rows)
+    if tops != _BANDS[modulus]:
+        raise VerificationError(
+            "appendix", f"mod {modulus} table tops {tops} break the expected band"
+        )
+    return tuple(rows), errata
 
 
 @dataclass(frozen=True)
@@ -310,22 +310,19 @@ class AppendixTables:
     errata: tuple[ErratumEntry, ...]
 
     def row(self, modulus: int, max_element: int) -> ResidueSet:
-        rows = {28: self.mod28, 30: self.mod30}.get(modulus)
-        if rows is None:
-            raise PreconditionError(f"no bundled table mod {modulus}")
-        for candidate in rows:
-            if candidate.max_element == max_element:
-                return candidate
-        raise PreconditionError(f"no row mod {modulus} with top {max_element}")
+        band = _BANDS.get(modulus, ())
+        if max_element not in band:
+            raise PreconditionError(f"no bundled row mod {modulus} with top {max_element}")
+        return getattr(self, f"mod{modulus}")[band.index(max_element)]
 
 
 @lru_cache(maxsize=1)
 def load_appendix() -> AppendixTables:
-    """Parse the bundled tables once; a flagged row that fails ``verify`` raises
-    VerificationError."""
-    mod28, errata28 = _read_table("mod28.txt", 28)
-    mod30, errata30 = _read_table("mod30.txt", 30)
-    return AppendixTables(tuple(mod28), tuple(mod30), tuple(errata28 + errata30))
+    """Parse the bundled tables once.  A table whose tops leave its band, or a
+    flagged row that fails ``verify``, raises VerificationError."""
+    mod28, errata28 = _read_table(28)
+    mod30, errata30 = _read_table(30)
+    return AppendixTables(mod28, mod30, tuple(errata28 + errata30))
 
 
 @dataclass(frozen=True)
@@ -336,23 +333,17 @@ class AppendixReport:
 
 
 def appendix_check() -> AppendixReport:
-    """Audit every bundled row: band structure, near-modularity, character.
+    """Audit every bundled row for near-modularity and its character.
 
-    The dispatcher's shift arithmetic assumes each table carries exactly one
-    row per admissible top residue, so the bands are checked literally.
+    Loading has already checked each table's band of tops, which the
+    dispatcher's shift arithmetic relies on.
     """
     tables = load_appendix()
-    for modulus, rows in ((28, tables.mod28), (30, tables.mod30)):
-        tops = tuple(row.max_element for row in rows)
-        if tops != _EXPECTED_TOPS[modulus]:
-            raise VerificationError(
-                "appendix", f"mod {modulus} table tops {tops} break the expected band"
-            )
-        for row in rows:
-            if not verify(row).is_near_modular:
-                raise VerificationError("near-modular", f"table row {format_set(row)}")
-            if character_of(row) != 2 * row.max_element + 1 - modulus:
-                raise VerificationError("character", f"table row {format_set(row)}")
+    for row in tables.mod28 + tables.mod30:
+        if not verify(row).is_near_modular:
+            raise VerificationError("near-modular", f"table row {format_set(row)}")
+        if character_of(row) != 2 * row.max_element + 1 - row.modulus:
+            raise VerificationError("character", f"table row {format_set(row)}")
     return AppendixReport(len(tables.mod28), len(tables.mod30), tables.errata)
 
 
@@ -430,8 +421,8 @@ def execute_and_verify(
     value only when two smaller terms cover it, so the predicted prefix
     P = A + {0, N, 3N, 4N} is that extension exactly when P is 3-free and
     covers every value between max A and max P that it skips.  For the same
-    reason no omitted value lies above max A, and the one pass over P also
-    yields the omitted set.  The doubling structure of P (at least two
+    reason no omitted value lies above max A, and the two passes over A that
+    prove P also yield the omitted set.  The doubling structure of P (at least two
     levels) and the omitted-value bound are then checked against the
     target; a reduction whose modulus would exceed ``deep_cap`` skips the
     deep phase instead of thrashing.  Any failed check raises

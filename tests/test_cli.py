@@ -107,6 +107,14 @@ def test_character_verb(capsys):
     assert any(line.startswith("omitted values") and "3,4,5,9" in line for line in lines)
 
 
+def test_character_failure_prints_nothing_to_stdout(capsys):
+    # three terms are too few to detect a character: exit 2, and no partial report
+    code, out, err = run(capsys, "character", "--seed", "0", "--count", "3")
+    assert code == 2 and out == "" and err
+    code, out, err = run(capsys, "character", "--seed", "0", "--count", "3", "--omitted")
+    assert code == 2 and out == "" and err
+
+
 def test_character_no_detection(capsys):
     code, out, _ = run(capsys, "character", "--seed", "0,1,5", "--count", "8")
     assert code == 1

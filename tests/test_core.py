@@ -12,9 +12,13 @@ from conftest import brute_character, naive_greedy, naive_is_3_free, naive_is_co
 
 
 def test_is_3_free_examples():
-    assert st.is_3_free([0, 1, 3, 4])
-    assert not st.is_3_free([0, 1, 2])
-    assert not st.is_3_free([0, 1, 3, 5])  # 1,3,5
+    # StanleyPrefix accepts a term list exactly when it holds no progression
+    assert naive_is_3_free([0, 1, 3, 4])
+    assert st.StanleyPrefix([0, 1, 3, 4]).terms == (0, 1, 3, 4)
+    for terms in ([0, 1, 2], [0, 1, 3, 5]):  # 0,1,2 and 1,3,5
+        assert not naive_is_3_free(terms)
+        with pytest.raises(st.MalformedInputError, match="progression"):
+            st.StanleyPrefix(terms)
 
 
 def test_is_covered_examples():
@@ -54,7 +58,7 @@ def test_read_int_over_range_is_a_resource_limit(text):
 def test_term_validation():
     for bad in ([], [0, 0], [1, 0], [-1, 2], [0, 1.5], [0, True]):
         with pytest.raises(st.MalformedInputError):
-            st.is_3_free(bad)
+            st.StanleyPrefix(bad)
 
 
 def test_prefix_rejects_progressions():

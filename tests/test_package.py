@@ -1,11 +1,14 @@
-"""Package structure: modules share only public names, and one reader owns ``int``."""
+"""Package structure: modules share only public names, every exported name has
+a user besides the tests, and one reader owns ``int``."""
 
 import ast
+import re
 from pathlib import Path
 
 import stanley
 
 MODULES = sorted(Path(stanley.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_module_imports_a_private_name():
@@ -19,6 +22,41 @@ def test_no_module_imports_a_private_name():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert offenders == []
+
+
+def _loaded_names(node, own=frozenset()):
+    """Names read under ``node``, leaving out each def's or class's own name
+    inside its body; definitions and assignments store, they do not read."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _loaded_names(child, own)
+
+
+def test_every_exported_name_has_a_user():
+    # a name that only tests call belongs in tests/, not in the package's API
+    init = Path(stanley.__file__)
+    exported = {
+        alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {
+        name
+        for path in MODULES
+        if path != init
+        for name in _loaded_names(ast.parse(path.read_text(), str(path)))
+    }
+    readme = README.read_text()
+    unused = [
+        name
+        for name in sorted(exported - used)
+        if not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unused == []
 
 
 def _is_int(node):

@@ -128,7 +128,12 @@ def brute_mod_covers_all(a):
 
 @given(terms=any_terms)
 def test_three_free_matches_brute(terms):
-    assert st.is_3_free(terms) == brute_3_free(terms)
+    # StanleyPrefix accepts exactly the progression-free term lists
+    if brute_3_free(terms):
+        assert st.StanleyPrefix(terms).terms == terms
+    else:
+        with pytest.raises(st.MalformedInputError, match="progression"):
+            st.StanleyPrefix(terms)
 
 
 @given(terms=hs.one_of(increasing, seeds, scaled), grow=hs.integers(min_value=0, max_value=3))
@@ -157,7 +162,7 @@ def test_verify_matches_oracle(small_corpus, data):
        more=hs.integers(min_value=0, max_value=6))
 @settings(deadline=None)
 def test_greedy_is_prefix_stable(terms, grow, more):
-    assume(st.is_3_free(terms))
+    assume(brute_3_free(terms))
     shorter = st.greedy_extend(terms, len(terms) + grow)
     longer = st.greedy_extend(terms, len(terms) + grow + more)
     assert longer.terms[: len(shorter)] == shorter.terms

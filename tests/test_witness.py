@@ -182,6 +182,36 @@ def test_flagged_row_that_fails_verify_raises(monkeypatch, fresh_appendix):
         st.load_appendix()
 
 
+def test_table_that_leaves_its_band_fails_to_load(monkeypatch, fresh_appendix):
+    bands = dict(witness._BANDS)
+    bands[30] = bands[30][1:] + (75,)  # the file's first row, top 46, is now out of band
+    monkeypatch.setattr(witness, "_BANDS", bands)
+    with pytest.raises(st.VerificationError, match="mod 30 table tops") as caught:
+        st.load_appendix()
+    assert caught.value.check == "appendix"
+
+
+def test_every_table_row_is_reached_and_shifts_to_the_expected_top():
+    tables = st.load_appendix()
+    reached = set()
+    for lam in range(63, 100_001):
+        recipe = st.witness_for(lam)
+        if recipe.strategy not in ("mod28-table", "mod30-table"):
+            continue
+        row = tables.row(recipe.base.modulus, recipe.base.max_element)
+        assert row.modulus == recipe.expected_modulus
+        assert row.max_element + recipe.shift_count * row.modulus == recipe.expected_max
+        reached.add((row.modulus, row.max_element))
+    # every mod-30 row is reached; the mod-28 table serves only 10*3**n + 1 and
+    # 20*3**n + 1, whose tops 5*3**n + 14 and 10*3**n + 14 take 12 residues mod
+    # 28 (3 has order 6 mod 28), so 12 of its 26 rows are reached
+    served28 = {(c * 3**n + 14) % 28 for c in (5, 10) for n in range(6)}
+    assert reached == {(30, row.max_element) for row in tables.mod30} | {
+        (28, row.max_element) for row in tables.mod28 if row.max_element % 28 in served28
+    }
+    assert len(reached) == 28 + 12
+
+
 def test_execute_smallest_even():
     result = st.execute_and_verify(st.witness_for(2), deep=True)
     assert result.witness == st.ResidueSet(3, (0, 2))
