@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -94,15 +93,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     prefix = greedy_extend(seed, args.count)
     print(",".join(str(t) for t in prefix.terms))
     if args.diagnostic:
-        low, high = growth_diagnostic(prefix)
+        ratios = growth_diagnostic(prefix)
         lo = len(prefix) // 2
-        exponent = math.log2(3)
         print(f"{'n':>8}  {'term':>14}  {'term/n^log2(3)':>16}")
-        step = max(1, (len(prefix) - lo) // 8)
-        for n in range(lo, len(prefix), step):
-            ratio = prefix.terms[n] / n**exponent
-            print(f"{n:>8}  {prefix.terms[n]:>14}  {ratio:>16.6f}")
-        print(f"window [{lo},{len(prefix)}): ratio min {low:.6f} max {high:.6f}")
+        for i in range(0, len(ratios), max(1, len(ratios) // 8)):
+            print(f"{lo + i:>8}  {prefix.terms[lo + i]:>14}  {ratios[i]:>16.6f}")
+        print(f"window [{lo},{len(prefix)}): ratio min {min(ratios):.6f} max {max(ratios):.6f}")
     return 0
 
 

@@ -19,10 +19,10 @@ from .errors import FormatError, MalformedInputError, PrefixTooShortError, Resou
 #: Hard ceiling on greedy extension length, generous for desk-scale runs.
 DEFAULT_TERM_CAP = 1 << 20
 
-#: Checked integer width for every module; values beyond this raise instead of growing.
+#: Checked integer width for every module; ``check_int`` raises beyond it instead of growing.
 INT_LIMIT = (1 << 63) - 1
 
-#: Widest span or modulus a bit mask may cover; larger inputs raise before allocating.
+#: Widest span or modulus a bit mask may cover; ``check_bits`` raises beyond it before allocating.
 BIT_LIMIT = 1 << 28
 
 #: Most elements a residue-set product may build; larger products raise before building.
@@ -44,6 +44,14 @@ def check_int(value: int, what: str) -> int:
     if value > INT_LIMIT:
         raise ResourceLimitError(f"{what} {value} exceeds the checked 64-bit range")
     return value
+
+
+def check_bits(width: int, what: str) -> int:
+    """Return ``width`` if a bit mask that wide fits the budget; above ``BIT_LIMIT``
+    raise ResourceLimitError before any mask is built."""
+    if width > BIT_LIMIT:
+        raise ResourceLimitError(f"{what} {width} exceeds the {BIT_LIMIT}-bit mask budget")
+    return width
 
 
 def read_int(text: str, what: str = "number") -> int:
@@ -154,14 +162,11 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
     accepted term costs one shift-OR of the reversed term mask over the span.
     """
     terms = _terms_of(seed)
-    if terms[-1] - terms[0] > BIT_LIMIT:
-        raise ResourceLimitError(
-            f"seed span {terms[-1] - terms[0]} exceeds the {BIT_LIMIT}-bit mask budget"
-        )
+    check_bits(terms[-1] - terms[0], "seed span")
     last, rev, fwd, cover = _cover(terms)
     if cover & fwd:
         raise MalformedInputError("terms contain a 3-term arithmetic progression")
-    if target_len < len(terms):
+    if check_int(target_len, "target_len") < len(terms):
         raise MalformedInputError(f"target_len {target_len} below seed length {len(terms)}")
     if target_len > DEFAULT_TERM_CAP:
         raise ResourceLimitError(f"target_len {target_len} exceeds cap {DEFAULT_TERM_CAP}")
@@ -175,8 +180,7 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
         ahead = (ahead >> gap) | (rev << (gap - 1))
         rev = (rev << gap) | 1
         grown.append(last)
-    if last > INT_LIMIT:
-        raise ResourceLimitError(f"term {last} would exceed the checked 64-bit range")
+    check_int(last, "term")
     return _trusted(tuple(grown))  # greedy terms are 3-free
 
 
@@ -196,9 +200,9 @@ class CharacterProfile:
     verified_up_to_level: int
 
     def __post_init__(self) -> None:
-        if self.character < 0:
-            raise MalformedInputError("character must be nonnegative")
-        if not 0 <= self.settle_level <= self.verified_up_to_level:
+        for what in ("character", "settle_level", "repeat_factor", "verified_up_to_level"):
+            check_int(getattr(self, what), what)
+        if self.settle_level > self.verified_up_to_level:
             raise MalformedInputError("settle_level outside verified range")
 
     @property
@@ -262,10 +266,7 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     A bound above ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
     """
     terms = _terms_of(prefix)
-    if bound < 0:
-        raise MalformedInputError("bound must be nonnegative")
-    if bound > BIT_LIMIT:
-        raise ResourceLimitError(f"scan bound {bound} exceeds the {BIT_LIMIT}-bit mask budget")
+    check_bits(check_int(bound, "bound"), "scan bound")
     if terms[-1] < bound:
         raise PrefixTooShortError(f"last term {terms[-1]} below scan bound {bound}")
 
@@ -311,9 +312,7 @@ def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, Om
     base, top = terms[0], terms[-1]
     if check_int(modulus, "modulus") <= top:
         raise MalformedInputError(f"modulus {modulus} does not exceed the seed maximum {top}")
-    end = top + 4 * modulus
-    if end > BIT_LIMIT:
-        raise ResourceLimitError(f"prefix end {end} exceeds the {BIT_LIMIT}-bit mask budget")
+    end = check_bits(top + 4 * modulus, "prefix end")
 
     _, rev, fwd_a, within = _cover(terms)  # rev: bit top - a; fwd_a, within: bit v - base
     across = 0
@@ -333,10 +332,9 @@ def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, Om
     return _trusted(predicted), _omitted(decided, base, top, end)
 
 
-def growth_diagnostic(prefix: SeedLike) -> tuple[float, float]:
-    """Min and max of a_n / n**log2(3) over the prefix's second half."""
+def growth_diagnostic(prefix: SeedLike) -> tuple[float, ...]:
+    """The ratios a_n / n**log2(3) for n over the prefix's second half, ascending in n."""
     terms = _terms_of(prefix)
     if len(terms) < 8:
         raise PrefixTooShortError("need at least 8 terms for a growth window")
-    ratios = [terms[n] / n ** _LOG2_3 for n in range(len(terms) // 2, len(terms))]
-    return min(ratios), max(ratios)
+    return tuple([terms[n] / n ** _LOG2_3 for n in range(len(terms) // 2, len(terms))])

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
 
-from .core import BIT_LIMIT, ELEMENT_LIMIT, INT_LIMIT, check_int, check_terms, read_int, set_bits
+from .core import ELEMENT_LIMIT, check_bits, check_int, check_terms, read_int, set_bits
 from .errors import (
     FormatError,
     InvariantViolationError,
@@ -82,9 +82,7 @@ def verify(a: ResidueSet) -> VerificationReport:
     hits).  A modulus above ``BIT_LIMIT`` raises ResourceLimitError before
     any mask is built.
     """
-    n = a.modulus
-    if n > BIT_LIMIT:
-        raise ResourceLimitError(f"modulus {n} exceeds the {BIT_LIMIT}-bit mask budget")
+    n = check_bits(a.modulus, "modulus")
     elements = a.elements
     violation: tuple[int, int, int] | None = None
 
@@ -148,11 +146,8 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     sums raise ResourceLimitError before any is built.
     """
     n = a.modulus
-    new_modulus = n * b.modulus
-    if new_modulus > INT_LIMIT:
-        raise ResourceLimitError(f"product modulus {new_modulus} exceeds the checked range")
-    if a.max_element + n * b.max_element > INT_LIMIT:
-        raise ResourceLimitError("product element exceeds the checked range")
+    new_modulus = check_int(n * b.modulus, "product modulus")
+    check_int(a.max_element + n * b.max_element, "product element")
     count = len(a.elements) * len(b.elements)
     if count > ELEMENT_LIMIT:
         raise ResourceLimitError(
@@ -173,8 +168,7 @@ def scale(a: ResidueSet, c: int) -> ResidueSet:
         raise PreconditionError("scale factor must be positive")
     if math.gcd(c, a.modulus) != 1:
         raise PreconditionError(f"gcd({c}, {a.modulus}) != 1")
-    if a.max_element * c > INT_LIMIT:
-        raise ResourceLimitError("scaled element exceeds the checked range")
+    check_int(a.max_element * c, "scaled element")
     return ResidueSet(a.modulus, tuple(c * e for e in a.elements))
 
 
@@ -189,9 +183,7 @@ def shift_max(a: ResidueSet, multiples: int = 1) -> ResidueSet:
         raise PreconditionError("multiples must be positive")
     if a.max_element == 0:
         raise PreconditionError("cannot shift a set whose only element is 0")
-    new_max = a.max_element + multiples * a.modulus
-    if new_max > INT_LIMIT:
-        raise ResourceLimitError("shifted element exceeds the checked range")
+    new_max = check_int(a.max_element + multiples * a.modulus, "shifted element")
     return ResidueSet(a.modulus, a.elements[:-1] + (new_max,))
 
 

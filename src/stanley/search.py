@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .core import BIT_LIMIT, check_int
-from .errors import InvariantViolationError, MalformedInputError, ResourceLimitError
+from .core import check_bits, check_int
+from .errors import InvariantViolationError, MalformedInputError
 from .modset import ResidueSet, verify
 
 DEFAULT_NODE_BUDGET = 1_000_000_000
@@ -48,8 +48,7 @@ class SearchSpec:
             check_int(getattr(self, what), what)
         if self.modulus < 1:
             raise MalformedInputError("modulus must be at least 1")
-        if self.modulus > BIT_LIMIT:
-            raise ResourceLimitError(f"modulus {self.modulus} exceeds the {BIT_LIMIT}-bit mask budget")
+        check_bits(self.modulus, "modulus")
         if self.cardinality < 2:
             raise MalformedInputError("cardinality must be at least 2")
         if self.max_element < self.cardinality - 1:
@@ -69,8 +68,9 @@ class SearchResult:
 
 
 def check_threads(threads: int) -> None:
-    """Reject a worker-process count below 1 or above the host's CPU count."""
-    if threads < 1:
+    """Reject a worker-process count that is not an integer, is below 1 or
+    exceeds the host's CPU count."""
+    if check_int(threads, "threads") < 1:
         raise MalformedInputError("threads must be positive")
     limit = os.cpu_count() or 1
     if threads > limit:
@@ -227,7 +227,7 @@ def search_near_modular(
 
     first_partition = lo_base + middle - 1
     if resume is not None:
-        first_partition = max(first_partition, resume)
+        first_partition = max(first_partition, check_int(resume, "resume"))
     partitions = range(first_partition, t)
 
     # Each partition may spend what the earlier ones left.  A lazy map reads

@@ -18,6 +18,7 @@ from typing import ClassVar, Union
 from .core import (
     CharacterProfile,
     OmittedSet,
+    check_int,
     detect_character,
     doubled_prefix,
     greedy_extend,
@@ -108,8 +109,8 @@ class WitnessRecipe:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise MalformedInputError(f"unknown strategy {self.strategy!r}")
-        if self.shift_count < 0:
-            raise MalformedInputError("shift_count must be nonnegative")
+        for what in ("target_character", "shift_count", "expected_max", "expected_modulus"):
+            check_int(getattr(self, what), what)
         if 2 * self.expected_max + 1 - self.expected_modulus != self.target_character:
             raise InvariantViolationError(
                 f"recipe geometry off: 2*{self.expected_max}+1-{self.expected_modulus}"
@@ -429,6 +430,7 @@ def execute_and_verify(
     VerificationError; a rejected certificate names the first term where
     greedy growth leaves P.
     """
+    check_int(deep_cap, "deep_cap")
     base, nodes = _resolve_base(recipe)
     witness = shift_max(base, recipe.shift_count) if recipe.shift_count else base
     checks: list[str] = []
@@ -619,8 +621,9 @@ def coverage_report(
     """Sweep characters 0..lambda_max and verify a witness for each
     admissible one.  Entries come back ordered by character regardless of
     ``threads``, which may not exceed ``os.cpu_count()``."""
-    if lambda_max < 16:
+    if check_int(lambda_max, "lambda_max") < 16:
         raise PreconditionError("lambda_max must be at least 16")
+    check_int(deep_cap, "deep_cap")  # else every entry would fail on it
     check_threads(threads)
     entry = partial(_coverage_entry, deep=deep, deep_cap=deep_cap)
     entries = ordered_map(entry, range(lambda_max + 1), threads=threads)

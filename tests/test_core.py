@@ -246,15 +246,17 @@ def test_doubled_prefix_mask_budget(monkeypatch):
 
 
 def test_growth_diagnostic_window():
-    low, high = st.growth_diagnostic(st.greedy_extend([0], 256))
+    ratios = st.growth_diagnostic(st.greedy_extend([0], 256))
+    assert len(ratios) == 128
+    low, high = min(ratios), max(ratios)
     assert 0.5 < low <= high < 1.5
     assert high == pytest.approx(1.0)
 
 
 def test_growth_diagnostic_shortest_allowed():
-    low, high = st.growth_diagnostic(st.greedy_extend([0], 8))
-    assert high == pytest.approx(1.0)  # a_4 = 9 = 4**log2(3)
-    assert low == pytest.approx(13 / 7 ** math.log2(3))
+    ratios = st.growth_diagnostic(st.greedy_extend([0], 8))
+    assert max(ratios) == pytest.approx(1.0)  # a_4 = 9 = 4**log2(3)
+    assert min(ratios) == pytest.approx(13 / 7 ** math.log2(3))
 
 
 def test_growth_diagnostic_rejects_short_input():

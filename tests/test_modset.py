@@ -6,7 +6,7 @@ import math
 import pytest
 
 import stanley as st
-from stanley import modset
+from stanley import core, modset
 
 from conftest import naive_is_mod_ap, naive_is_mod_covered, naive_mod_3_free, naive_mod_covers_all
 
@@ -81,7 +81,7 @@ def test_verify_near_but_not_modular():
 
 
 def test_verify_mask_budget(monkeypatch):
-    monkeypatch.setattr(modset, "BIT_LIMIT", 27)
+    monkeypatch.setattr(core, "BIT_LIMIT", 27)
     assert st.verify(ACAL1).is_modular
     with pytest.raises(st.ResourceLimitError):
         st.verify(st.ResidueSet(28, (0, 1)))

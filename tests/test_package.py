@@ -1,11 +1,14 @@
 """Package structure: modules share only public names, every exported name has
-a user besides the tests, and one reader owns ``int``."""
+a user besides the tests, one reader owns ``int``, and one helper owns each limit."""
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import stanley
+from stanley.search import check_threads
 
 MODULES = sorted(Path(stanley.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -59,6 +62,17 @@ def test_every_exported_name_has_a_user():
     assert unused == []
 
 
+def _inside_core(path, tree, functions):
+    """ids of every node within core.py's definitions of ``functions``."""
+    return {
+        id(inner)
+        for node in ast.walk(tree)
+        if path.name == "core.py" and isinstance(node, ast.FunctionDef)
+        and node.name in functions
+        for inner in ast.walk(node)
+    }
+
+
 def _is_int(node):
     return isinstance(node, ast.Name) and node.id == "int"
 
@@ -69,13 +83,7 @@ def test_only_the_number_reader_uses_int():
     offenders = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), str(path))
-        reader = {
-            id(inner)
-            for node in ast.walk(tree)
-            if path.name == "core.py" and isinstance(node, ast.FunctionDef)
-            and node.name == "read_int"
-            for inner in ast.walk(node)
-        }
+        reader = _inside_core(path, tree, {"read_int"})
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call) or id(node) in reader:
                 continue
@@ -86,3 +94,57 @@ def test_only_the_number_reader_uses_int():
             ):
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert offenders == []
+
+
+def _names_read(node):
+    """Names ``node`` reads by itself: a loaded name, an attribute, or an import."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_only_the_limit_owners_read_the_limits():
+    # every 64-bit range check goes through check_int (read_int is its text
+    # front end) and every mask-budget check through check_bits
+    offenders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        owners = _inside_core(path, tree, {"check_int", "read_int", "check_bits"})
+        offenders += [
+            f"{path.name}:{node.lineno}: {name}"
+            for node in ast.walk(tree)
+            if id(node) not in owners
+            for name in _names_read(node)
+            if name in ("INT_LIMIT", "BIT_LIMIT")
+        ]
+    assert offenders == []
+
+
+INTEGER_PARAMETERS = {
+    "CharacterProfile.character": lambda v: stanley.CharacterProfile(v, 0, 1, 0),
+    "WitnessRecipe.shift_count": lambda v: stanley.WitnessRecipe(
+        0, "trivial-zero", stanley.ResidueSet(1, (0,)), v, 0, 1
+    ),
+    "greedy_extend.target_len": lambda v: stanley.greedy_extend([0], v),
+    "omitted_set.bound": lambda v: stanley.omitted_set([0, 1, 3, 4], v),
+    "search_near_modular.resume": lambda v: stanley.search_near_modular(
+        stanley.SearchSpec(28, 57, 8), resume=v
+    ),
+    "check_threads.threads": check_threads,
+    "coverage_report.lambda_max": stanley.coverage_report,
+    "coverage_report.deep_cap": lambda v: stanley.coverage_report(16, deep_cap=v),
+    "execute_and_verify.deep_cap": lambda v: stanley.execute_and_verify(
+        stanley.witness_for(16), deep=True, deep_cap=v
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+@pytest.mark.parametrize("call", INTEGER_PARAMETERS.values(), ids=INTEGER_PARAMETERS)
+def test_integer_parameters_go_through_check_int(call, value):
+    with pytest.raises(stanley.MalformedInputError, match="is not an integer"):
+        call(value)
