@@ -227,13 +227,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    spec = SearchSpec(
-        args.mod,
-        args.max,
-        args.size,
-        require_zero=not args.no_zero,
-        budget=_node_budget(args.budget),
-    )
+    spec = SearchSpec(args.mod, args.max, args.size, _node_budget(args.budget))
     result = search_near_modular(spec, threads=args.threads, resume=args.resume)
     print(f"nodes: {result.nodes}")
     if result.status == "found":
@@ -330,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=read_int, default=None, help=f"node budget (default ${BUDGET_ENV} or {DEFAULT_NODE_BUDGET})")
     p.add_argument("--threads", type=read_int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--resume", type=read_int, default=None, help="token from an earlier budget stop")
-    p.add_argument("--no-zero", action="store_true", help="do not force 0 into the set")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("appendix-check", help="audit the bundled witness tables")

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, TextIO, Union
 from .core import ELEMENT_LIMIT, check_bits, check_int, check_terms, read_int, set_bits
 from .errors import (
     FormatError,
-    InvariantViolationError,
     MalformedInputError,
     NegativeCharacterError,
     PreconditionError,
@@ -140,10 +139,11 @@ def verify(a: ResidueSet) -> VerificationReport:
 def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """Combine as {x + N*y : x in A, y in B} with modulus N*M.
 
-    Near-modularity of both inputs makes every sum distinct; a collision
-    therefore signals an invalid input and is treated as an invariant
-    violation rather than silently deduplicated.  More than ``ELEMENT_LIMIT``
-    sums raise ResourceLimitError before any is built.
+    Near-modularity of both inputs makes every sum distinct.  A collision
+    means an input repeats a residue class, which breaks that precondition,
+    so it raises PreconditionError rather than being silently deduplicated.
+    More than ``ELEMENT_LIMIT`` sums raise ResourceLimitError before any is
+    built.
     """
     n = a.modulus
     new_modulus = check_int(n * b.modulus, "product modulus")
@@ -155,9 +155,7 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
         )
     sums = sorted(x + n * y for x in a.elements for y in b.elements)
     if len(set(sums)) != count:
-        raise InvariantViolationError(
-            "product sums collided; an input set repeats a residue class"
-        )
+        raise PreconditionError("product sums collided; an input set repeats a residue class")
     return ResidueSet(new_modulus, tuple(sums))
 
 

@@ -29,18 +29,16 @@ DEFAULT_NODE_BUDGET = 1_000_000_000
 class SearchSpec:
     """Parameters of one search space.
 
-    The space is every ``cardinality``-element set containing
-    ``max_element`` (and 0 unless ``require_zero`` is off) whose remaining
-    members come from the open interval below the maximum.  ``budget``
-    bounds the number of candidate placements examined.  Every search mask
-    is ``modulus`` bits wide, so a modulus above ``BIT_LIMIT`` raises
-    ResourceLimitError.
+    The space is every ``cardinality``-element set holding 0 and
+    ``max_element``, whose other members (the middles) lie strictly between
+    them.  ``budget`` bounds the number of candidate placements examined.
+    Every search mask is ``modulus`` bits wide, so a modulus above
+    ``BIT_LIMIT`` raises ResourceLimitError.
     """
 
     modulus: int
     max_element: int
     cardinality: int
-    require_zero: bool = True
     budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
@@ -140,7 +138,6 @@ def _scan_partition(
     cardinality: int,
     fixed: tuple[int, ...],
     masks: tuple[int, int],
-    lo_base: int,
     outer_value: int,
     budget: int,
 ) -> tuple[tuple[int, ...] | None, int]:
@@ -171,12 +168,10 @@ def _scan_partition(
             # Remaining placements can add at most the missing pair count.
             if ncov.bit_count() + total_pairs - depth * (depth + 1) // 2 >= n:
                 if slot == 1:
-                    # a witness must contain 0; with require_zero off it can
-                    # only arrive as a middle element
-                    if ncov.bit_count() == n and 0 in chosen:
+                    if ncov.bit_count() == n:
                         return tuple(sorted(chosen))
                 else:
-                    got = rec(slot - 1, lo_base + slot - 2, value - 1, nblocked, ncov)
+                    got = rec(slot - 1, slot - 1, value - 1, nblocked, ncov)
                     if got is not None:
                         return got
             chosen.pop()
@@ -207,11 +202,14 @@ def search_near_modular(
     partitions are scanned in ascending order (possibly in parallel), and
     "first" always means search order, not wall clock.  ``threads`` may not
     exceed ``os.cpu_count()``; it changes only the speed, never the result.
+    ``resume`` is the token of an earlier budget stop, a partition below
+    ``max_element``; one at or above it raises MalformedInputError.
     """
     check_threads(threads)
     n, t, s = spec.modulus, spec.max_element, spec.cardinality
-    fixed = (0, t) if spec.require_zero else (t,)
-    lo_base = 1 if spec.require_zero else 0
+    if resume is not None and check_int(resume, "resume") >= t:
+        raise MalformedInputError(f"resume {resume} is not below max_element {t}")
+    fixed = (0, t)
 
     blocked = cov = 0
     for i, e in enumerate(fixed):
@@ -225,17 +223,14 @@ def search_near_modular(
             return _finish(fixed, spec, 0, None)
         return SearchResult("exhausted", None, 0, None)
 
-    first_partition = lo_base + middle - 1
-    if resume is not None:
-        first_partition = max(first_partition, check_int(resume, "resume"))
-    partitions = range(first_partition, t)
+    partitions = range(max(middle, resume or 0), t)
 
     # Each partition may spend what the earlier ones left.  A lazy map reads
     # these after the previous result; a pool reads them all at the start, and
     # a result past the shared budget is cut to what a sequential scan returns.
     nodes_total = 0
     budgets = (spec.budget - nodes_total for _ in partitions)
-    scan = partial(_scan_partition, n, s, fixed, (blocked, cov), lo_base)
+    scan = partial(_scan_partition, n, s, fixed, (blocked, cov))
     with closing(ordered_map(scan, partitions, budgets, threads=threads)) as results:
         for outer, (witness, used) in zip(partitions, results):
             if nodes_total + used > spec.budget:

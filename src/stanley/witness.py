@@ -189,10 +189,9 @@ def witness_for(target: int) -> WitnessRecipe:
     gets a recipe; running it through `execute_and_verify` is what turns
     the claim into a checked fact.
     """
-    if isinstance(target, bool) or not isinstance(target, int):
-        raise MalformedInputError(f"character must be an integer, got {target!r}")
-    if target < 0:
+    if isinstance(target, int) and target < 0:  # a bool is never negative
         raise NegativeCharacterError(f"no sequence has character {target}")
+    check_int(target, "character")
     if target in FORBIDDEN_CHARACTERS:
         raise ForbiddenCharacterError(f"character {target} is unattainable")
 

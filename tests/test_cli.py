@@ -9,7 +9,10 @@ from stanley.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -202,6 +205,13 @@ def test_product_usage_error(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_product_collision_is_usage_error(capsys):
+    # 0 and 3 share a residue class mod 3, so two sums collide
+    code, out, err = run(capsys, "product", "N=3; 0,3", "N=3; 0,1")
+    assert code == 2 and out == ""
+    assert "error: product sums collided" in err
+
+
 def test_witness_verb_deep(capsys):
     code, out, _ = run(capsys, "witness", "--lambda", "63", "--deep")
     assert code == 0
@@ -270,7 +280,8 @@ def test_search_verb_found(capsys):
     [
         (("--mod", "28", "--max", "57", "--size", "8", "--budget", "300"), 3,
          ["nodes: 301", "budget exceeded", "resume: 20"]),
-        (("--mod", "28", "--max", "57", "--size", "8", "--no-zero"), 0, ["nodes: 2441"]),
+        # search always pins 0; the old --no-zero flag is a usage error
+        (("--mod", "28", "--max", "57", "--size", "8", "--no-zero"), 2, []),
         (("--mod", "30", "--max", "46", "--size", "8"), 0, ["nodes: 680"]),
         (("--mod", "32", "--max", "27", "--size", "8"), 1,
          ["nodes: 1104", "exhausted: no witness in this space"]),
@@ -280,7 +291,15 @@ def test_search_node_counts_are_pinned(capsys, argv, code, lines):
     # the default space's 666 nodes are pinned in test_search_verb_found
     got, out, _ = run(capsys, "search", *argv)
     assert got == code
-    assert out.splitlines()[: len(lines)] == lines
+    assert out.splitlines()[: len(lines) or None] == lines  # [] pins an empty stdout
+
+
+def test_search_resume_past_the_space_is_usage_error(capsys):
+    # every token a budget stop prints is a partition below --max
+    code, out, err = run(
+        capsys, "search", "--mod", "28", "--max", "57", "--size", "8", "--resume", "100"
+    )
+    assert code == 2 and out == "" and "resume 100" in err
 
 
 def test_search_modulus_budget(capsys):

@@ -127,7 +127,7 @@ def test_product_element_budget(monkeypatch):
 
 
 def test_product_collision_rejected():
-    with pytest.raises(st.InvariantViolationError):
+    with pytest.raises(st.PreconditionError, match="product sums collided"):
         st.product(st.ResidueSet(2, (0, 2)), st.ResidueSet(3, (0, 1)))
 
 

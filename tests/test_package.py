@@ -137,6 +137,7 @@ INTEGER_PARAMETERS = {
     "check_threads.threads": check_threads,
     "coverage_report.lambda_max": stanley.coverage_report,
     "coverage_report.deep_cap": lambda v: stanley.coverage_report(16, deep_cap=v),
+    "witness_for.target": stanley.witness_for,
     "execute_and_verify.deep_cap": lambda v: stanley.execute_and_verify(
         stanley.witness_for(16), deep=True, deep_cap=v
     ),

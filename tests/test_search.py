@@ -18,15 +18,9 @@ def brute_first_witness(spec: st.SearchSpec) -> st.ResidueSet | None:
     Colex on the middle elements: compare descending-sorted tuples
     lexicographically.  No pruning, no masks - pure oracle.
     """
-    fixed = {0, spec.max_element} if spec.require_zero else {spec.max_element}
-    pool = [v for v in range(spec.max_element) if v not in fixed]
     best = None
-    for middles in combinations(pool, spec.cardinality - len(fixed)):
-        elements = tuple(sorted(fixed | set(middles)))
-        try:
-            candidate = st.ResidueSet(spec.modulus, elements)
-        except st.MalformedInputError:
-            continue  # no 0 in the set; not a witness shape
+    for middles in combinations(range(1, spec.max_element), spec.cardinality - 2):
+        candidate = st.ResidueSet(spec.modulus, (0, *middles, spec.max_element))
         if st.verify(candidate).is_near_modular:
             key = tuple(sorted(middles, reverse=True))
             if best is None or key < best[0]:
@@ -58,12 +52,6 @@ def test_engine_matches_unpruned_enumeration(modulus, top, size):
     else:
         assert got.status == "found"
         assert got.witness == expected
-
-
-def test_engine_matches_oracle_without_pinned_zero():
-    spec = st.SearchSpec(10, 8, 4, require_zero=False)
-    got = st.search_near_modular(spec)
-    assert got.witness == brute_first_witness(spec)
 
 
 def test_found_witnesses_verify():
@@ -100,6 +88,19 @@ def test_budget_and_resume():
     assert resumed.nodes <= full.nodes
 
 
+def test_resume_past_the_space_raises():
+    # a budget stop's token is a partition below max_element; one past it
+    # would otherwise report an empty scan as exhausted
+    spec = st.SearchSpec(28, 57, 8)
+    with pytest.raises(st.MalformedInputError, match="resume 57"):
+        st.search_near_modular(spec, resume=57)
+    # the last partition: its only middle value 56 shares 0's residue
+    assert st.search_near_modular(spec, resume=56).status == "exhausted"
+    assert st.search_near_modular(spec, resume=54).resume_token == 54
+    # tokens below the first partition are clamped to it
+    assert st.search_near_modular(spec, resume=0) == st.search_near_modular(spec)
+
+
 def test_budget_validation():
     with pytest.raises(st.MalformedInputError):
         st.SearchSpec(10, 8, 4, budget=0)
@@ -111,7 +112,8 @@ def test_budget_validation():
 
 def test_spec_integers_are_checked():
     # every search mask is modulus bits wide, so the modulus has a bit budget
-    for args in ((28.5, 57, 8), (28, 57.0, 8), (28, 57, 8.0), (28, 57, True)):
+    # a bool budget, such as a stale positional zero flag, is not an integer
+    for args in ((28.5, 57, 8), (28, 57.0, 8), (28, 57, 8.0), (28, 57, True), (28, 57, 8, True)):
         with pytest.raises(st.MalformedInputError):
             st.SearchSpec(*args)
     with pytest.raises(st.MalformedInputError):
