@@ -235,7 +235,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"character: {character_of(result.witness)}")
         return 0
     if result.status == "exhausted":
-        print("exhausted: no witness in this space")
+        # a token above the first partition skipped the partitions below it
+        if args.resume is not None and args.resume > spec.first_partition:
+            print(f"exhausted: no witness from partition {args.resume} on")
+        else:
+            print("exhausted: no witness in this space")
         return 1
     print("budget exceeded")
     if result.resume_token is not None:

@@ -1,12 +1,16 @@
 """Exhaustive search for near-modular sets, and the process-pool helper.
 
 The searcher enumerates candidate sets {0, t} plus middle elements from
-[1, t-1] in colexicographic order.  Each node keeps two residue masks mod N:
-``blocked`` (where a new element would close a progression, as an endpoint
-2y - x or as a midpoint r with 2r = x + z) and ``cov`` (the residues 2y - x
-covered so far).  New elements come from unblocked residues only.  Violations
-are monotone under supersets, so pruning never skips a witness; tests compare
-the pruned scan against a full enumeration on tiny instances.
+[1, t-1] in colexicographic order.  It places 0, then t, then the middles in
+descending order, so 0 is the only placed element below a new value.  Each
+node keeps two residue masks mod N, ``blocked`` (where a new element would
+close a progression, as an endpoint 2y - x or as a midpoint r with
+2r = x + z) and ``cov`` (the residues 2y - x covered so far), beside summary
+masks of the placed elements q: -q, 2q for q != 0, and q halved.  Placing a
+value rotates the summaries, a fixed number of big-int operations however
+many elements are placed.  New elements come from unblocked residues only.
+Violations are monotone under supersets, so pruning never skips a witness;
+tests compare the pruned scan against a full enumeration on tiny instances.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ class SearchSpec:
         if self.budget < 1:
             raise MalformedInputError("budget must be positive")
 
+    @property
+    def first_partition(self) -> int:
+        """The least largest middle element, where a scan without ``resume`` starts."""
+        return self.cardinality - 2
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -97,64 +106,70 @@ class _BudgetHit(Exception):
     pass
 
 
-def _halves(p: int, n: int) -> int:
-    """Bitmask of the residues r with 2r = p (mod n)."""
-    if n % 2:
-        return 1 << (p * ((n + 1) // 2) % n)
-    if p % 2:
-        return 0
-    r = p // 2 % (n // 2)
-    return (1 << r) | (1 << (r + n // 2))
+def _add(n: int, value: int, masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The search masks mod ``n`` after placing ``value``.
 
-
-def _place(n: int, placed: Iterable[int], value: int, blocked: int, cov: int) -> tuple[int, int]:
-    """The ``blocked`` and ``cov`` masks mod ``n`` after adding ``value`` to ``placed``.
-
-    A residue is blocked when a new element there would close a progression:
-    as an endpoint (2y - x for placed x, y) or as the midpoint of two placed
-    elements (its double is x + z).
+    ``masks`` is ``(blocked, cov, neg, dbl, even, odd)``, all zero before 0 is
+    placed.  ``blocked`` and ``cov`` are the module's two residue masks; the
+    rest summarise the placed elements q.  ``neg`` holds -q and ``dbl`` holds
+    2q for q != 0.  The halving masks hold q * 2^-1 for odd n (``even`` and
+    ``odd`` alike) and, for even n, q // 2 mod n/2 in both halves of the mask
+    of q's parity.  0 is placed first and every later value below all placed
+    elements but 0, so the pairs of ``value`` with them are these masks
+    rotated.
     """
-    for q in placed:
-        blocked |= (1 << ((2 * value - q) % n)) | (1 << ((2 * q - value) % n))
-        blocked |= _halves(q + value, n)
-        hi, lo = (q, value) if q > value else (value, q)
-        cov |= 1 << ((2 * hi - lo) % n)
-    blocked |= _halves(2 * value, n)  # value itself is one of these
-    cov |= 1 << (value % n)
-    return blocked, cov
-
-
-def _value_window(pattern: int, modulus: int, lo: int, hi: int) -> int:
-    """Replicate a residue bitmask over the value range [lo, hi]."""
-    out = 0
-    for shift in range(0, hi + 1, modulus):
-        out |= pattern << shift
-    out &= (1 << (hi + 1)) - 1
-    return out >> lo << lo
+    blocked, cov, neg, dbl, even, odd = masks
+    full = (1 << n) - 1
+    if n % 2:
+        shift = entry = value * (n + 1) // 2 % n
+        half = even = odd = even | 1 << entry
+    else:
+        entry, shift = value // 2 % (n // 2), (value + 1) // 2 % n
+        if value % 2:
+            half = odd = odd | 1 << entry | 1 << entry + n // 2
+        else:
+            half = even = even | 1 << entry | 1 << entry + n // 2
+    minus, twice = -value % n, 2 * value % n
+    up = (dbl << minus | dbl >> n - minus) & full  # 2q - value for q != 0
+    # 2 value - q, then the r with 2r = q + value (half holds value, so r = value too)
+    rotated = neg << twice | neg >> n - twice | half << shift | half >> n - shift
+    blocked |= up | 1 << minus | rotated & full  # minus: 2q - value for q = 0
+    cov |= up | 1 << twice | 1 << value % n  # twice: 2 value - 0
+    if value:
+        dbl |= 1 << twice
+    return blocked, cov, neg | 1 << minus, dbl, even, odd
 
 
 def _scan_partition(
     n: int,
     cardinality: int,
     fixed: tuple[int, ...],
-    masks: tuple[int, int],
+    masks: tuple[int, ...],
     outer_value: int,
     budget: int,
 ) -> tuple[tuple[int, ...] | None, int]:
     """Scan every candidate whose largest middle element is ``outer_value``.
 
-    Returns (witness elements or None, nodes examined); the count is
-    ``budget + 1`` when the budget ran out.
+    ``masks`` are ``_add``'s masks of the ``fixed`` elements 0 and t.  Middles
+    are placed in descending order, so 0 is the only placed element below a
+    new value and each placement is a fixed number of mask rotations.  The
+    values a slot may take are the unblocked residues, repeated over the
+    slot's value range by one multiply with a repunit (one bit every ``n``
+    places).  Returns (witness elements or None, nodes examined); the count
+    is ``budget + 1`` when the budget ran out.
     """
     total_pairs = cardinality * (cardinality + 1) // 2
-    middle = cardinality - len(fixed)
     full = (1 << n) - 1
+    repunit = ((1 << n * (outer_value // n + 1)) - 1) // full
     chosen = list(fixed)
     nodes = 0
 
-    def rec(slot: int, lo: int, hi: int, blocked: int, cov: int) -> tuple[int, ...] | None:
+    def rec(slot: int, lo: int, hi: int, masks: tuple[int, ...]) -> tuple[int, ...] | None:
         nonlocal nodes
-        window = _value_window(~blocked & full, n, lo, hi)
+        # Prune a node whose cov cannot reach n even if every pair still to come is new.
+        depth = cardinality - slot + 1
+        need = n - total_pairs + depth * (depth + 1) // 2
+        window = ((~masks[0] & full) * repunit & (2 << hi) - 1) >> lo << lo
         while window:
             bit = window & -window
             window ^= bit
@@ -162,23 +177,17 @@ def _scan_partition(
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
-            nblocked, ncov = _place(n, chosen, value, blocked, cov)
-            chosen.append(value)
-            depth = len(chosen)
-            # Remaining placements can add at most the missing pair count.
-            if ncov.bit_count() + total_pairs - depth * (depth + 1) // 2 >= n:
-                if slot == 1:
-                    if ncov.bit_count() == n:
-                        return tuple(sorted(chosen))
-                else:
-                    got = rec(slot - 1, slot - 1, value - 1, nblocked, ncov)
-                    if got is not None:
-                        return got
-            chosen.pop()
+            placed = _add(n, value, masks)
+            if placed[1].bit_count() >= need:
+                chosen.append(value)
+                got = tuple(sorted(chosen)) if slot == 1 else rec(slot - 1, slot - 1, value - 1, placed)
+                if got is not None:
+                    return got
+                chosen.pop()
         return None
 
     try:
-        return rec(middle, outer_value, outer_value, *masks), nodes
+        return rec(cardinality - len(fixed), outer_value, outer_value, masks), nodes
     except _BudgetHit:
         return None, nodes
 
@@ -211,26 +220,25 @@ def search_near_modular(
         raise MalformedInputError(f"resume {resume} is not below max_element {t}")
     fixed = (0, t)
 
-    blocked = cov = 0
-    for i, e in enumerate(fixed):
-        if blocked >> (e % n) & 1:
+    masks = (0,) * 6
+    for e in fixed:
+        if masks[0] >> (e % n) & 1:
             return SearchResult("exhausted", None, 0, None)
-        blocked, cov = _place(n, fixed[:i], e, blocked, cov)
+        masks = _add(n, e, masks)
 
-    middle = s - len(fixed)
-    if middle == 0:
-        if cov.bit_count() == n:
+    if s == len(fixed):
+        if masks[1].bit_count() == n:
             return _finish(fixed, spec, 0, None)
         return SearchResult("exhausted", None, 0, None)
 
-    partitions = range(max(middle, resume or 0), t)
+    partitions = range(max(spec.first_partition, resume or 0), t)
 
     # Each partition may spend what the earlier ones left.  A lazy map reads
     # these after the previous result; a pool reads them all at the start, and
     # a result past the shared budget is cut to what a sequential scan returns.
     nodes_total = 0
     budgets = (spec.budget - nodes_total for _ in partitions)
-    scan = partial(_scan_partition, n, s, fixed, (blocked, cov))
+    scan = partial(_scan_partition, n, s, fixed, masks)
     with closing(ordered_map(scan, partitions, budgets, threads=threads)) as results:
         for outer, (witness, used) in zip(partitions, results):
             if nodes_total + used > spec.budget:

@@ -178,6 +178,30 @@ def naive_to_modular(a: st.ResidueSet) -> tuple[st.ResidueSet, int]:
     return a, steps
 
 
+def naive_place(n: int, placed, value) -> tuple[int, int]:
+    """The search's ``blocked`` and ``cov`` masks mod ``n`` once ``value`` joins
+    ``placed``, rebuilt pair by pair over the whole list.
+
+    A residue is blocked when a new element there would close a progression:
+    as an endpoint (2y - x for elements x, y) or as a midpoint r, found by
+    trying every r with 2r = x + z.  ``cov`` holds 2y - x for x <= y.
+    """
+    elements = [*placed, value]
+
+    def halves(p: int) -> int:
+        return sum(1 << r for r in range(n) if (2 * r - p) % n == 0)
+
+    blocked = cov = 0
+    for i, y in enumerate(elements):
+        for x in elements[:i]:
+            blocked |= (1 << ((2 * y - x) % n)) | (1 << ((2 * x - y) % n)) | halves(x + y)
+            lo, hi = sorted((x, y))
+            cov |= 1 << ((2 * hi - lo) % n)
+        blocked |= halves(2 * y)
+        cov |= 1 << (y % n)
+    return blocked, cov
+
+
 def naive_admissible(n: int, placed) -> int:
     """Bitmask of residues mod ``n`` a new element may take beside ``placed``.
 

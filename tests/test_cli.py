@@ -302,6 +302,24 @@ def test_search_resume_past_the_space_is_usage_error(capsys):
     assert code == 2 and out == "" and "resume 100" in err
 
 
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        # partitions 6..54 hold witnesses; a token above 6 scanned only its tail
+        (("--mod", "28", "--max", "57", "--size", "8", "--resume", "55"),
+         ["nodes: 0", "exhausted: no witness from partition 55 on"]),
+        (("--mod", "32", "--max", "27", "--size", "8", "--resume", "7"),
+         ["nodes: 1103", "exhausted: no witness from partition 7 on"]),
+        # tokens at or below the first partition scan the whole space
+        (("--mod", "32", "--max", "27", "--size", "8", "--resume", "6"),
+         ["nodes: 1104", "exhausted: no witness in this space"]),
+    ],
+)
+def test_search_resumed_exhaustion_names_the_partition(capsys, argv, lines):
+    code, out, _ = run(capsys, "search", *argv)
+    assert code == 1 and out.splitlines() == lines
+
+
 def test_search_modulus_budget(capsys):
     code, out, err = run(capsys, "search", "--mod", str(10**15), "--max", "57", "--size", "8")
     assert code == 3 and out == "" and "mask budget" in err

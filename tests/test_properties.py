@@ -4,7 +4,7 @@ The product law is exercised part by part: the result keeps 0, keeps the
 no-progression property, and keeps full coverage.  Transforms must preserve
 the near-modular verdict, and the greedy generator must be prefix-stable.
 The shift-OR sequence core, the residue-mask ``verify`` and the search's
-blocked-residue mask must agree with the pair-by-pair oracles in
+rotated placement masks must agree with the pair-by-pair oracles in
 ``conftest`` on dense and sparse inputs, with and without 0, valid or not.
 The deep check's certificate accepts a predicted prefix exactly when greedy
 growth yields it, and then agrees with ``omitted_set``; built from masks over
@@ -25,7 +25,7 @@ import stanley as st
 from stanley.cli import BUDGET_ENV, _node_budget, _parse_terms
 from stanley.core import INT_LIMIT
 from stanley.families import FAMILY_NAMES
-from stanley.search import _place
+from stanley.search import _add
 
 from conftest import (
     naive_admissible,
@@ -33,6 +33,7 @@ from conftest import (
     naive_greedy_table,
     naive_is_3_free,
     naive_omitted,
+    naive_place,
     naive_to_modular,
     naive_verify,
 )
@@ -348,10 +349,22 @@ def test_product_associates(a, b, c):
     placed=hs.lists(hs.integers(min_value=0, max_value=200), max_size=8),
 )
 def test_blocked_mask_matches_two_mask_rule(n, placed):
-    blocked = cov = 0
-    for i, value in enumerate(placed):
-        blocked, cov = _place(n, placed[:i], value, blocked, cov)
+    blocked = naive_place(n, placed[:-1], placed[-1])[0] if placed else 0
     assert ~blocked & ((1 << n) - 1) == naive_admissible(n, placed)
+
+
+@given(
+    n=hs.integers(min_value=1, max_value=64),
+    # 0, the top t, then up to 8 distinct middles in (0, t), as the search places them
+    placed=hs.sets(hs.integers(min_value=1, max_value=200), min_size=1, max_size=9).map(
+        lambda values: [0, *sorted(values, reverse=True)]
+    ),
+)
+def test_placement_rotations_match_the_pair_loop(n, placed):
+    masks = (0,) * 6
+    for i, value in enumerate(placed):
+        masks = _add(n, value, masks)
+        assert masks[:2] == naive_place(n, placed[:i], value)
 
 
 # near-miss numbers: non-ASCII digits, signs, separators, leading zeros, long runs

@@ -101,6 +101,21 @@ def test_resume_past_the_space_raises():
     assert st.search_near_modular(spec, resume=0) == st.search_near_modular(spec)
 
 
+@pytest.mark.parametrize(
+    "spec,status,nodes,token,witness",
+    [
+        (st.SearchSpec(31, 45, 8), "found", 11233, 42, "N=31; 0,3,10,13,32,35,42,45"),
+        (st.SearchSpec(25, 40, 7), "exhausted", 2548, None, None),
+        (st.SearchSpec(33, 50, 8, budget=1000), "budget_exceeded", 1001, 22, None),
+    ],
+)
+def test_odd_modulus_node_counts_are_pinned(spec, status, nodes, token, witness):
+    # odd moduli halve by 2^-1 mod N, even ones per parity: pin both branches
+    got = st.search_near_modular(spec)
+    assert (got.status, got.nodes, got.resume_token) == (status, nodes, token)
+    assert (got.witness and st.format_set(got.witness)) == witness
+
+
 def test_budget_validation():
     with pytest.raises(st.MalformedInputError):
         st.SearchSpec(10, 8, 4, budget=0)
@@ -142,6 +157,12 @@ def test_threads_agree_with_sequential(reports_two_cpus):
     pooled = st.search_near_modular(spec, threads=2)
     assert pooled.status == "found"
     assert pooled.witness == solo.witness
+
+
+def test_threads_agree_on_an_odd_modulus(reports_two_cpus):
+    # the pooled partitions receive the start masks pickled
+    spec = st.SearchSpec(31, 45, 8)
+    assert st.search_near_modular(spec, threads=2) == st.search_near_modular(spec)
 
 
 @pytest.mark.parametrize("budget", [50, 100])
