@@ -110,7 +110,7 @@ def test_resume_past_the_space_raises():
     ],
 )
 def test_odd_modulus_node_counts_are_pinned(spec, status, nodes, token, witness):
-    # odd moduli halve by 2^-1 mod N, even ones per parity: pin both branches
+    # odd moduli halve by 2^-1 mod N; the even, per-parity branch is pinned in test_cli
     got = st.search_near_modular(spec)
     assert (got.status, got.nodes, got.resume_token) == (status, nodes, token)
     assert (got.witness and st.format_set(got.witness)) == witness
