@@ -91,9 +91,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _parse_terms(args.seed)
     _warn_seed(seed)
     prefix = greedy_extend(seed, args.count)
+    # a prefix too short for the growth window raises before anything is printed
+    ratios = growth_diagnostic(prefix) if args.diagnostic else None
     print(",".join(str(t) for t in prefix.terms))
-    if args.diagnostic:
-        ratios = growth_diagnostic(prefix)
+    if ratios is not None:
         lo = len(prefix) // 2
         print(f"{'n':>8}  {'term':>14}  {'term/n^log2(3)':>16}")
         for i in range(0, len(ratios), max(1, len(ratios) // 8)):
@@ -228,7 +229,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     spec = SearchSpec(args.mod, args.max, args.size, _node_budget(args.budget))
-    result = search_near_modular(spec, threads=args.threads, resume=args.resume)
+    result = search_near_modular(spec, resume=args.resume)
     print(f"nodes: {result.nodes}")
     if result.status == "found":
         print(format_set(result.witness))
@@ -326,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=read_int, required=True, help="required top element")
     p.add_argument("--size", type=read_int, required=True, help="cardinality")
     p.add_argument("--budget", type=read_int, default=None, help=f"node budget (default ${BUDGET_ENV} or {DEFAULT_NODE_BUDGET})")
-    p.add_argument("--threads", type=read_int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--resume", type=read_int, default=None, help="token from an earlier budget stop")
     p.set_defaults(func=_cmd_search)
 

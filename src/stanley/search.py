@@ -1,4 +1,4 @@
-"""Exhaustive search for near-modular sets, and the process-pool helper.
+"""Exhaustive search for near-modular sets.
 
 The searcher enumerates candidate sets {0, t} plus middle elements from
 [1, t-1] in colexicographic order.  It places 0, then t, then the middles in
@@ -15,12 +15,7 @@ tests compare the pruned scan against a full enumeration on tiny instances.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator
 
 from .core import check_bits, check_int
 from .errors import InvariantViolationError, MalformedInputError
@@ -72,34 +67,6 @@ class SearchResult:
     witness: ResidueSet | None
     nodes: int
     resume_token: int | None
-
-
-def check_threads(threads: int) -> None:
-    """Reject a worker-process count that is not an integer, is below 1 or
-    exceeds the host's CPU count."""
-    if check_int(threads, "threads") < 1:
-        raise MalformedInputError("threads must be positive")
-    limit = os.cpu_count() or 1
-    if threads > limit:
-        raise MalformedInputError(f"threads {threads} exceeds the {limit} CPUs of this host")
-
-
-def ordered_map(fn: Callable, *iterables: Iterable, threads: int) -> Iterator:
-    """``map(fn, *iterables)`` across ``threads`` worker processes, in input order.
-
-    With one thread this is the lazy built-in ``map``, which reads each input
-    only when its result is asked for.  A pool reads every input at once and
-    hands out chunks of four tasks; closing the iterator early cancels the
-    queued chunks and waits for the running ones.  ``fn`` must be picklable.
-    """
-    if threads == 1:
-        yield from map(fn, *iterables)
-        return
-    pool = ProcessPoolExecutor(max_workers=threads)
-    try:
-        yield from pool.map(fn, *iterables, chunksize=4)
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 class _BudgetHit(Exception):
@@ -199,22 +166,14 @@ def _finish(elements: tuple[int, ...], spec: SearchSpec, nodes: int, token: int 
     return SearchResult("found", witness, nodes, token)
 
 
-def search_near_modular(
-    spec: SearchSpec,
-    *,
-    threads: int = 1,
-    resume: int | None = None,
-) -> SearchResult:
+def search_near_modular(spec: SearchSpec, *, resume: int | None = None) -> SearchResult:
     """First near-modular witness in colex order over the middle elements.
 
-    The space splits into partitions by the largest middle element;
-    partitions are scanned in ascending order (possibly in parallel), and
-    "first" always means search order, not wall clock.  ``threads`` may not
-    exceed ``os.cpu_count()``; it changes only the speed, never the result.
-    ``resume`` is the token of an earlier budget stop, a partition below
-    ``max_element``; one at or above it raises MalformedInputError.
+    The space splits into partitions by the largest middle element, scanned
+    in ascending order; each may spend what the earlier ones left of the
+    budget.  ``resume`` is the token of an earlier budget stop, a partition
+    below ``max_element``; one at or above it raises MalformedInputError.
     """
-    check_threads(threads)
     n, t, s = spec.modulus, spec.max_element, spec.cardinality
     if resume is not None and check_int(resume, "resume") >= t:
         raise MalformedInputError(f"resume {resume} is not below max_element {t}")
@@ -230,20 +189,15 @@ def search_near_modular(
         if masks[1].bit_count() == n:
             return _finish(fixed, spec, 0, None)
         return SearchResult("exhausted", None, 0, None)
+    if not ~masks[0] & (1 << n) - 1:  # no free residue for any middle
+        return SearchResult("exhausted", None, 0, None)
 
-    partitions = range(max(spec.first_partition, resume or 0), t)
-
-    # Each partition may spend what the earlier ones left.  A lazy map reads
-    # these after the previous result; a pool reads them all at the start, and
-    # a result past the shared budget is cut to what a sequential scan returns.
     nodes_total = 0
-    budgets = (spec.budget - nodes_total for _ in partitions)
-    scan = partial(_scan_partition, n, s, fixed, masks)
-    with closing(ordered_map(scan, partitions, budgets, threads=threads)) as results:
-        for outer, (witness, used) in zip(partitions, results):
-            if nodes_total + used > spec.budget:
-                return SearchResult("budget_exceeded", None, spec.budget + 1, outer)
-            nodes_total += used
-            if witness is not None:
-                return _finish(witness, spec, nodes_total, outer)
+    for outer in range(max(spec.first_partition, resume or 0), t):
+        witness, used = _scan_partition(n, s, fixed, masks, outer, spec.budget - nodes_total)
+        nodes_total += used
+        if nodes_total > spec.budget:
+            return SearchResult("budget_exceeded", None, nodes_total, outer)
+        if witness is not None:
+            return _finish(witness, spec, nodes_total, outer)
     return SearchResult("exhausted", None, nodes_total, None)

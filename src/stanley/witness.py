@@ -11,6 +11,8 @@ way down to a greedy extension of the fully modular form.
 from __future__ import annotations
 
 import importlib.resources
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import ClassVar, Union
@@ -45,7 +47,7 @@ from .modset import (
     to_modular,
     verify,
 )
-from .search import SearchSpec, check_threads, ordered_map, search_near_modular
+from .search import SearchSpec, search_near_modular
 
 #: No sequence with the doubling structure attains these six characters.
 FORBIDDEN_CHARACTERS = frozenset({1, 3, 5, 9, 11, 15})
@@ -618,12 +620,23 @@ def coverage_report(
     threads: int = 1,
 ) -> CoverageReport:
     """Sweep characters 0..lambda_max and verify a witness for each
-    admissible one.  Entries come back ordered by character regardless of
-    ``threads``, which may not exceed ``os.cpu_count()``."""
+    admissible one.  ``threads`` worker processes, at most ``os.cpu_count()``,
+    share the characters in chunks of four; entries come back ordered by
+    character whatever the count, so it changes only the speed."""
     if check_int(lambda_max, "lambda_max") < 16:
         raise PreconditionError("lambda_max must be at least 16")
     check_int(deep_cap, "deep_cap")  # else every entry would fail on it
-    check_threads(threads)
+    if check_int(threads, "threads") < 1:
+        raise MalformedInputError("threads must be positive")
+    limit = os.cpu_count() or 1
+    if threads > limit:
+        raise MalformedInputError(f"threads {threads} exceeds the {limit} CPUs of this host")
     entry = partial(_coverage_entry, deep=deep, deep_cap=deep_cap)
-    entries = ordered_map(entry, range(lambda_max + 1), threads=threads)
-    return CoverageReport(lambda_max, deep_cap, tuple(entries))
+    characters = range(lambda_max + 1)
+    if threads == 1:
+        return CoverageReport(lambda_max, deep_cap, tuple(map(entry, characters)))
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        return CoverageReport(lambda_max, deep_cap, tuple(pool.map(entry, characters, chunksize=4)))
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -11,7 +11,7 @@ import os
 import pytest
 
 import stanley as st
-import stanley.search
+import stanley.witness
 from stanley.families import R_VARIANTS
 
 
@@ -358,7 +358,7 @@ def two_cpus(reports_two_cpus, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(stanley.search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(stanley.witness, "ProcessPoolExecutor", no_pool)
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,12 @@ def test_generate_diagnostic_table(capsys):
     assert "ratio min" in out and "1.000000" in out
 
 
+def test_generate_diagnostic_too_short_prints_nothing(capsys):
+    # the growth window needs 8 terms; the failure comes before the terms are printed
+    code, out, err = run(capsys, "generate", "--count", "7", "--diagnostic")
+    assert code == 2 and out == "" and "at least 8 terms" in err
+
+
 def test_generate_warns_on_nonzero_seed(capsys):
     code, out, err = run(capsys, "generate", "--seed", "4,5", "--count", "4")
     assert code == 0
@@ -285,6 +291,8 @@ def test_search_verb_found(capsys):
         (("--mod", "30", "--max", "46", "--size", "8"), 0, ["nodes: 680"]),
         (("--mod", "32", "--max", "27", "--size", "8"), 1,
          ["nodes: 1104", "exhausted: no witness in this space"]),
+        # search runs in one process; only coverage takes --threads
+        (("--mod", "28", "--max", "57", "--size", "8", "--threads", "2"), 2, []),
     ],
 )
 def test_search_node_counts_are_pinned(capsys, argv, code, lines):
@@ -367,10 +375,6 @@ def test_verify_unreadable_files(tmp_path, capsys):
 
 def test_threads_above_cpu_count_are_usage_errors(capsys, two_cpus):
     code, out, err = run(capsys, "coverage", "--max", "16", "--threads", "3")
-    assert code == 2 and out == "" and "threads 3" in err
-    code, out, err = run(
-        capsys, "search", "--mod", "28", "--max", "57", "--size", "8", "--threads", "3"
-    )
     assert code == 2 and out == "" and "threads 3" in err
 
 

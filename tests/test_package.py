@@ -1,5 +1,6 @@
 """Package structure: modules share only public names, every exported name has
-a user besides the tests, one reader owns ``int``, and one helper owns each limit."""
+a user besides the tests, one reader owns ``int``, one helper owns each limit,
+and one module owns the process pool."""
 
 import ast
 import re
@@ -8,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import stanley
-from stanley.search import check_threads
 
 MODULES = sorted(Path(stanley.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -124,6 +124,22 @@ def test_only_the_limit_owners_read_the_limits():
     assert offenders == []
 
 
+def test_only_witness_starts_process_pools():
+    # coverage_report owns the one process pool; search runs in one process
+    offenders = []
+    for path in MODULES:
+        if path.name == "witness.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            )
+            if "concurrent.futures" in modules or "ProcessPoolExecutor" in _names_read(node):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert offenders == []
+
+
 INTEGER_PARAMETERS = {
     "CharacterProfile.character": lambda v: stanley.CharacterProfile(v, 0, 1, 0),
     "WitnessRecipe.shift_count": lambda v: stanley.WitnessRecipe(
@@ -134,9 +150,9 @@ INTEGER_PARAMETERS = {
     "search_near_modular.resume": lambda v: stanley.search_near_modular(
         stanley.SearchSpec(28, 57, 8), resume=v
     ),
-    "check_threads.threads": check_threads,
     "coverage_report.lambda_max": stanley.coverage_report,
     "coverage_report.deep_cap": lambda v: stanley.coverage_report(16, deep_cap=v),
+    "coverage_report.threads": lambda v: stanley.coverage_report(16, threads=v),
     "witness_for.target": stanley.witness_for,
     "execute_and_verify.deep_cap": lambda v: stanley.execute_and_verify(
         stanley.witness_for(16), deep=True, deep_cap=v

@@ -1,6 +1,5 @@
 """Search engine vs. unpruned enumeration, plus budget/resume plumbing."""
 
-import os
 import random
 from itertools import combinations
 
@@ -116,13 +115,23 @@ def test_odd_modulus_node_counts_are_pinned(spec, status, nodes, token, witness)
     assert (got.witness and st.format_set(got.witness)) == witness
 
 
+def test_blocked_start_is_exhausted_before_any_partition(monkeypatch):
+    # 0 and 10^5 block every residue mod 3, so no middle can ever be placed;
+    # the 99,999 partitions are not walked
+    def no_scan(*args):
+        raise AssertionError("a partition was scanned")
+
+    monkeypatch.setattr("stanley.search._scan_partition", no_scan)
+    for resume in (None, 50_000):
+        got = st.search_near_modular(st.SearchSpec(3, 10**5, 3), resume=resume)
+        assert got == st.SearchResult("exhausted", None, 0, None)
+
+
 def test_budget_validation():
     with pytest.raises(st.MalformedInputError):
         st.SearchSpec(10, 8, 4, budget=0)
     with pytest.raises(st.MalformedInputError):
         st.SearchSpec(10, 2, 4)  # top below cardinality - 1
-    with pytest.raises(st.MalformedInputError):
-        st.search_near_modular(st.SearchSpec(10, 8, 4), threads=0)
 
 
 def test_spec_integers_are_checked():
@@ -140,38 +149,6 @@ def test_spec_integers_are_checked():
     with pytest.raises(st.ResourceLimitError):
         st.SearchSpec(28, 1 << 63, 8)
     assert st.SearchSpec(BIT_LIMIT, 57, 8).modulus == BIT_LIMIT
-
-
-def test_threads_capped_at_cpu_count(two_cpus, monkeypatch):
-    spec = st.SearchSpec(28, 57, 8)
-    with pytest.raises(st.MalformedInputError):
-        st.search_near_modular(spec, threads=3)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown count: one worker
-    with pytest.raises(st.MalformedInputError):
-        st.search_near_modular(spec, threads=2)
-
-
-def test_threads_agree_with_sequential(reports_two_cpus):
-    spec = st.SearchSpec(28, 57, 8)
-    solo = st.search_near_modular(spec)
-    pooled = st.search_near_modular(spec, threads=2)
-    assert pooled.status == "found"
-    assert pooled.witness == solo.witness
-
-
-def test_threads_agree_on_an_odd_modulus(reports_two_cpus):
-    # the pooled partitions receive the start masks pickled
-    spec = st.SearchSpec(31, 45, 8)
-    assert st.search_near_modular(spec, threads=2) == st.search_near_modular(spec)
-
-
-@pytest.mark.parametrize("budget", [50, 100])
-def test_threads_share_the_node_budget(budget, reports_two_cpus):
-    spec = st.SearchSpec(28, 57, 8, budget=budget)
-    solo = st.search_near_modular(spec)
-    pooled = st.search_near_modular(spec, threads=2)
-    assert solo.status == "budget_exceeded"
-    assert pooled == solo  # same status, node count and resume token
 
 
 def test_naive_greedy_matches_fast():

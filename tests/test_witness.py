@@ -1,6 +1,7 @@
 """Recipe dispatch, bundled tables, and the execute/verify pipeline."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -337,9 +338,12 @@ def test_coverage_precondition():
         st.coverage_report(10)
 
 
-def test_coverage_threads_capped_at_cpu_count(two_cpus):
+def test_coverage_threads_capped_at_cpu_count(two_cpus, monkeypatch):
     with pytest.raises(st.MalformedInputError):
         st.coverage_report(16, threads=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown count: one worker
+    with pytest.raises(st.MalformedInputError):
+        st.coverage_report(16, threads=2)
 
 
 def test_coverage_threads_agree(reports_two_cpus):
