@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from functools import reduce
@@ -33,6 +32,7 @@ from .modset import (
     load_set_file,
     parse_set,
     product,
+    read_sets,
     scale,
     shift_max,
     to_modular,
@@ -49,27 +49,16 @@ from .witness import (
     witness_for,
 )
 
-BUDGET_ENV = "STANLEY_NODE_BUDGET"
-
-
 def _parse_terms(text: str) -> list[int]:
     """Comma-separated seed terms, read like the elements of a set line."""
     return [read_int(part, "seed term") for part in text.split(",")]
-
-
-def _node_budget(flag: int | None) -> int:
-    """``--budget``, else ``$STANLEY_NODE_BUDGET``, else the default."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(BUDGET_ENV)
-    return DEFAULT_NODE_BUDGET if raw is None else read_int(raw, BUDGET_ENV)
 
 
 def _load_sets(source: str) -> list[ResidueSet]:
     """A literal 'N=...; ...' string (a ';', and only N before the first '='),
     a file path, or '-' for stdin."""
     if source == "-":
-        return load_set_file(sys.stdin)
+        return read_sets(sys.stdin.read().splitlines())
     if ";" in source and source.partition("=")[0].strip() == "N":
         return [parse_set(source)]
     return load_set_file(source)
@@ -128,11 +117,10 @@ def _cmd_character(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    sources = list(args.sources) + list(args.file)
-    if not sources:
-        raise MalformedInputError("no sets given (pass literals, paths, '-', or --file)")
+    if not args.sources:
+        raise MalformedInputError("no sets given (pass literals, paths or '-')")
     failures = 0
-    for source in sources:
+    for source in args.sources:
         for rs in _load_sets(source):
             report = verify(rs)
             if report.is_modular:
@@ -228,7 +216,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    spec = SearchSpec(args.mod, args.max, args.size, _node_budget(args.budget))
+    spec = SearchSpec(args.mod, args.max, args.size, args.budget)
     result = search_near_modular(spec, resume=args.resume)
     print(f"nodes: {result.nodes}")
     if result.status == "found":
@@ -264,7 +252,7 @@ def _cmd_erratum_report(args: argparse.Namespace) -> int:
     for entry in tables.errata:
         print(f"mod {entry.modulus} top {entry.max_element}: {entry.resolution}")
         print(f"  note: {entry.note}")
-        print(f"  served: N={entry.modulus}; " + ",".join(str(v) for v in entry.row))
+        print(f"  served: {format_set(ResidueSet(entry.modulus, entry.row))}")
     return 0
 
 
@@ -278,19 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="greedily extend a seed")
     p.add_argument("--seed", default="0", help="comma-separated starting terms")
-    p.add_argument("--count", "--len", type=read_int, required=True, help="total terms to produce")
+    p.add_argument("--count", type=read_int, required=True, help="total terms to produce")
     p.add_argument("--diagnostic", action="store_true", help="append a growth table")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("character", help="detect the repeat structure of a greedy sequence")
     p.add_argument("--seed", default="0", help="comma-separated starting terms")
-    p.add_argument("--count", "--len", type=read_int, default=None, help="terms to examine (default 4x seed)")
+    p.add_argument("--count", type=read_int, default=None, help="terms to examine (default 4x seed)")
     p.add_argument("--omitted", action="store_true", help="also list omitted values")
     p.set_defaults(func=_cmd_character)
 
     p = sub.add_parser("verify", help="check sets from files, stdin (-), or literals")
     p.add_argument("sources", nargs="*", help="file paths, '-', or literal 'N=...; ...' lines")
-    p.add_argument("--file", action="append", default=[], help="read sets from this file")
     p.add_argument("--modular", action="store_true", help="require fully modular, not just near-modular")
     p.set_defaults(func=_cmd_verify)
 
@@ -326,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=read_int, required=True, help="modulus")
     p.add_argument("--max", type=read_int, required=True, help="required top element")
     p.add_argument("--size", type=read_int, required=True, help="cardinality")
-    p.add_argument("--budget", type=read_int, default=None, help=f"node budget (default ${BUDGET_ENV} or {DEFAULT_NODE_BUDGET})")
+    p.add_argument("--budget", type=read_int, default=DEFAULT_NODE_BUDGET, help=f"node budget (default {DEFAULT_NODE_BUDGET})")
     p.add_argument("--resume", type=read_int, default=None, help="token from an earlier budget stop")
     p.set_defaults(func=_cmd_search)
 

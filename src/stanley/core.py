@@ -216,28 +216,30 @@ def detect_character(prefix: SeedLike) -> CharacterProfile | None:
     Returns the profile with the least settle level such that a single
     character value satisfies both identities on every checkable level from
     there up.  A level ``k`` is checkable when the prefix holds at least
-    ``2^(k+1)`` terms.
+    ``2^(k+1)`` terms.  The agreeing levels form an unbroken run ending at
+    the top level, so the scan walks down from the top and stops at the
+    first level that disagrees.
     """
     terms = _terms_of(prefix)
     if len(terms) < 4:
         raise PrefixTooShortError("need at least 4 terms to check one doubling level")
     top = len(terms).bit_length() - 2  # largest k with 2^(k+1) <= len(terms)
 
-    candidates = []
-    additive_ok = []
-    for k in range(top + 1):
+    def agrees(k: int, character: int) -> bool:
         block = 1 << k
         head = terms[block]
-        candidates.append(2 * terms[block - 1] - head + 1)
-        additive_ok.append(terms[block : 2 * block] == tuple([head + x for x in terms[:block]]))
+        return (
+            2 * terms[block - 1] - head + 1 == character
+            and terms[block : 2 * block] == tuple([head + x for x in terms[:block]])
+        )
 
-    for settle in range(top + 1):
-        value = candidates[settle]
-        if value < 0:
-            continue
-        if all(additive_ok[k] and candidates[k] == value for k in range(settle, top + 1)):
-            return CharacterProfile(value, settle, terms[1 << settle], top)
-    return None
+    character = 2 * terms[(1 << top) - 1] - terms[1 << top] + 1
+    if character < 0 or not agrees(top, character):
+        return None
+    settle = top
+    while settle > 0 and agrees(settle - 1, character):
+        settle -= 1
+    return CharacterProfile(character, settle, terms[1 << settle], top)
 
 
 @dataclass(frozen=True)

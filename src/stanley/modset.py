@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator
 
 from .core import ELEMENT_LIMIT, check_bits, check_int, check_terms, read_int, set_bits
 from .errors import (
@@ -275,10 +275,8 @@ def read_sets(lines: Iterable[str]) -> list[ResidueSet]:
     return out
 
 
-def load_set_file(source: Union[str, TextIO]) -> list[ResidueSet]:
-    """Sets from a text stream or an ASCII file; an unreadable file is malformed input."""
-    if hasattr(source, "read"):
-        return read_sets(source.read().splitlines())
+def load_set_file(source: str) -> list[ResidueSet]:
+    """Sets from an ASCII file; an unreadable file is malformed input."""
     try:
         with open(source, "r", encoding="ascii") as handle:
             text = handle.read()

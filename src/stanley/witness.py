@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import ClassVar, Union
@@ -635,6 +634,8 @@ def coverage_report(
     characters = range(lambda_max + 1)
     if threads == 1:
         return CoverageReport(lambda_max, deep_cap, tuple(map(entry, characters)))
+    from concurrent.futures import ProcessPoolExecutor  # so `import stanley` loads no multiprocessing
+
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
         return CoverageReport(lambda_max, deep_cap, tuple(pool.map(entry, characters, chunksize=4)))

@@ -6,12 +6,12 @@ the optimized paths always have something independent to disagree with.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 
 import pytest
 
 import stanley as st
-import stanley.witness
 from stanley.families import R_VARIANTS
 
 
@@ -100,26 +100,25 @@ def brute_character(seed: list[int], levels: int) -> st.CharacterProfile | None:
 
     base_level = (len(seed) - 1).bit_length()  # least k with 2^k >= len(seed)
     terms = naive_greedy_table(list(seed), 1 << (base_level + levels))
+    return naive_detect_character(terms)
 
-    top = len(terms).bit_length() - 2
+
+def naive_detect_character(terms) -> st.CharacterProfile | None:
+    """The doubling-identity scan level by level: every level's character
+    candidate and additive check, then each settle level tried from the bottom
+    against every level above it."""
+    top = len(terms).bit_length() - 2  # largest k with 2^(k+1) <= len(terms)
+    candidates = []
+    additive_ok = []
+    for k in range(top + 1):
+        block = 1 << k
+        candidates.append(2 * terms[block - 1] - terms[block] + 1)
+        additive_ok.append(all(terms[block + i] == terms[block] + terms[i] for i in range(block)))
     for settle in range(top + 1):
-        block = 1 << settle
-        value = 2 * terms[block - 1] - terms[block] + 1
+        value = candidates[settle]
         if value < 0:
             continue
-        consistent = True
-        for k in range(settle, top + 1):
-            block_k = 1 << k
-            if 2 * terms[block_k - 1] - terms[block_k] + 1 != value:
-                consistent = False
-                break
-            for i in range(block_k):
-                if terms[block_k + i] != terms[block_k] + terms[i]:
-                    consistent = False
-                    break
-            if not consistent:
-                break
-        if consistent:
+        if all(additive_ok[k] and candidates[k] == value for k in range(settle, top + 1)):
             return st.CharacterProfile(value, settle, terms[1 << settle], top)
     return None
 
@@ -358,7 +357,7 @@ def two_cpus(reports_two_cpus, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(stanley.witness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
 
 @pytest.fixture(scope="session")

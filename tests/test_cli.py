@@ -1,6 +1,7 @@
 """Exact CLI behavior: outputs, exit codes, and stream separation."""
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -154,9 +155,26 @@ def test_verify_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(target))
     assert code == 0
     assert out.count("=>") == 2
-    code, out, _ = run(capsys, "verify", "--file", str(target), "N=3; 0,1")
+    code, out, _ = run(capsys, "verify", str(target), "N=3; 0,1")
     assert code == 0
     assert out.count("=>") == 3
+
+
+def test_verify_reads_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("N=3; 0,2\n# comment\n\nN=9; 0,2,5,6\n"))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 0
+    assert out == "N=3; 0,2  => modular, character 2\nN=9; 0,2,5,6  => modular, character 4\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--file", "sets.txt"), ("generate", "--len", "8"), ("character", "--len", "8")],
+    ids=["verify-file", "generate-len", "character-len"],
+)
+def test_each_input_has_one_spelling(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
 
 
 def test_verify_modular_strictness(capsys):
@@ -180,15 +198,9 @@ def test_family_verify_round_trip(tmp_path, capsys):
     saved = capsys.readouterr().out
     target = tmp_path / "fam.txt"
     target.write_text(saved, encoding="ascii")
-    code, out, _ = run(capsys, "verify", "--file", str(target))
+    code, out, _ = run(capsys, "verify", str(target))
     assert code == 0
     assert "=>" in out
-
-
-def test_generate_len_alias(capsys):
-    code, out, _ = run(capsys, "generate", "--len", "8")
-    assert code == 0
-    assert out == "0,1,3,4,9,10,12,13\n"
 
 
 def test_product_verb(capsys):
@@ -384,13 +396,11 @@ def test_search_verb_exhausted(capsys):
     assert "exhausted" in out
 
 
-def test_search_budget_env(monkeypatch, capsys):
-    monkeypatch.setenv("STANLEY_NODE_BUDGET", "50")
-    code, out, _ = run(capsys, "search", "--mod", "28", "--max", "57", "--size", "8")
+def test_search_budget_stop_then_resume(capsys):
+    code, out, _ = run(capsys, "search", "--mod", "28", "--max", "57", "--size", "8", "--budget", "50")
     assert code == 3
     assert "budget exceeded" in out
     resume = next(int(l.split()[-1]) for l in out.splitlines() if l.startswith("resume:"))
-    monkeypatch.delenv("STANLEY_NODE_BUDGET")
     code, out, _ = run(
         capsys,
         "search", "--mod", "28", "--max", "57", "--size", "8", "--resume", str(resume),
@@ -400,29 +410,20 @@ def test_search_budget_env(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "env,argv",
+    "argv",
     [
-        ({}, ("generate", "--seed", "0,\u0663", "--count", "4")),
-        ({}, ("family", "T:\u0663")),
-        ({}, ("witness", "--lambda", "\u0666\u0663")),
-        ({}, ("generate", "--count", "1_0")),
-        ({}, ("generate", "--count", "08")),
-        ({"STANLEY_NODE_BUDGET": "\u0665\u0660"}, ("search", "--mod", "28", "--max", "57", "--size", "8")),
-        ({}, ("search", "--mod", "\u0662\u0668", "--max", "57", "--size", "8")),
+        ("generate", "--seed", "0,\u0663", "--count", "4"),
+        ("family", "T:\u0663"),
+        ("witness", "--lambda", "\u0666\u0663"),
+        ("generate", "--count", "1_0"),
+        ("generate", "--count", "08"),
+        ("search", "--mod", "\u0662\u0668", "--max", "57", "--size", "8"),
     ],
-    ids=["seed", "family", "lambda", "underscore", "leading-zero", "budget-env", "option"],
+    ids=["seed", "family", "lambda", "underscore", "leading-zero", "option"],
 )
-def test_numbers_are_plain_ascii_decimals(monkeypatch, capsys, env, argv):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_numbers_are_plain_ascii_decimals(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "error: bad " in err
-
-
-def test_search_budget_env_malformed(monkeypatch, capsys):
-    monkeypatch.setenv("STANLEY_NODE_BUDGET", "lots")
-    code, _, err = run(capsys, "search", "--mod", "10", "--max", "8", "--size", "4")
-    assert code == 2 and "STANLEY_NODE_BUDGET" in err
 
 
 def test_appendix_check_verb(capsys):

@@ -1,6 +1,5 @@
 """Residue-set predicates, products, transforms, and the file format."""
 
-import io
 import math
 
 import pytest
@@ -295,6 +294,8 @@ def test_load_set_file_path_and_handle(tmp_path):
     target = tmp_path / "sets.txt"
     target.write_text("N=3; 0,2\nN=27; 0,1,6,7,10,15,16,18\n", encoding="ascii")
     from_path = st.load_set_file(str(target))
-    from_handle = st.load_set_file(io.StringIO(target.read_text(encoding="ascii")))
+    # the CLI reads '-' the same way: read_sets over stdin's lines
+    with open(target, encoding="ascii") as handle:
+        from_handle = st.read_sets(handle.read().splitlines())
     assert from_path == from_handle
     assert from_path[1] == ACAL1

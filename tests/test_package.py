@@ -1,9 +1,12 @@
 """Package structure: modules share only public names, every exported name has
 a user besides the tests, one reader owns ``int``, one helper owns each limit,
-and one module owns the process pool."""
+one module owns the process pool and loads it only when a pool starts, and no
+module reads the environment."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +140,29 @@ def test_only_witness_starts_process_pools():
             )
             if "concurrent.futures" in modules or "ProcessPoolExecutor" in _names_read(node):
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert offenders == []
+
+
+def test_import_loads_no_process_pool():
+    src = str(Path(stanley.__file__).parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import stanley; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert loaded.stdout == "[]\n"
+
+
+def test_no_module_reads_the_environment():
+    # every input is an argument or an option; nothing changes behind the CLI
+    offenders = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in ("environ", "getenv") for alias in node.names))
+    ]
     assert offenders == []
 
 

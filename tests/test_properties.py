@@ -5,24 +5,24 @@ no-progression property, and keeps full coverage.  Transforms must preserve
 the near-modular verdict, and the greedy generator must be prefix-stable.
 The shift-OR sequence core, the residue-mask ``verify`` and the search's
 rotated placement masks must agree with the pair-by-pair oracles in
-``conftest`` on dense and sparse inputs, with and without 0, valid or not.
+``conftest`` on dense and sparse inputs, with and without 0, valid or not,
+and ``detect_character`` must match the level-by-level scan on greedy and
+tampered prefixes.
 The deep check's certificate accepts a predicted prefix exactly when greedy
 growth yields it, and then agrees with ``omitted_set``; built from masks over
 the seed, it equals the whole-prefix shift-OR pass of ``conftest`` field for field.
 The text parsers either answer or raise a ``StanleyError`` on any input, and
-every reader of a number (set element, family parameter, seed term, node
-budget) gives the same answer for the same text.
+every reader of a number (set element, family parameter, seed term) gives
+the same answer for the same text.
 """
 
 import math
-import os
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as hs
 
 import stanley as st
-from stanley.cli import BUDGET_ENV, _node_budget, _parse_terms
+from stanley.cli import _parse_terms
 from stanley.core import INT_LIMIT
 from stanley.families import FAMILY_NAMES
 from stanley.search import _add
@@ -30,6 +30,7 @@ from stanley.search import _add
 from conftest import (
     naive_admissible,
     naive_certificate,
+    naive_detect_character,
     naive_greedy_table,
     naive_is_3_free,
     naive_omitted,
@@ -196,6 +197,22 @@ def test_omitted_matches_oracle_on_greedy_prefixes(seed, grow, cut):
         gaps = st.omitted_set(prefix, bound)
         assert gaps.elements == naive_omitted(prefix.terms, bound)
         assert gaps.omega == (gaps.elements[-1] if gaps.elements else None)
+
+
+@given(
+    seed=hs.one_of(seeds, operand.map(lambda a: a.elements)),
+    grow=hs.integers(min_value=0, max_value=200),
+    at=hs.floats(0, 1),
+    bump=hs.integers(min_value=0, max_value=3),
+)
+@settings(deadline=None)
+def test_detect_character_matches_oracle(seed, grow, at, bump):
+    # bump > 0 tampers: every term from index at * len on moves up by bump
+    assume(brute_3_free(seed))
+    terms = list(st.greedy_extend(seed, max(4, len(seed) + grow)).terms)
+    start = int(at * (len(terms) - 1))
+    terms[start:] = [t + bump for t in terms[start:]]
+    assert st.detect_character(terms) == naive_detect_character(terms)
 
 
 @given(terms=hs.one_of(increasing, seeds), cut=hs.floats(0, 1))
@@ -402,16 +419,10 @@ def read_outcome(read, text):
         return type(exc)
 
 
-def read_budget(text):
-    with mock.patch.dict(os.environ, {BUDGET_ENV: text}):
-        return _node_budget(None)
-
-
 NUMBER_READERS = (
     lambda text: st.parse_set(f"N=1; 0,{text}").elements[1],
     lambda text: st.parse_family(f"T:{text}").params[0],
     lambda text: _parse_terms(text)[0],
-    read_budget,
 )
 
 
