@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -29,6 +30,9 @@ BIT_LIMIT = 1 << 28
 ELEMENT_LIMIT = 1 << 24
 
 _LOG2_3 = math.log2(3.0)
+
+#: One machine word of ones: greedy reads the next gap from the low word of its mask.
+_WORD = (1 << 64) - 1
 
 
 def check_int(value: int, what: str) -> int:
@@ -88,18 +92,29 @@ def check_terms(terms: Iterable[int], what: str = "term") -> tuple[int, ...]:
     return out
 
 
-def _cover(terms: Sequence[int], stop: float = math.inf) -> tuple[int, int, int, int]:
-    """Shift-OR pass over the terms below ``stop``: ``(last, rev, fwd, cover)``.
+def _cover(terms: Sequence[int], stop: int | None = None) -> tuple[int, int, int, int]:
+    """Shift-OR pass over the terms below ``stop``, or all: ``(last, rev, fwd, cover)``.
 
     With base = terms[0], each term x sets bit last - x of rev and x - base of fwd;
     at y, rev's bits read y - x, so ``rev << (y - base)`` sets every 2y - x - base.
+    A pair x < y covers a value below ``stop`` only if y - x < stop - y, a window
+    that only shrinks as y grows; so from the midpoint on, 2y >= stop + base, rev is
+    cut to its low stop - y bits and cover stays under stop - base bits wide.
+    Without ``stop`` nothing is cut, so the returned rev holds every term.
     """
     base = last = terms[0]
     rev = fwd = cover = 0
-    for y in terms:
+    split = len(terms) if stop is None else bisect_right(terms, (stop + base - 1) // 2)
+    for y in terms[:split]:
+        rev <<= y - last
+        cover |= rev << (y - base)
+        rev |= 1
+        fwd |= 1 << (y - base)
+        last = y
+    for y in terms[split:]:
         if y >= stop:
             break
-        rev <<= y - last
+        rev = (rev << (y - last)) & ((1 << (stop - y)) - 1)
         cover |= rev << (y - base)
         rev |= 1
         fwd |= 1 << (y - base)
@@ -158,8 +173,11 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
 
     The seed is checked by the same shift-OR pass that starts the extension:
     it holds a progression exactly when a covered value is a term.
-    The next term is the lowest value above the last that no pair covers; each
-    accepted term costs one shift-OR of the reversed term mask over the span.
+    The next term is the lowest value above the last that no pair covers.  Its
+    gap is read from the low word of the covered-ahead mask, and from the whole
+    mask only after a covered run of 64 values or more.  Each accepted term then
+    costs two shifts over the span: one of the reflected mask of earlier terms,
+    whose new bits are the values the term covers, and one of the ahead mask.
     """
     terms = _terms_of(seed)
     check_bits(terms[-1] - terms[0], "seed span")
@@ -173,12 +191,17 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
 
     grown = list(terms)
     ahead = cover >> (last - terms[0] + 1)  # bit i: last + 1 + i is covered
-    while len(grown) < target_len:
-        gap = (ahead ^ (ahead + 1)).bit_length()  # trailing ones of ahead, plus one
+    pairs = rev >> 1  # bit last - 1 - x for each earlier term x
+    for _ in range(target_len - len(terms)):
+        low = ahead & _WORD
+        if low != _WORD:
+            gap = (low ^ (low + 1)).bit_length()  # trailing ones of ahead, plus one
+        else:  # a covered run of 64 values or more
+            gap = (ahead ^ (ahead + 1)).bit_length()
         last += gap
-        # rev << gap has bit last - x; each 2*last - x sits at bit last - x - 1 of ahead
-        ahead = (ahead >> gap) | (rev << (gap - 1))
-        rev = (rev << gap) | 1
+        # the new term t covers each 2t - x, at bit t - x - 1 of the shifted ahead
+        pairs = (pairs << gap) | (1 << (gap - 1))
+        ahead = (ahead >> gap) | pairs
         grown.append(last)
     check_int(last, "term")
     return _trusted(tuple(grown))  # greedy terms are 3-free
@@ -264,7 +287,9 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     The prefix must reach ``bound`` so that every pair able to cover a value
     below the bound is present; otherwise the answer would be provisional.
     The omitted values are the zero bits of one shift-OR pass over the terms
-    below the bound, O(n) big-int operations (larger y cover only values above it).
+    below the bound (larger y cover only values above it).  From the midpoint
+    on, at y with 2y >= bound + terms[0], the reversed term mask is cut to its low
+    bound - y bits, so no mask grows wider than the bound.
     A bound above ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
     """
     terms = _terms_of(prefix)

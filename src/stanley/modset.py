@@ -11,6 +11,7 @@ sets may exceed the modulus; only their residues matter to verification.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -275,8 +276,11 @@ def read_sets(lines: Iterable[str]) -> list[ResidueSet]:
     return out
 
 
-def load_set_file(source: str) -> list[ResidueSet]:
-    """Sets from an ASCII file; an unreadable file is malformed input."""
+def load_set_file(source: str | os.PathLike) -> list[ResidueSet]:
+    """Sets from the ASCII file at path ``source``; an unreadable file, or a
+    source that is not a path (a file descriptor, a stream), is malformed input."""
+    if not isinstance(source, (str, os.PathLike)):
+        raise MalformedInputError(f"set file {source!r} is not a path")
     try:
         with open(source, "r", encoding="ascii") as handle:
             text = handle.read()

@@ -8,7 +8,14 @@ import stanley as st
 from stanley import core
 from stanley.core import DEFAULT_TERM_CAP, INT_LIMIT, read_int
 
-from conftest import brute_character, naive_greedy, naive_is_3_free, naive_is_covered
+from conftest import (
+    brute_character,
+    naive_greedy,
+    naive_greedy_table,
+    naive_is_3_free,
+    naive_is_covered,
+    naive_omitted,
+)
 
 
 def test_is_3_free_examples():
@@ -70,6 +77,23 @@ def test_prefix_rejects_progressions():
 
 def test_greedy_from_zero():
     assert st.greedy_extend([0], 8).terms == (0, 1, 3, 4, 9, 10, 12, 13)
+    # Odlyzko & Stanley: S(0) is the integers with no digit 2 in base 3.  Its
+    # covered runs reach thousands of values, far past the one word the gap is
+    # read from first.
+    for k in range(12):
+        expected = tuple(int(bin(n)[2:], 3) for n in range(2**k))
+        assert st.greedy_extend([0], 2**k).terms == expected
+
+
+def test_greedy_across_covered_runs_longer_than_a_word():
+    # the seed's first greedy gap is one, but its growth skips runs of 64 and more
+    grown = st.greedy_extend([0, 1, 200], 100).terms
+    assert max(b - a for a, b in zip(grown[2:], grown[3:])) > 64
+    assert grown == naive_greedy_table([0, 1, 200], 100)
+    # and a seed whose very first gap is 122: S(0) up to (3^5 - 1) / 2
+    s0 = st.greedy_extend([0], 32).terms
+    assert st.greedy_extend(s0, 40).terms == naive_greedy_table(s0, 40)
+    assert st.greedy_extend(s0, 33).last - s0[-1] == 122
 
 
 def test_greedy_zero_two():
@@ -194,6 +218,20 @@ def test_omitted_bound_below_character():
     profile = st.detect_character(prefix)
     gaps = st.omitted_set(prefix, prefix.last)
     assert gaps.omega is not None and gaps.omega < profile.character
+
+
+@pytest.mark.parametrize("lam", [100, 1001])
+def test_omitted_set_past_the_midpoint_on_a_long_prefix(lam):
+    # the `character --omitted` path on a witness's modular form: past the
+    # midpoint (last + base) / 2 the reversed mask is cut to bound - y bits
+    form, _ = st.to_modular(st.execute_and_verify(st.witness_for(lam)).witness)
+    prefix = st.greedy_extend(form.elements, 512)
+    base, last = prefix.terms[0], prefix.last
+    middle = (last + base) // 2
+    for bound in (last, middle + 1, middle + 2, (middle + last) // 2, last - 1):
+        gaps = st.omitted_set(prefix, bound)
+        assert gaps.elements == naive_omitted(prefix.terms, bound)
+        assert gaps.omega == (gaps.elements[-1] if gaps.elements else None)
 
 
 def test_omitted_mask_budget(monkeypatch):

@@ -1,5 +1,6 @@
 """Residue-set predicates, products, transforms, and the file format."""
 
+import io
 import math
 
 import pytest
@@ -290,10 +291,18 @@ def test_load_set_file_errors(tmp_path):
         st.load_set_file(str(bad))
 
 
+@pytest.mark.parametrize("source", [0, io.StringIO("N=3; 0,2\n"), b"sets.txt"])
+def test_load_set_file_takes_only_a_path(source):
+    # an int would be read as a file descriptor and closed; a stream is no path
+    with pytest.raises(st.MalformedInputError, match="not a path"):
+        st.load_set_file(source)
+
+
 def test_load_set_file_path_and_handle(tmp_path):
     target = tmp_path / "sets.txt"
     target.write_text("N=3; 0,2\nN=27; 0,1,6,7,10,15,16,18\n", encoding="ascii")
     from_path = st.load_set_file(str(target))
+    assert st.load_set_file(target) == from_path  # an os.PathLike path
     # the CLI reads '-' the same way: read_sets over stdin's lines
     with open(target, encoding="ascii") as handle:
         from_handle = st.read_sets(handle.read().splitlines())

@@ -215,10 +215,12 @@ def test_detect_character_matches_oracle(seed, grow, at, bump):
     assert st.detect_character(terms) == naive_detect_character(terms)
 
 
-@given(terms=hs.one_of(increasing, seeds), cut=hs.floats(0, 1))
-def test_omitted_matches_oracle_on_any_terms(terms, cut):
-    # omitted_set does not require 3-freeness of a plain term list
-    bound = int(cut * terms[-1])
+@given(terms=hs.one_of(increasing, seeds), cut=hs.floats(0, 1), upper=hs.booleans())
+def test_omitted_matches_oracle_on_any_terms(terms, cut, upper):
+    # omitted_set does not require 3-freeness of a plain term list; upper draws
+    # the bound past the midpoint (terms[0] + terms[-1]) / 2, where the scan is cut
+    low = (terms[0] + terms[-1] + 1) // 2 if upper else 0
+    bound = low + int(cut * (terms[-1] - low))
     assert st.omitted_set(terms, bound).elements == naive_omitted(terms, bound)
 
 
