@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .errors import FormatError, MalformedInputError, PrefixTooShortError, ResourceLimitError
@@ -79,10 +79,26 @@ def set_bits(mask: int) -> tuple[int, ...]:
 
 
 def check_terms(terms: Iterable[int], what: str = "term") -> tuple[int, ...]:
-    """``terms`` as a nonempty, strictly increasing tuple of ``check_int`` values."""
+    """``terms`` as a nonempty, strictly increasing tuple of ``check_int`` values.
+
+    One pass tests only type and order; then ``check_int`` reads the last term,
+    which bounds every other.  On any failure the checks rerun term by term, so
+    the first bad term names the error.
+    """
     out = tuple(terms)
     if not out:
         raise MalformedInputError(f"{what} list is empty")
+    last = -1
+    for value in out:
+        if type(value) is not int or value <= last:
+            break
+        last = value
+    else:
+        try:
+            check_int(last, what)
+            return out
+        except ResourceLimitError:
+            pass
     last = -1
     for value in out:
         check_int(value, what)
@@ -136,14 +152,24 @@ def _has_progression(seq: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class StanleyPrefix:
-    """A finite greedy prefix: strictly increasing, 3-AP-free terms."""
+    """A finite greedy prefix: strictly increasing, 3-AP-free terms.
+
+    ``settled`` promises that every value in [settled, last] is a term or is
+    2y - x for terms x < y, so ``omitted_set`` need not scan above it.  A prefix
+    built from terms claims nothing, so it is ``last``.  ``greedy_extend`` keeps
+    its seed's point, the top of a plain seed (greedy skips a value only when a
+    pair covers it), and ``doubled_prefix`` sets max A.  It cannot be passed in
+    and takes no part in equality, hashing or repr.
+    """
 
     terms: tuple[int, ...]
+    settled: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", check_terms(self.terms))
         if _has_progression(self.terms):
             raise MalformedInputError("terms contain a 3-term arithmetic progression")
+        object.__setattr__(self, "settled", self.terms[-1])
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -161,10 +187,11 @@ def _terms_of(prefix: SeedLike) -> tuple[int, ...]:
     return prefix.terms if isinstance(prefix, StanleyPrefix) else check_terms(prefix)
 
 
-def _trusted(terms: tuple[int, ...]) -> StanleyPrefix:
+def _trusted(terms: tuple[int, ...], settled: int) -> StanleyPrefix:
     """A StanleyPrefix over terms already known to be valid, without re-validation."""
     prefix = object.__new__(StanleyPrefix)
     object.__setattr__(prefix, "terms", terms)
+    object.__setattr__(prefix, "settled", settled)
     return prefix
 
 
@@ -204,7 +231,10 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
         ahead = (ahead >> gap) | pairs
         grown.append(last)
     check_int(last, "term")
-    return _trusted(tuple(grown))  # greedy terms are 3-free
+    # greedy terms are 3-free, and every value above the seed's top is decided;
+    # a seed's own settled point is never above its top
+    settled = seed.settled if isinstance(seed, StanleyPrefix) else terms[-1]
+    return _trusted(tuple(grown), settled)
 
 
 @dataclass(frozen=True)
@@ -286,10 +316,13 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
 
     The prefix must reach ``bound`` so that every pair able to cover a value
     below the bound is present; otherwise the answer would be provisional.
+    Values from ``prefix.settled`` on are decided already, so the scan stops
+    at below = min(bound, settled): on a greedy prefix its cost follows the
+    seed, not the prefix, and a plain term list gets the whole scan.
     The omitted values are the zero bits of one shift-OR pass over the terms
-    below the bound (larger y cover only values above it).  From the midpoint
-    on, at y with 2y >= bound + terms[0], the reversed term mask is cut to its low
-    bound - y bits, so no mask grows wider than the bound.
+    under below (larger y cover only values above it).  From the midpoint
+    on, at y with 2y >= below + terms[0], the reversed term mask is cut to its low
+    below - y bits, so no mask grows wider than below.
     A bound above ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
     """
     terms = _terms_of(prefix)
@@ -297,8 +330,9 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     if terms[-1] < bound:
         raise PrefixTooShortError(f"last term {terms[-1]} below scan bound {bound}")
 
-    _, _, fwd, cover = _cover(terms, bound)
-    return _omitted(fwd | cover, terms[0], bound, bound)
+    below = min(bound, prefix.settled) if isinstance(prefix, StanleyPrefix) else bound
+    _, _, fwd, cover = _cover(terms, below)
+    return _omitted(fwd | cover, terms[0], below, bound)
 
 
 def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, OmittedSet] | None:
@@ -356,7 +390,7 @@ def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, Om
     if cover & fwd or gaps & ~decided:
         return None
     predicted = tuple([x + k for k in blocks for x in terms])
-    return _trusted(predicted), _omitted(decided, base, top, end)
+    return _trusted(predicted, top), _omitted(decided, base, top, end)
 
 
 def growth_diagnostic(prefix: SeedLike) -> tuple[float, ...]:

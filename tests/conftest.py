@@ -12,7 +12,22 @@ import os
 import pytest
 
 import stanley as st
+from stanley.core import check_int
 from stanley.families import R_VARIANTS
+
+
+def naive_check_terms(terms, what="term") -> tuple[int, ...]:
+    """``core.check_terms`` as one ``check_int`` and one order test per element."""
+    out = tuple(terms)
+    if not out:
+        raise st.MalformedInputError(f"{what} list is empty")
+    last = -1
+    for value in out:
+        check_int(value, what)
+        if value <= last:
+            raise st.MalformedInputError(f"{what}s must be strictly increasing")
+        last = value
+    return out
 
 
 def naive_is_3_free(terms) -> bool:

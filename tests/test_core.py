@@ -75,6 +75,16 @@ def test_prefix_rejects_progressions():
     assert len(prefix) == 4 and prefix.last == 4
 
 
+def test_settled_is_derived_not_passed():
+    # a prefix built from terms claims nothing; greedy growth claims its seed's top
+    assert st.StanleyPrefix([0, 1, 3, 4]).settled == 4
+    assert st.greedy_extend([0, 1, 3, 4], 16).settled == 4
+    assert st.greedy_extend(st.greedy_extend([0, 2], 5), 9).settled == 2
+    assert st.doubled_prefix([0, 2], 3)[0].settled == 2
+    with pytest.raises(TypeError):
+        st.StanleyPrefix([0, 1, 3, 4], settled=0)
+
+
 def test_greedy_from_zero():
     assert st.greedy_extend([0], 8).terms == (0, 1, 3, 4, 9, 10, 12, 13)
     # Odlyzko & Stanley: S(0) is the integers with no digit 2 in base 3.  Its
@@ -253,6 +263,7 @@ def test_doubled_prefix_is_the_greedy_prefix():
     assert prefix == st.greedy_extend(seed, 32)
     assert prefix.terms[8:10] == (27, 28) and prefix.terms[16:18] == (81, 82)
     assert gaps == st.omitted_set(prefix, prefix.last)
+    assert gaps == st.omitted_set(list(prefix.terms), prefix.last)  # the whole scan
     assert gaps.elements == (3, 4, 5, 9) and gaps.scan_bound == 18 + 4 * 27
 
 

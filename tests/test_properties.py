@@ -7,7 +7,9 @@ The shift-OR sequence core, the residue-mask ``verify`` and the search's
 rotated placement masks must agree with the pair-by-pair oracles in
 ``conftest`` on dense and sparse inputs, with and without 0, valid or not,
 and ``detect_character`` must match the level-by-level scan on greedy and
-tampered prefixes.
+tampered prefixes.  ``check_terms`` returns or raises what its per-element
+oracle does, and every value of a greedy prefix above its ``settled`` point
+is a term or covered, so ``omitted_set`` may stop there.
 The deep check's certificate accepts a predicted prefix exactly when greedy
 growth yields it, and then agrees with ``omitted_set``; built from masks over
 the seed, it equals the whole-prefix shift-OR pass of ``conftest`` field for field.
@@ -19,17 +21,18 @@ the same answer for the same text.
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as hs
+from hypothesis import assume, example, given, settings, strategies as hs
 
 import stanley as st
 from stanley.cli import _parse_terms
-from stanley.core import INT_LIMIT
+from stanley.core import INT_LIMIT, check_terms
 from stanley.families import FAMILY_NAMES
 from stanley.search import _add
 
 from conftest import (
     naive_admissible,
     naive_certificate,
+    naive_check_terms,
     naive_detect_character,
     naive_greedy_table,
     naive_is_3_free,
@@ -185,18 +188,96 @@ def test_greedy_matches_table_oracle(seed, grow):
 def test_greedy_result_revalidates(seed, grow):
     assume(brute_3_free(seed))
     prefix = st.greedy_extend(seed, len(seed) + grow)
-    assert st.StanleyPrefix(prefix.terms) == prefix
+    rebuilt = st.StanleyPrefix(prefix.terms)
+    assert rebuilt == prefix
+    # settled is derived: a rebuilt prefix claims nothing, and it is not compared
+    assert rebuilt.settled == prefix.last
+    assert hash(rebuilt) == hash(prefix) and repr(rebuilt) == repr(prefix)
 
 
-@given(seed=seeds, grow=hs.integers(min_value=0, max_value=40), cut=hs.floats(0, 1))
+@given(
+    seed=seeds,
+    grow=hs.integers(min_value=0, max_value=40),
+    cut=hs.floats(0, 1),
+    first=hs.floats(0, 1),
+)
 @settings(deadline=None)
-def test_omitted_matches_oracle_on_greedy_prefixes(seed, grow, cut):
+def test_omitted_matches_oracle_on_greedy_prefixes(seed, grow, cut, first):
+    # a greedy prefix scans only below its seed's top; bounds around that top,
+    # and a prefix grown in two steps, must match the oracle and the whole scan
+    # of the same terms as a plain list
     assume(brute_3_free(seed))
-    prefix = st.greedy_extend(seed, len(seed) + grow)
-    for bound in (0, int(cut * prefix.last), prefix.last):
-        gaps = st.omitted_set(prefix, bound)
-        assert gaps.elements == naive_omitted(prefix.terms, bound)
-        assert gaps.omega == (gaps.elements[-1] if gaps.elements else None)
+    target = len(seed) + grow
+    once = st.greedy_extend(seed, target)
+    chained = st.greedy_extend(st.greedy_extend(seed, len(seed) + int(first * grow)), target)
+    assert chained == once
+    top = seed[-1]
+    for prefix in (once, chained):
+        for bound in (0, int(cut * prefix.last), prefix.last, top - 1, top, top + 1):
+            bound = min(max(bound, 0), prefix.last)
+            gaps = st.omitted_set(prefix, bound)
+            assert gaps.elements == naive_omitted(prefix.terms, bound)
+            assert gaps.omega == (gaps.elements[-1] if gaps.elements else None)
+            assert gaps == st.omitted_set(list(prefix.terms), bound)
+
+
+def naive_settles(prefix) -> bool:
+    """Every value in (settled, last] is a term or 2y - x for terms x < y, pair by pair."""
+    terms = prefix.terms
+    decided = set(terms)
+    for j, y in enumerate(terms):
+        for x in terms[:j]:
+            decided.add(2 * y - x)
+    return all(v in decided for v in range(prefix.settled + 1, prefix.last + 1))
+
+
+@given(seed=seeds, grow=hs.integers(min_value=0, max_value=40), first=hs.floats(0, 1))
+@settings(deadline=None)
+def test_greedy_prefix_is_settled_above_its_seed(seed, grow, first):
+    assume(brute_3_free(seed))
+    step = st.greedy_extend(seed, len(seed) + int(first * grow))
+    for prefix in (st.greedy_extend(seed, len(seed) + grow), st.greedy_extend(step, len(seed) + grow)):
+        assert prefix.settled == seed[-1]
+        assert naive_settles(prefix)
+
+
+# check_terms inputs: short tuples of valid and invalid terms, and increasing
+# runs of ints with one bad value put in, so both the fast pass and its fallback run
+over_range = hs.sampled_from((INT_LIMIT, INT_LIMIT + 1, 2 * INT_LIMIT + 2))
+term_values = hs.one_of(
+    hs.integers(min_value=0, max_value=40),
+    hs.integers(min_value=-5, max_value=-1),
+    over_range,
+    hs.booleans(),
+    hs.floats(),
+    hs.text(max_size=2),
+)
+
+
+@hs.composite
+def term_tuples(draw):
+    if draw(hs.booleans()):
+        return tuple(draw(hs.lists(term_values, max_size=6)))
+    ints = draw(hs.lists(hs.integers(min_value=0, max_value=40), max_size=5, unique=True))
+    values = sorted(ints) + sorted(set(draw(hs.lists(over_range, max_size=2))))
+    if values and draw(hs.booleans()):
+        at = draw(hs.integers(min_value=0, max_value=len(values)))
+        values.insert(at, draw(hs.one_of(term_values, hs.sampled_from(values))))  # a repeat or anything
+    return tuple(values)
+
+
+@given(terms=term_tuples(), what=hs.sampled_from(("term", "element")))
+@example(terms=(0, True, 2), what="term")  # a bool in increasing position
+@example(terms=(3, INT_LIMIT + 1, 2 * INT_LIMIT + 2), what="term")  # the first term over names it
+def test_check_terms_matches_the_per_element_oracle(terms, what):
+    try:
+        expected = naive_check_terms(terms, what)
+    except st.StanleyError as error:
+        with pytest.raises(type(error)) as raised:
+            check_terms(terms, what)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    else:
+        assert check_terms(terms, what) == expected
 
 
 @given(
@@ -257,6 +338,15 @@ def test_certificate_accepts_exactly_the_greedy_prefix(case):
         prefix, gaps = certified
         assert prefix == grown
         assert gaps == st.omitted_set(grown, grown.last)
+
+
+@given(form=modular_forms)
+@settings(deadline=None)
+def test_doubled_prefix_is_settled_above_max_a(form):
+    seed, modulus = form
+    prefix, _ = st.doubled_prefix(seed, modulus)
+    assert prefix.settled == seed[-1]
+    assert naive_settles(prefix)
 
 
 @hs.composite
