@@ -139,9 +139,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not report.is_near_modular:
                 if report.witness_violation is not None:
                     line += f", progression {report.witness_violation}"
-                if report.uncovered_residues:
-                    missing = ",".join(str(r) for r in report.uncovered_residues)
-                    line += f", uncovered {missing}"
+                shown, count = report.uncovered_residues, report.uncovered_count
+                if shown:
+                    line += ", uncovered " + ",".join(str(r) for r in shown)
+                    if len(shown) < count:
+                        line += f" (first {len(shown)} of {count})"
             if failed:
                 failures += 1
             print(line)

@@ -13,6 +13,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from .errors import FormatError, MalformedInputError, PrefixTooShortError, ResourceLimitError
@@ -73,9 +74,21 @@ def read_int(text: str, what: str = "number") -> int:
     return check_int(int(body), what)
 
 
-def set_bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of a nonnegative ``mask``, ascending."""
-    return tuple(m.start() for m in re.finditer("1", bin(mask)[:1:-1]))
+def set_bits(mask: int, limit: int | None = None) -> tuple[int, ...]:
+    """Positions of the set bits of a nonnegative ``mask``, ascending; with
+    ``limit``, only the lowest ``limit`` of them.
+
+    A limited read lists a window of low bits, doubled from one word until it
+    holds ``limit`` set bits, so its cost follows the position of the last bit
+    listed, not the width of the mask.
+    """
+    if limit is not None:
+        width = 64
+        while width < mask.bit_length() and (mask & ((1 << width) - 1)).bit_count() < limit:
+            width <<= 1
+        mask &= (1 << width) - 1
+    found = re.finditer("1", bin(mask)[:1:-1])
+    return tuple(m.start() for m in islice(found, limit))
 
 
 def check_terms(terms: Iterable[int], what: str = "term") -> tuple[int, ...]:
@@ -297,22 +310,41 @@ def detect_character(prefix: SeedLike) -> CharacterProfile | None:
 
 @dataclass(frozen=True)
 class OmittedSet:
-    """Integers below ``scan_bound`` that are neither terms nor covered."""
+    """Integers below ``scan_bound`` that are neither terms nor covered.
 
-    elements: tuple[int, ...]
-    omega: int | None
+    Bit v of ``mask`` is set when v is omitted.  ``omega`` (the largest omitted
+    value, or None) and ``count`` read the mask; ``elements`` lists it on each
+    read.  The repr shows ``omega`` and ``count`` instead of the mask, which can
+    be wider than Python prints as a decimal int.
+    """
+
+    mask: int
     scan_bound: int
+
+    def __repr__(self) -> str:
+        return f"OmittedSet(omega={self.omega}, count={self.count}, scan_bound={self.scan_bound})"
+
+    @property
+    def omega(self) -> int | None:
+        return self.mask.bit_length() - 1 if self.mask else None
+
+    @property
+    def count(self) -> int:
+        return self.mask.bit_count()
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return set_bits(self.mask)
 
 
 def _omitted(decided: int, base: int, below: int, scan_bound: int) -> OmittedSet:
-    """The values in [0, below) that mask ``decided`` (bit i: base + i is a term
-    or covered) leaves unset, as an OmittedSet over ``scan_bound``."""
-    elements = set_bits(~(decided << base) & ((1 << below) - 1))
-    return OmittedSet(elements, elements[-1] if elements else None, scan_bound)
+    """The OmittedSet over ``scan_bound`` whose mask is the values in [0, below)
+    that ``decided`` (bit i: base + i is a term or covered) leaves unset."""
+    return OmittedSet(~(decided << base) & ((1 << below) - 1), scan_bound)
 
 
 def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
-    """Collect omitted integers in [0, bound).
+    """The omitted integers in [0, bound), as a mask.
 
     The prefix must reach ``bound`` so that every pair able to cover a value
     below the bound is present; otherwise the answer would be provisional.
@@ -320,7 +352,8 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     at below = min(bound, settled): on a greedy prefix its cost follows the
     seed, not the prefix, and a plain term list gets the whole scan.
     The omitted values are the zero bits of one shift-OR pass over the terms
-    under below (larger y cover only values above it).  From the midpoint
+    under below (larger y cover only values above it), kept as the mask of the
+    OmittedSet; only its ``elements`` lists them.  From the midpoint
     on, at y with 2y >= below + terms[0], the reversed term mask is cut to its low
     below - y bits, so no mask grows wider than below.
     A bound above ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
@@ -346,8 +379,8 @@ def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, Om
     it is covered by two terms below that value, so already grown; greedy growth
     is unique, so it grows P.  Conversely greedy skips a value only when a pair
     covers it.  No omitted value lies above max A: every value there is a term or
-    covered.  So the omitted set is the zero bits of the same masks below max A,
-    equal to ``omitted_set(P, P.last)`` field for field.
+    covered.  So the omitted set's mask is the zero bits of the same masks below
+    max A, equal to ``omitted_set(P, P.last)`` field for field.
 
     The pairs of P follow its blocks A + iN, each wholly below the next as
     N > max A.  A pair a + iN < b + iN inside a block covers 2b - a + iN, so these

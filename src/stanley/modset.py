@@ -11,6 +11,7 @@ sets may exceed the modulus; only their residues matter to verification.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -56,10 +57,28 @@ class ResidueSet:
         return iter(self.elements)
 
 
+def _trusted(modulus: int, elements: tuple[int, ...]) -> ResidueSet:
+    """A ResidueSet over a modulus and elements already known to be valid (a
+    modulus of at least 1, and ascending checked ints from 0), without re-validation."""
+    a = object.__new__(ResidueSet)
+    object.__setattr__(a, "modulus", modulus)
+    object.__setattr__(a, "elements", elements)
+    return a
+
+
+#: Most uncovered residues a VerificationReport lists; it counts all of them.
+UNCOVERED_SHOWN = 16
+
+
 @dataclass(frozen=True)
 class VerificationReport:
+    """``uncovered_residues`` holds the lowest ``UNCOVERED_SHOWN`` uncovered
+    residues and ``uncovered_count`` how many there are, so a report stays the
+    same size whatever the modulus."""
+
     is_three_free_mod: bool
     uncovered_residues: tuple[int, ...]
+    uncovered_count: int
     is_near_modular: bool
     is_modular: bool
     witness_violation: tuple[int, int, int] | None
@@ -124,13 +143,13 @@ def verify(a: ResidueSet) -> VerificationReport:
                     break
 
     free = ~(cover | cover >> n) & ((1 << n) - 1)
-    uncovered = set_bits(free) if free else ()
 
     three_free = violation is None
-    near = three_free and not uncovered
+    near = three_free and not free
     return VerificationReport(
         is_three_free_mod=three_free,
-        uncovered_residues=uncovered,
+        uncovered_residues=set_bits(free, UNCOVERED_SHOWN) if free else (),
+        uncovered_count=free.bit_count(),
         is_near_modular=near,
         is_modular=near and a.max_element < n,
         witness_violation=violation,
@@ -144,7 +163,8 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     means an input repeats a residue class, which breaks that precondition,
     so it raises PreconditionError rather than being silently deduplicated.
     More than ``ELEMENT_LIMIT`` sums raise ResourceLimitError before any is
-    built.
+    built.  The inputs are valid sets, so sorted strictly increasing sums from 0,
+    with the largest checked, are a valid set and skip re-validation.
     """
     n = a.modulus
     new_modulus = check_int(n * b.modulus, "product modulus")
@@ -154,10 +174,10 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
         raise ResourceLimitError(
             f"product of {count} elements exceeds the {ELEMENT_LIMIT}-element budget"
         )
-    sums = sorted(x + n * y for x in a.elements for y in b.elements)
-    if len(set(sums)) != count:
+    sums = sorted([x + n * y for x in a.elements for y in b.elements])
+    if not all(map(operator.lt, sums, sums[1:])):
         raise PreconditionError("product sums collided; an input set repeats a residue class")
-    return ResidueSet(new_modulus, tuple(sums))
+    return _trusted(new_modulus, tuple(sums))
 
 
 def scale(a: ResidueSet, c: int) -> ResidueSet:
@@ -175,7 +195,8 @@ def shift_max(a: ResidueSet, multiples: int = 1) -> ResidueSet:
     """Raise the largest element by ``multiples`` times the modulus.
 
     Residues are unchanged, so every verification verdict is preserved;
-    only the maximum (and with it the character) moves.
+    only the maximum (and with it the character) moves.  The raised maximum
+    stays the largest element, so the valid input gives a valid set unchecked.
     """
     check_int(multiples, "multiples")
     if multiples < 1:
@@ -183,7 +204,7 @@ def shift_max(a: ResidueSet, multiples: int = 1) -> ResidueSet:
     if a.max_element == 0:
         raise PreconditionError("cannot shift a set whose only element is 0")
     new_max = check_int(a.max_element + multiples * a.modulus, "shifted element")
-    return ResidueSet(a.modulus, a.elements[:-1] + (new_max,))
+    return _trusted(a.modulus, a.elements[:-1] + (new_max,))
 
 
 #: The two-element doubling block used to convert near-modular to modular.

@@ -14,6 +14,7 @@ import pytest
 import stanley as st
 from stanley.core import check_int
 from stanley.families import R_VARIANTS
+from stanley.modset import UNCOVERED_SHOWN
 
 
 def naive_check_terms(terms, what="term") -> tuple[int, ...]:
@@ -178,8 +179,8 @@ def naive_certificate(terms, top) -> st.OmittedSet | None:
     gaps = (1 << (last - base)) - (1 << (top - base + 1))
     if cover & fwd or gaps & ~decided:
         return None
-    elements = tuple(z for z in range(top) if z < base or not (decided >> (z - base)) & 1)
-    return st.OmittedSet(elements, elements[-1] if elements else None, last)
+    elements = [z for z in range(top) if z < base or not (decided >> (z - base)) & 1]
+    return st.OmittedSet(sum(1 << z for z in elements), last)
 
 
 def naive_to_modular(a: st.ResidueSet) -> tuple[st.ResidueSet, int]:
@@ -271,7 +272,8 @@ def naive_mod_covers_all(a: st.ResidueSet) -> bool:
 def naive_verify(a: st.ResidueSet) -> st.VerificationReport:
     """Full near-modular / modular verdict with a first violating triple.
 
-    Pair by pair: a dict probe for every (y, x) and a bytearray(N) coverage scan.
+    Pair by pair: a dict probe for every (y, x) and a bytearray(N) coverage scan,
+    listing the first ``UNCOVERED_SHOWN`` uncovered residues and counting them all.
 
     A violation is any ordered triple (x, y, z) of elements, not all three
     identical, with x + z == 2y (mod N).  Degenerate triples are screened
@@ -324,7 +326,8 @@ def naive_verify(a: st.ResidueSet) -> st.VerificationReport:
     near = three_free and not uncovered
     return st.VerificationReport(
         is_three_free_mod=three_free,
-        uncovered_residues=uncovered,
+        uncovered_residues=uncovered[:UNCOVERED_SHOWN],
+        uncovered_count=len(uncovered),
         is_near_modular=near,
         is_modular=near and a.max_element < n,
         witness_violation=violation,

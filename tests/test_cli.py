@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,33 @@ def test_verify_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(target), "N=3; 0,1")
     assert code == 0
     assert out.count("=>") == 3
+
+
+def test_verify_lists_few_uncovered_residues_as_before(capsys):
+    code, out, _ = run(capsys, "verify", "N=5; 0,1")
+    assert code == 1
+    assert out == "N=5; 0,1  => FAIL, uncovered 3,4\n"
+
+
+def test_verify_of_a_wide_modulus_stays_small():
+    # 2^24 - 3 uncovered residues: the report lists 16 and counts the rest, and
+    # the process that verifies peaks under 100 MiB (it listed all at 735 MiB)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        f"import resource, sys; sys.path.insert(0, {src!r}); from stanley.cli import main; "
+        "code = main(['verify', 'N=16777216; 0,1']); "
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120
+    )
+    line, status = done.stdout.splitlines()
+    assert line == (
+        "N=16777216; 0,1  => FAIL, uncovered 3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18"
+        " (first 16 of 16777213)"
+    )
+    code, peak_kib = map(int, status.split())
+    assert code == 1 and peak_kib < 100 * 1024
 
 
 def test_verify_reads_stdin(monkeypatch, capsys):

@@ -60,7 +60,11 @@ def test_verify_detects_progression():
 def test_verify_detects_uncovered():
     report = st.verify(st.ResidueSet(5, (0, 1)))
     assert not report.is_near_modular
-    assert 3 in report.uncovered_residues
+    assert report.uncovered_residues == (3, 4) and report.uncovered_count == 2
+    # past UNCOVERED_SHOWN the report lists the lowest and counts them all
+    report = st.verify(st.ResidueSet(2**20, (0, 1)))
+    assert report.uncovered_residues == tuple(range(3, 3 + modset.UNCOVERED_SHOWN))
+    assert report.uncovered_count == 2**20 - 3
 
 
 def test_verify_rejects_repeated_residue():

@@ -9,7 +9,10 @@ rotated placement masks must agree with the pair-by-pair oracles in
 and ``detect_character`` must match the level-by-level scan on greedy and
 tampered prefixes.  ``check_terms`` returns or raises what its per-element
 oracle does, and every value of a greedy prefix above its ``settled`` point
-is a term or covered, so ``omitted_set`` may stop there.
+is a term or covered, so ``omitted_set`` may stop there.  Every mask-backed
+``OmittedSet`` reads the oracle's elements, largest value and count, and the
+sets ``product``, ``power`` and ``shift_max`` build unchecked equal their
+re-validated copies.
 The deep check's certificate accepts a predicted prefix exactly when greedy
 growth yields it, and then agrees with ``omitted_set``; built from masks over
 the seed, it equals the whole-prefix shift-OR pass of ``conftest`` field for field.
@@ -25,7 +28,7 @@ from hypothesis import assume, example, given, settings, strategies as hs
 
 import stanley as st
 from stanley.cli import _parse_terms
-from stanley.core import INT_LIMIT, check_terms
+from stanley.core import INT_LIMIT, check_terms, set_bits
 from stanley.families import FAMILY_NAMES
 from stanley.search import _add
 
@@ -89,6 +92,20 @@ def residue_sets(draw):
     if n % 2 == 0 and xs and draw(hs.booleans()):
         xs.append(xs[0] + n // 2)  # same doubled residue as xs[0]
     return st.ResidueSet.of(n, {0, *xs})
+
+
+def assert_omitted(gaps, expected):
+    """An OmittedSet's mask-backed fields against the oracle's element list."""
+    assert gaps.elements == expected
+    assert gaps.omega == (expected[-1] if expected else None)
+    assert gaps.count == len(expected)
+
+
+@given(bits=hs.sets(hs.integers(min_value=0, max_value=3000)),
+       limit=hs.integers(min_value=0, max_value=40))
+def test_limited_set_bits_lists_the_lowest(bits, limit):
+    # sparse high bits make the window grow past its first word
+    assert set_bits(sum(1 << b for b in bits), limit) == tuple(sorted(bits))[:limit]
 
 
 def edited(a, edit, k):
@@ -216,8 +233,7 @@ def test_omitted_matches_oracle_on_greedy_prefixes(seed, grow, cut, first):
         for bound in (0, int(cut * prefix.last), prefix.last, top - 1, top, top + 1):
             bound = min(max(bound, 0), prefix.last)
             gaps = st.omitted_set(prefix, bound)
-            assert gaps.elements == naive_omitted(prefix.terms, bound)
-            assert gaps.omega == (gaps.elements[-1] if gaps.elements else None)
+            assert_omitted(gaps, naive_omitted(prefix.terms, bound))
             assert gaps == st.omitted_set(list(prefix.terms), bound)
 
 
@@ -302,7 +318,7 @@ def test_omitted_matches_oracle_on_any_terms(terms, cut, upper):
     # the bound past the midpoint (terms[0] + terms[-1]) / 2, where the scan is cut
     low = (terms[0] + terms[-1] + 1) // 2 if upper else 0
     bound = low + int(cut * (terms[-1] - low))
-    assert st.omitted_set(terms, bound).elements == naive_omitted(terms, bound)
+    assert_omitted(st.omitted_set(terms, bound), naive_omitted(terms, bound))
 
 
 def predicted_prefix(seed, modulus):
@@ -338,6 +354,7 @@ def test_certificate_accepts_exactly_the_greedy_prefix(case):
         prefix, gaps = certified
         assert prefix == grown
         assert gaps == st.omitted_set(grown, grown.last)
+        assert_omitted(gaps, naive_omitted(grown.terms, grown.last))
 
 
 @given(form=modular_forms)
@@ -445,6 +462,27 @@ def test_product_geometry(a, b):
     assert p.modulus == a.modulus * b.modulus
     assert len(p) == len(a) * len(b)
     assert p.max_element == a.max_element + a.modulus * b.max_element
+
+
+@given(a=residue_sets(), b=residue_sets(), c=operand, d=operand,
+       k=hs.integers(min_value=1, max_value=3), n=hs.integers(min_value=0, max_value=3))
+@settings(deadline=None)
+def test_package_built_sets_equal_their_validated_copies(a, b, c, d, k, n):
+    # product, power and shift_max skip re-validation: the checked constructor
+    # rebuilds each result unchanged, and colliding sums raise the one error
+    sums = sorted(x + a.modulus * y for x in a for y in b)
+    built = [st.power(c, d, n)]
+    if len(set(sums)) < len(sums):
+        with pytest.raises(st.PreconditionError) as raised:
+            st.product(a, b)
+        assert str(raised.value) == "product sums collided; an input set repeats a residue class"
+    else:
+        built.append(st.product(a, b))
+        assert built[-1].elements == tuple(sums)
+    if len(a) > 1:
+        built.append(st.shift_max(a, k))
+    for r in built:
+        assert r == st.ResidueSet(r.modulus, r.elements)
 
 
 @given(a=operand, b=operand, c=operand)

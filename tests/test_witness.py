@@ -239,6 +239,14 @@ def test_execute_table_row_deep():
     assert result.omitted.omega is not None and result.omitted.omega < 63
 
 
+def test_repr_of_a_wide_omitted_mask():
+    # the omitted mask at this character is 20,006 bits, past the 4,300 digits
+    # Python prints as a decimal int; the repr shows omega, not the mask
+    result = st.execute_and_verify(st.witness_for(40000), deep=True)
+    assert result.omitted.mask.bit_length() > 20000
+    assert f"OmittedSet(omega={result.omitted.omega}, count=" in repr(result)
+
+
 def test_execute_search_strategy():
     result = st.execute_and_verify(st.witness_for(7), deep=True)
     assert result.witness == st.ResidueSet(10, (0, 1, 7, 8))
