@@ -111,7 +111,7 @@ def _cmd_character(args: argparse.Namespace) -> int:
     print(f"character: {profile.character}")
     print(f"repeat factor: {profile.repeat_factor}")
     if gaps is not None:
-        shown = ",".join(str(v) for v in gaps.elements) if gaps.elements else "none"
+        shown = ",".join(map(str, gaps.elements)) or "none"
         print(f"omitted values up to {gaps.scan_bound}: {shown}")
     return 0
 

@@ -171,8 +171,8 @@ class StanleyPrefix:
     2y - x for terms x < y, so ``omitted_set`` need not scan above it.  A prefix
     built from terms claims nothing, so it is ``last``.  ``greedy_extend`` keeps
     its seed's point, the top of a plain seed (greedy skips a value only when a
-    pair covers it), and ``doubled_prefix`` sets max A.  It cannot be passed in
-    and takes no part in equality, hashing or repr.
+    pair covers it).  It cannot be passed in and takes no part in equality,
+    hashing or repr.
     """
 
     terms: tuple[int, ...]
@@ -276,6 +276,25 @@ class CharacterProfile:
         return self.verified_up_to_level - self.settle_level + 1
 
 
+def _settle(terms: Sequence[int], level: int, character: int) -> int:
+    """Walk down from ``level``: the least k <= level such that both doubling
+    identities hold with ``character`` at every level from k to level - 1.
+
+    Level j holds when a[2^j + i] == a[2^j] + a[i] for 0 <= i < 2^j and
+    a[2^j] == 2*a[2^j - 1] - character + 1; it reads only the first 2^(j+1) terms.
+    """
+    while level > 0:
+        block = 1 << (level - 1)
+        head = terms[block]
+        if (
+            2 * terms[block - 1] - head + 1 != character
+            or terms[block : 2 * block] != tuple([head + x for x in terms[:block]])
+        ):
+            break
+        level -= 1
+    return level
+
+
 def detect_character(prefix: SeedLike) -> CharacterProfile | None:
     """Scan the doubling identities empirically; None when they never settle.
 
@@ -290,21 +309,12 @@ def detect_character(prefix: SeedLike) -> CharacterProfile | None:
     if len(terms) < 4:
         raise PrefixTooShortError("need at least 4 terms to check one doubling level")
     top = len(terms).bit_length() - 2  # largest k with 2^(k+1) <= len(terms)
-
-    def agrees(k: int, character: int) -> bool:
-        block = 1 << k
-        head = terms[block]
-        return (
-            2 * terms[block - 1] - head + 1 == character
-            and terms[block : 2 * block] == tuple([head + x for x in terms[:block]])
-        )
-
     character = 2 * terms[(1 << top) - 1] - terms[1 << top] + 1
-    if character < 0 or not agrees(top, character):
+    if character < 0:
         return None
-    settle = top
-    while settle > 0 and agrees(settle - 1, character):
-        settle -= 1
+    settle = _settle(terms, top + 1, character)
+    if settle > top:  # the top level disagrees
+        return None
     return CharacterProfile(character, settle, terms[1 << settle], top)
 
 
@@ -368,19 +378,34 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     return _omitted(fwd | cover, terms[0], below, bound)
 
 
-def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, OmittedSet] | None:
-    """The greedy extension of a fully modular ``seed`` A mod N to 4|A| terms, and
-    its omitted set, proved from two passes over A; None when the proof fails.
+def _doubled_profile(terms: tuple[int, ...], modulus: int) -> CharacterProfile | None:
+    """``detect_character`` of P = A + {0, N, 3N, 4N}, read off A (see ``doubled_prefix``)."""
+    level = len(terms).bit_length() - 1
+    character = 2 * terms[-1] + 1 - modulus
+    if terms[0] or len(terms) != 1 << level or character < 0:
+        return None
+    settle = _settle(terms, level, character)  # levels level + 1 and level hold
+    head = terms[1 << settle] if settle < level else modulus
+    return CharacterProfile(character, settle, head, level + 1)
 
-    Self-similarity predicts the prefix P = A + {0, N, 3N, 4N}.  P is the greedy
-    extension exactly when it is 3-free and every value in (max A, max P) outside
-    P is 2y - x for terms x < y of P.  If so, by induction each next term of P is
-    admissible (it joins a subset of the 3-free P), and each value skipped before
-    it is covered by two terms below that value, so already grown; greedy growth
-    is unique, so it grows P.  Conversely greedy skips a value only when a pair
-    covers it.  No omitted value lies above max A: every value there is a term or
-    covered.  So the omitted set's mask is the zero bits of the same masks below
-    max A, equal to ``omitted_set(P, P.last)`` field for field.
+
+def doubled_prefix(
+    seed: Sequence[int], modulus: int
+) -> tuple[CharacterProfile | None, OmittedSet] | None:
+    """Prove that greedy growth extends a fully modular ``seed`` A mod N to
+    P = A + {0, N, 3N, 4N}, from two passes over A, without building P.  Returns
+    ``(profile, omitted)``: ``detect_character(P)``, read off A, and P's omitted
+    set; None when the proof fails.
+
+    P is the greedy extension exactly when it is 3-free and every value in
+    (max A, max P) outside P is 2y - x for terms x < y of P.  If so, by induction
+    each next term of P is admissible (it joins a subset of the 3-free P), and
+    each value skipped before it is covered by two terms below that value, so
+    already grown; greedy growth is unique, so it grows P.  Conversely greedy
+    skips a value only when a pair covers it.  No omitted value lies above
+    max A: every value there is a term or covered.  So the omitted set's mask is
+    the zero bits of the same masks below max A, equal to
+    ``omitted_set(P, max P)`` field for field.
 
     The pairs of P follow its blocks A + iN, each wholly below the next as
     N > max A.  A pair a + iN < b + iN inside a block covers 2b - a + iN, so these
@@ -399,8 +424,25 @@ def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, Om
     shift-OR pass over A gives fwd(A), its reversed mask and D<; one shift of the
     reversed mask per b in A, by 2(b - min A), gives D.
 
+    The profile is ``detect_character(P)`` whether or not P is accepted.  Write
+    n = |A| and B = 2^top for the top block of P's 4n terms.  It is None when:
+    - min A > 0: at i = 0 the identity a[B + i] = a[B] + a[i] needs a[0] = 0;
+    - n is not a power of two: then n < B < 2n, and at i = 2n - B (0 < i < n)
+      the identity reads min A + 3N = (A[B - n] + N) + A[2n - B], that is
+      2N + min A = A[B - n] + A[2n - B], but the right side is at most
+      2 max A < 2N;
+    - c = 2 max A + 1 - N < 0: with min A = 0 and n = 2^k the top level is
+      k + 1, and its character 2 a[2n - 1] - a[2n] + 1 = 2(max A + N) - 3N + 1
+      is c, which ``detect_character`` refuses when negative.
+    Otherwise levels k + 1 and k hold with character c by construction: the
+    blocks (A + 3N, A + 4N) are 3N + (A, A + N) and A + N is N + A, with
+    2 a[2n - 1] - a[2n] + 1 = c and 2 a[n - 1] - a[n] + 1 = 2 max A - N + 1 = c.
+    Every lower level j < k reads only a[:2^(j+1)], inside a[:n] = A, so the
+    walk down from k runs on A.  The repeat factor a[2^settle] is N when the
+    walk stops at k and a term of A below it.
+
     A modulus not above max A raises MalformedInputError; a prefix ending above
-    ``BIT_LIMIT`` raises ResourceLimitError before any tuple or mask is built.
+    ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
     """
     terms = check_terms(seed)
     base, top = terms[0], terms[-1]
@@ -422,8 +464,7 @@ def doubled_prefix(seed: Sequence[int], modulus: int) -> tuple[StanleyPrefix, Om
     gaps = (1 << (end - base)) - (1 << (top - base + 1))  # bits of (top, end)
     if cover & fwd or gaps & ~decided:
         return None
-    predicted = tuple([x + k for k in blocks for x in terms])
-    return _trusted(predicted, top), _omitted(decided, base, top, end)
+    return _doubled_profile(terms, modulus), _omitted(decided, base, top, end)
 
 
 def growth_diagnostic(prefix: SeedLike) -> tuple[float, ...]:

@@ -20,7 +20,6 @@ from .core import (
     CharacterProfile,
     OmittedSet,
     check_int,
-    detect_character,
     doubled_prefix,
     greedy_extend,
 )
@@ -423,12 +422,14 @@ def execute_and_verify(
     P = A + {0, N, 3N, 4N} is that extension exactly when P is 3-free and
     covers every value between max A and max P that it skips.  For the same
     reason no omitted value lies above max A, and the two passes over A that
-    prove P also yield the omitted set.  The doubling structure of P (at least two
-    levels) and the omitted-value bound are then checked against the
-    target; a reduction whose modulus would exceed ``deep_cap`` skips the
-    deep phase instead of thrashing.  Any failed check raises
-    VerificationError; a rejected certificate names the first term where
-    greedy growth leaves P.
+    prove P also yield the omitted set.  The certificate also reads P's
+    character profile off A, never building P: its top two levels hold by
+    construction, so an accepted profile has at least two levels, and the
+    levels below them are levels of A.  The profile's character and the
+    omitted-value bound are then checked against the target; a reduction
+    whose modulus would exceed ``deep_cap`` skips the deep phase instead of
+    thrashing.  Any failed check raises VerificationError; a rejected
+    certificate names the first term where greedy growth leaves P.
     """
     check_int(deep_cap, "deep_cap")
     base, nodes = _resolve_base(recipe)
@@ -467,17 +468,12 @@ def execute_and_verify(
         certified = doubled_prefix(modular_form.elements, modular_form.modulus)
         if certified is None:
             raise VerificationError("doubling-structure", _departure(modular_form))
-        prefix, omitted = certified
-        profile = detect_character(prefix)
+        profile, omitted = certified
         if profile is None or profile.character != recipe.target_character:
             raise VerificationError(
                 "doubling-structure",
                 f"greedy extension of {format_set(modular_form)} does not repeat"
                 f" with character {recipe.target_character} (got {profile})",
-            )
-        if profile.levels_verified < 2:
-            raise VerificationError(
-                "doubling-structure", "fewer than two doubled levels verified"
             )
         checks.append("doubling-structure")
         if omitted.omega is not None and omitted.omega >= recipe.target_character:

@@ -158,6 +158,11 @@ def naive_omitted(terms, bound) -> tuple[int, ...]:
     return tuple(z for z in range(bound) if not decided[z])
 
 
+def predicted_prefix(seed, modulus) -> tuple[int, ...]:
+    """P = A + {0, N, 3N, 4N}, the prefix ``doubled_prefix`` certifies, written out."""
+    return tuple(x + k * modulus for k in (0, 1, 3, 4) for x in seed)
+
+
 def naive_certificate(terms, top) -> st.OmittedSet | None:
     """``omitted_set(terms, terms[-1])`` if ``terms`` are the greedy extension of
     their terms up to ``top``, else None, from one shift-OR pass over every term.

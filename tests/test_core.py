@@ -15,6 +15,7 @@ from conftest import (
     naive_is_3_free,
     naive_is_covered,
     naive_omitted,
+    predicted_prefix,
 )
 
 
@@ -80,7 +81,6 @@ def test_settled_is_derived_not_passed():
     assert st.StanleyPrefix([0, 1, 3, 4]).settled == 4
     assert st.greedy_extend([0, 1, 3, 4], 16).settled == 4
     assert st.greedy_extend(st.greedy_extend([0, 2], 5), 9).settled == 2
-    assert st.doubled_prefix([0, 2], 3)[0].settled == 2
     with pytest.raises(TypeError):
         st.StanleyPrefix([0, 1, 3, 4], settled=0)
 
@@ -259,19 +259,31 @@ def test_omitted_requires_scanned_range():
 
 def test_doubled_prefix_is_the_greedy_prefix():
     seed = (0, 1, 6, 7, 10, 15, 16, 18)  # Acal:1, modular mod 27
-    prefix, gaps = st.doubled_prefix(seed, 27)
-    assert prefix == st.greedy_extend(seed, 32)
+    profile, gaps = st.doubled_prefix(seed, 27)
+    prefix = st.greedy_extend(seed, 32)
+    assert prefix.terms == predicted_prefix(seed, 27)
     assert prefix.terms[8:10] == (27, 28) and prefix.terms[16:18] == (81, 82)
+    # levels 4 and 3 hold by construction; level 2 of A does not, so N repeats
+    assert profile == st.detect_character(prefix) == st.CharacterProfile(10, 3, 27, 4)
     assert gaps == st.omitted_set(prefix, prefix.last)
     assert gaps == st.omitted_set(list(prefix.terms), prefix.last)  # the whole scan
     assert gaps.elements == (3, 4, 5, 9) and gaps.scan_bound == 18 + 4 * 27
+
+
+def test_doubled_profile_walks_below_the_constructed_levels():
+    # S(0) to 16 terms: every level of A = (0, 1, 3, 4) holds with character 0
+    profile, gaps = st.doubled_prefix((0, 1, 3, 4), 9)
+    assert profile == st.detect_character(predicted_prefix((0, 1, 3, 4), 9))
+    assert profile == st.CharacterProfile(0, 0, 1, 3)
+    assert gaps.omega is None
 
 
 def test_doubled_prefix_rejects_what_greedy_does_not_grow():
     assert st.doubled_prefix([0, 1], 5) is None  # greedy takes 3, not 5
     assert st.doubled_prefix([0, 1], 2) is None  # 0,1,2 is a progression
     assert st.doubled_prefix([0, 1, 2], 9) is None  # so is the seed itself
-    assert st.doubled_prefix([0], 1)[0].terms == (0, 1, 3, 4)
+    profile, _ = st.doubled_prefix([0], 1)
+    assert profile == st.detect_character(predicted_prefix((0,), 1)) == st.CharacterProfile(0, 0, 1, 1)
 
 
 def test_doubled_prefix_argument_errors():
@@ -288,7 +300,9 @@ def test_doubled_prefix_mask_budget(monkeypatch):
     with pytest.raises(st.ResourceLimitError, match="mask budget"):
         st.doubled_prefix([0, 1], 2**26)
     monkeypatch.setattr(core, "BIT_LIMIT", 14)
-    assert st.doubled_prefix([0, 2], 3)[0].terms == (0, 2, 3, 5, 9, 11, 12, 14)
+    assert predicted_prefix((0, 2), 3) == (0, 2, 3, 5, 9, 11, 12, 14)
+    profile, _ = st.doubled_prefix([0, 2], 3)
+    assert profile == st.detect_character(predicted_prefix((0, 2), 3)) == st.CharacterProfile(2, 1, 3, 2)
     monkeypatch.setattr(core, "BIT_LIMIT", 13)
     with pytest.raises(st.ResourceLimitError, match="mask budget"):
         st.doubled_prefix([0, 2], 3)

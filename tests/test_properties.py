@@ -16,19 +16,22 @@ re-validated copies.
 The deep check's certificate accepts a predicted prefix exactly when greedy
 growth yields it, and then agrees with ``omitted_set``; built from masks over
 the seed, it equals the whole-prefix shift-OR pass of ``conftest`` field for field.
+The character profile it reads off the seed is ``detect_character`` of the
+predicted prefix, accepted or not.
 The text parsers either answer or raise a ``StanleyError`` on any input, and
 every reader of a number (set element, family parameter, seed term) gives
 the same answer for the same text.
 """
 
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as hs
 
 import stanley as st
 from stanley.cli import _parse_terms
-from stanley.core import INT_LIMIT, check_terms, set_bits
+from stanley.core import INT_LIMIT, _doubled_profile, check_terms, set_bits
 from stanley.families import FAMILY_NAMES
 from stanley.search import _add
 
@@ -43,6 +46,7 @@ from conftest import (
     naive_place,
     naive_to_modular,
     naive_verify,
+    predicted_prefix,
 )
 
 # small verified near-modular operands for product/transform properties
@@ -237,14 +241,13 @@ def test_omitted_matches_oracle_on_greedy_prefixes(seed, grow, cut, first):
             assert gaps == st.omitted_set(list(prefix.terms), bound)
 
 
-def naive_settles(prefix) -> bool:
-    """Every value in (settled, last] is a term or 2y - x for terms x < y, pair by pair."""
-    terms = prefix.terms
+def naive_settles(terms, settled) -> bool:
+    """Every value in (settled, terms[-1]] is a term or 2y - x for terms x < y, pair by pair."""
     decided = set(terms)
     for j, y in enumerate(terms):
         for x in terms[:j]:
             decided.add(2 * y - x)
-    return all(v in decided for v in range(prefix.settled + 1, prefix.last + 1))
+    return all(v in decided for v in range(settled + 1, terms[-1] + 1))
 
 
 @given(seed=seeds, grow=hs.integers(min_value=0, max_value=40), first=hs.floats(0, 1))
@@ -254,7 +257,7 @@ def test_greedy_prefix_is_settled_above_its_seed(seed, grow, first):
     step = st.greedy_extend(seed, len(seed) + int(first * grow))
     for prefix in (st.greedy_extend(seed, len(seed) + grow), st.greedy_extend(step, len(seed) + grow)):
         assert prefix.settled == seed[-1]
-        assert naive_settles(prefix)
+        assert naive_settles(prefix.terms, prefix.settled)
 
 
 # check_terms inputs: short tuples of valid and invalid terms, and increasing
@@ -266,7 +269,9 @@ term_values = hs.one_of(
     over_range,
     hs.booleans(),
     hs.floats(),
-    hs.text(max_size=2),
+    # a fixed alphabet: full unicode text builds hypothesis's character map on
+    # first use, seconds that count as draw time in a fresh checkout
+    hs.text(alphabet="07a", max_size=2),
 )
 
 
@@ -274,11 +279,15 @@ term_values = hs.one_of(
 def term_tuples(draw):
     if draw(hs.booleans()):
         return tuple(draw(hs.lists(term_values, max_size=6)))
-    ints = draw(hs.lists(hs.integers(min_value=0, max_value=40), max_size=5, unique=True))
-    values = sorted(ints) + sorted(set(draw(hs.lists(over_range, max_size=2))))
+    # an increasing run from cumulative positive gaps
+    gaps = draw(hs.lists(hs.integers(min_value=1, max_value=9), max_size=5))
+    values = list(accumulate(gaps, initial=-1))[1:] + sorted(set(draw(hs.lists(over_range, max_size=2))))
     if values and draw(hs.booleans()):
         at = draw(hs.integers(min_value=0, max_value=len(values)))
-        values.insert(at, draw(hs.one_of(term_values, hs.sampled_from(values))))  # a repeat or anything
+        if draw(hs.booleans()):  # a repeat
+            values.insert(at, values[draw(hs.integers(min_value=0, max_value=len(values) - 1))])
+        else:  # anything
+            values.insert(at, draw(term_values))
     return tuple(values)
 
 
@@ -321,10 +330,6 @@ def test_omitted_matches_oracle_on_any_terms(terms, cut, upper):
     assert_omitted(st.omitted_set(terms, bound), naive_omitted(terms, bound))
 
 
-def predicted_prefix(seed, modulus):
-    return tuple(x + k * modulus for k in (0, 1, 3, 4) for x in seed)
-
-
 # fully modular forms, for which the certificate must accept, and arbitrary
 # 3-free seeds under a modulus just above their maximum, for which it mostly rejects
 modular_forms = hs.builds(
@@ -351,8 +356,8 @@ def test_certificate_accepts_exactly_the_greedy_prefix(case):
     certified = st.doubled_prefix(seed, modulus)
     assert (certified is not None) == (grown.terms == predicted_prefix(seed, modulus))
     if certified is not None:
-        prefix, gaps = certified
-        assert prefix == grown
+        profile, gaps = certified
+        assert profile == st.detect_character(predicted_prefix(seed, modulus))
         assert gaps == st.omitted_set(grown, grown.last)
         assert_omitted(gaps, naive_omitted(grown.terms, grown.last))
 
@@ -361,9 +366,9 @@ def test_certificate_accepts_exactly_the_greedy_prefix(case):
 @settings(deadline=None)
 def test_doubled_prefix_is_settled_above_max_a(form):
     seed, modulus = form
-    prefix, _ = st.doubled_prefix(seed, modulus)
-    assert prefix.settled == seed[-1]
-    assert naive_settles(prefix)
+    profile, _ = st.doubled_prefix(seed, modulus)
+    assert profile == st.detect_character(predicted_prefix(seed, modulus))
+    assert naive_settles(predicted_prefix(seed, modulus), seed[-1])
 
 
 @hs.composite
@@ -408,9 +413,33 @@ def test_block_certificate_equals_the_whole_prefix_pass(case):
     expected = naive_certificate(predicted, seed[-1])
     assert (certified is None) == (expected is None)
     if certified is not None:
-        prefix, gaps = certified
-        assert prefix.terms == predicted
+        profile, gaps = certified
+        assert profile == st.detect_character(predicted)
         assert gaps == expected
+
+
+@hs.composite
+def profile_cases(draw):
+    """Any increasing A, of any size and minimum, under any modulus N above
+    max A, accepted or not.  Greedy blocks, some moved off 0, reach the levels
+    below log2 |A| when N leaves a small character 2 max A + 1 - N."""
+    if draw(hs.booleans()):
+        gaps = draw(hs.lists(hs.integers(min_value=1, max_value=9), max_size=16))
+        seed = tuple(accumulate(gaps, initial=draw(hs.integers(min_value=0, max_value=6))))
+    else:
+        start = draw(hs.sampled_from(((0,), (0, 1), (0, 2), (0, 1, 6, 7))))
+        grown = st.greedy_extend(start, len(start) << draw(hs.integers(min_value=0, max_value=5)))
+        shift = draw(hs.sampled_from((0, 0, 1, 2)))
+        seed = tuple(x + shift for x in grown.terms)
+    top = seed[-1]
+    return seed, draw(hs.integers(min_value=top + 1, max_value=2 * top + 4))
+
+
+@given(case=hs.one_of(modular_forms, edited_forms(), offset_seeds, profile_cases()))
+@settings(deadline=None)
+def test_doubled_profile_is_the_scan_of_the_predicted_prefix(case):
+    seed, modulus = case
+    assert _doubled_profile(seed, modulus) == st.detect_character(predicted_prefix(seed, modulus))
 
 
 @given(form=modular_forms, data=hs.data())

@@ -6,7 +6,7 @@ import os
 import pytest
 
 import stanley as st
-from stanley import witness
+from stanley import core, witness
 from stanley.witness import SMALL_CASE_PARAMS, _split_pow3
 
 
@@ -278,9 +278,16 @@ def test_accepted_certificate_regrows_nothing(monkeypatch, lam):
     def no_regrowth(*args, **kwargs):
         raise AssertionError("greedy_extend was called")
 
+    def no_rescan(*args, **kwargs):
+        raise AssertionError("detect_character was called")
+
+    # the profile is read off the certificate, so P is never built or scanned
     monkeypatch.setattr(witness, "greedy_extend", no_regrowth)
+    monkeypatch.setattr(core, "detect_character", no_rescan)
+    monkeypatch.setattr(witness, "detect_character", no_rescan, raising=False)
     result = st.execute_and_verify(st.witness_for(lam), deep=True)
     assert result.deep_verified
+    assert result.profile.character == lam
     assert result.checks[-2:] == ("doubling-structure", "omitted-bound")
 
 
