@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from .errors import FormatError, MalformedInputError, PrefixTooShortError, ResourceLimitError
 
-#: Hard ceiling on greedy extension length, generous for desk-scale runs.
-DEFAULT_TERM_CAP = 1 << 20
-
 #: Checked integer width for every module; ``check_int`` raises beyond it instead of growing.
 INT_LIMIT = (1 << 63) - 1
 
 #: Widest span or modulus a bit mask may cover; ``check_bits`` raises beyond it before allocating.
+#: A shift-OR pass over terms within it may build a cover mask up to twice as wide.
 BIT_LIMIT = 1 << 28
 
 #: Most elements a residue-set product may build; larger products raise before building.
@@ -121,29 +119,16 @@ def check_terms(terms: Iterable[int], what: str = "term") -> tuple[int, ...]:
     return out
 
 
-def _cover(terms: Sequence[int], stop: int | None = None) -> tuple[int, int, int, int]:
-    """Shift-OR pass over the terms below ``stop``, or all: ``(last, rev, fwd, cover)``.
+def _cover(terms: Sequence[int]) -> tuple[int, int, int, int]:
+    """Shift-OR pass over ``terms``: ``(last, rev, fwd, cover)``.
 
     With base = terms[0], each term x sets bit last - x of rev and x - base of fwd;
     at y, rev's bits read y - x, so ``rev << (y - base)`` sets every 2y - x - base.
-    A pair x < y covers a value below ``stop`` only if y - x < stop - y, a window
-    that only shrinks as y grows; so from the midpoint on, 2y >= stop + base, rev is
-    cut to its low stop - y bits and cover stays under stop - base bits wide.
-    Without ``stop`` nothing is cut, so the returned rev holds every term.
     """
     base = last = terms[0]
     rev = fwd = cover = 0
-    split = len(terms) if stop is None else bisect_right(terms, (stop + base - 1) // 2)
-    for y in terms[:split]:
+    for y in terms:
         rev <<= y - last
-        cover |= rev << (y - base)
-        rev |= 1
-        fwd |= 1 << (y - base)
-        last = y
-    for y in terms[split:]:
-        if y >= stop:
-            break
-        rev = (rev << (y - last)) & ((1 << (stop - y)) - 1)
         cover |= rev << (y - base)
         rev |= 1
         fwd |= 1 << (y - base)
@@ -218,31 +203,36 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
     mask only after a covered run of 64 values or more.  Each accepted term then
     costs two shifts over the span: one of the reflected mask of earlier terms,
     whose new bits are the values the term covers, and one of the ahead mask.
+    Those masks span the prefix, and a span above ``BIT_LIMIT`` raises
+    ResourceLimitError: checked on the least span the request can reach before
+    the seed pass, after a covered run (the one jump in the span), and at the end.
     """
     terms = _terms_of(seed)
-    check_bits(terms[-1] - terms[0], "seed span")
+    base = terms[0]
+    new = check_int(target_len, "target_len") - len(terms)
+    check_bits(terms[-1] - base + max(new, 0), "prefix span")
     last, rev, fwd, cover = _cover(terms)
     if cover & fwd:
         raise MalformedInputError("terms contain a 3-term arithmetic progression")
-    if check_int(target_len, "target_len") < len(terms):
+    if new < 0:
         raise MalformedInputError(f"target_len {target_len} below seed length {len(terms)}")
-    if target_len > DEFAULT_TERM_CAP:
-        raise ResourceLimitError(f"target_len {target_len} exceeds cap {DEFAULT_TERM_CAP}")
 
     grown = list(terms)
-    ahead = cover >> (last - terms[0] + 1)  # bit i: last + 1 + i is covered
+    ahead = cover >> (last - base + 1)  # bit i: last + 1 + i is covered
     pairs = rev >> 1  # bit last - 1 - x for each earlier term x
-    for _ in range(target_len - len(terms)):
+    for _ in range(new):
         low = ahead & _WORD
         if low != _WORD:
             gap = (low ^ (low + 1)).bit_length()  # trailing ones of ahead, plus one
         else:  # a covered run of 64 values or more
             gap = (ahead ^ (ahead + 1)).bit_length()
+            check_bits(last + gap - base, "prefix span")
         last += gap
         # the new term t covers each 2t - x, at bit t - x - 1 of the shifted ahead
         pairs = (pairs << gap) | (1 << (gap - 1))
         ahead = (ahead >> gap) | pairs
         grown.append(last)
+    check_bits(last - base, "prefix span")
     check_int(last, "term")
     # greedy terms are 3-free, and every value above the seed's top is decided;
     # a seed's own settled point is never above its top
@@ -363,9 +353,7 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     seed, not the prefix, and a plain term list gets the whole scan.
     The omitted values are the zero bits of one shift-OR pass over the terms
     under below (larger y cover only values above it), kept as the mask of the
-    OmittedSet; only its ``elements`` lists them.  From the midpoint
-    on, at y with 2y >= below + terms[0], the reversed term mask is cut to its low
-    below - y bits, so no mask grows wider than below.
+    OmittedSet; only its ``elements`` lists them.
     A bound above ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
     """
     terms = _terms_of(prefix)
@@ -374,7 +362,8 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
         raise PrefixTooShortError(f"last term {terms[-1]} below scan bound {bound}")
 
     below = min(bound, prefix.settled) if isinstance(prefix, StanleyPrefix) else bound
-    _, _, fwd, cover = _cover(terms, below)
+    head = terms[: bisect_left(terms, below)]
+    _, _, fwd, cover = _cover(head) if head else (0, 0, 0, 0)
     return _omitted(fwd | cover, terms[0], below, bound)
 
 

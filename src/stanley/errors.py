@@ -32,7 +32,7 @@ class ForbiddenCharacterError(PreconditionError):
 
 
 class ResourceLimitError(StanleyError):
-    """A configured cap (term count, integer width, mask budget, node budget) was hit."""
+    """A configured limit (integer width, mask budget, element or node budget) was hit."""
 
 
 class BudgetExceededError(ResourceLimitError):

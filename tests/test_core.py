@@ -6,7 +6,7 @@ import pytest
 
 import stanley as st
 from stanley import core
-from stanley.core import DEFAULT_TERM_CAP, INT_LIMIT, read_int
+from stanley.core import INT_LIMIT, read_int
 
 from conftest import (
     brute_character,
@@ -138,13 +138,16 @@ def test_greedy_translates_with_the_seed():
         assert moved == tuple(x + shift for x in base)
 
 
-def test_greedy_argument_errors():
+def test_greedy_argument_errors(monkeypatch):
     with pytest.raises(st.MalformedInputError):
         st.greedy_extend([0, 1, 2], 5)  # seed already has a progression
     with pytest.raises(st.MalformedInputError):
         st.greedy_extend([0, 2], 1)  # shorter than the seed
-    with pytest.raises(st.ResourceLimitError):
-        st.greedy_extend([0], DEFAULT_TERM_CAP + 1)
+    # 2**40 terms span at least 2**40 - 1, so no mask budget holds them: the
+    # request raises before the seed pass, let alone any growth
+    monkeypatch.setattr(core, "_cover", lambda terms: pytest.fail("the seed pass ran"))
+    with pytest.raises(st.ResourceLimitError, match="mask budget"):
+        st.greedy_extend([0], 2**40)
 
 
 def test_greedy_seed_errors_in_order():
@@ -159,11 +162,30 @@ def test_greedy_seed_errors_in_order():
 
 def test_greedy_mask_budget(monkeypatch):
     monkeypatch.setattr(core, "BIT_LIMIT", 100)
-    assert st.greedy_extend([0, 100], 3).terms == (0, 100, 101)
+    assert st.greedy_extend([0, 99], 3).terms == (0, 99, 100)
+    assert st.greedy_extend([0, 100], 2).terms == (0, 100)
+    with pytest.raises(st.ResourceLimitError):  # one more term spans 101
+        st.greedy_extend([0, 100], 3)
     with pytest.raises(st.ResourceLimitError):
         st.greedy_extend([0, 101], 3)
     with pytest.raises(st.ResourceLimitError):  # a validated prefix is budgeted too
         st.greedy_extend(st.StanleyPrefix([5, 106]), 3)
+
+
+def test_greedy_growth_budget(monkeypatch):
+    # S(0) reaches 94 in 24 terms, then 108; it reaches 121 in 32 terms, and
+    # then a covered run of 121 values jumps to 243 (and 256 at 40 terms)
+    monkeypatch.setattr(core, "BIT_LIMIT", 108)
+    assert st.greedy_extend([0], 25).last == 108
+    monkeypatch.setattr(core, "BIT_LIMIT", 107)
+    assert st.greedy_extend([0], 24).last == 94
+    with pytest.raises(st.ResourceLimitError, match="prefix span 108 "):  # where growth ends
+        st.greedy_extend([0], 25)
+    monkeypatch.setattr(core, "BIT_LIMIT", 243)
+    assert st.greedy_extend([0], 33).last == 243
+    monkeypatch.setattr(core, "BIT_LIMIT", 242)
+    with pytest.raises(st.ResourceLimitError, match="prefix span 243 "):  # at the jump
+        st.greedy_extend([0], 40)
 
 
 def test_greedy_stops_at_the_checked_range():

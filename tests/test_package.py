@@ -65,12 +65,12 @@ def test_every_exported_name_has_a_user():
     assert unused == []
 
 
-def _inside_core(path, tree, functions):
-    """ids of every node within core.py's definitions of ``functions``."""
+def _inside(path, tree, functions, module="core.py"):
+    """ids of every node within ``module``'s definitions of ``functions``."""
     return {
         id(inner)
         for node in ast.walk(tree)
-        if path.name == "core.py" and isinstance(node, ast.FunctionDef)
+        if path.name == module and isinstance(node, ast.FunctionDef)
         and node.name in functions
         for inner in ast.walk(node)
     }
@@ -86,7 +86,7 @@ def test_only_the_number_reader_uses_int():
     offenders = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), str(path))
-        reader = _inside_core(path, tree, {"read_int"})
+        reader = _inside(path, tree, {"read_int"})
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call) or id(node) in reader:
                 continue
@@ -116,13 +116,31 @@ def test_only_the_limit_owners_read_the_limits():
     offenders = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), str(path))
-        owners = _inside_core(path, tree, {"check_int", "read_int", "check_bits"})
+        owners = _inside(path, tree, {"check_int", "read_int", "check_bits"})
         offenders += [
             f"{path.name}:{node.lineno}: {name}"
             for node in ast.walk(tree)
             if id(node) not in owners
             for name in _names_read(node)
             if name in ("INT_LIMIT", "BIT_LIMIT")
+        ]
+    assert offenders == []
+
+
+def test_only_the_limit_helpers_raise_resource_limits():
+    # a resource limit is the 64-bit range, the mask budget or product's element
+    # budget, each raised by its own helper: no ad-hoc cap in between
+    offenders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        owners = _inside(path, tree, {"check_int", "check_bits", "read_int"})
+        owners |= _inside(path, tree, {"product"}, "modset.py")
+        offenders += [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and id(node) not in owners
+            and isinstance(node.exc, ast.Call)
+            and "ResourceLimitError" in _names_read(node.exc.func)
         ]
     assert offenders == []
 

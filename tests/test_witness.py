@@ -161,6 +161,23 @@ def test_appendix_erratum_entry():
     assert st.load_appendix().row(28, 61).elements == entry.row
 
 
+def test_appendix_check_proves_every_row_deep(monkeypatch):
+    # no character dispatches to the erratum row (top 61), so only the audit
+    # proves its greedy character and omitted bound
+    form = st.to_modular(st.load_appendix().row(28, 61))[0]
+    real = witness.doubled_prefix
+
+    def rejects_the_flagged_row(seed, modulus):
+        certified = real(seed, modulus)
+        if (tuple(seed), modulus) == (form.elements, form.modulus):
+            return None, certified[1]  # no doubling profile
+        return certified
+
+    monkeypatch.setattr(witness, "doubled_prefix", rejects_the_flagged_row)
+    with pytest.raises(st.VerificationError, match="doubling-structure"):
+        st.appendix_check()
+
+
 @pytest.fixture
 def fresh_appendix():
     """Tables parsed anew in the test, and again by whoever loads them next."""
