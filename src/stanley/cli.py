@@ -28,6 +28,7 @@ from .families import FAMILY_NAMES, build_family
 from .modset import (
     ResidueSet,
     character_of,
+    doubling_reduction,
     format_set,
     load_set_file,
     parse_set,
@@ -197,7 +198,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         print(f"doubled levels verified: {result.profile.levels_verified}")
         omega = "none" if result.omitted.omega is None else str(result.omitted.omega)
         print(f"largest omitted value: {omega}")
-    print(f"verified: {'deep' if result.deep_verified else 'static'}")
+        print("verified: deep")
+    elif args.deep:  # a deep run returns unproved only when deep_cap skipped the phase
+        skipped = f"modulus {doubling_reduction(result.witness)[1]} above deep_cap {args.deep_cap}"
+        print(f"verified: static-only (deep phase skipped: {skipped})")
+    else:
+        print("verified: static")
     return 0
 
 

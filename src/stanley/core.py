@@ -119,21 +119,33 @@ def check_terms(terms: Iterable[int], what: str = "term") -> tuple[int, ...]:
     return out
 
 
-def _cover(terms: Sequence[int]) -> tuple[int, int, int, int]:
-    """Shift-OR pass over ``terms``: ``(last, rev, fwd, cover)``.
+def _cover(terms: Sequence[int]) -> tuple[int, int]:
+    """Shift-OR pass over ``terms``: ``(rev, cover)``.
 
-    With base = terms[0], each term x sets bit last - x of rev and x - base of fwd;
-    at y, rev's bits read y - x, so ``rev << (y - base)`` sets every 2y - x - base.
+    With base = terms[0], each term x sets bit last - x of rev (last: the latest term);
+    at y, rev's bits read y - x, so ``rev << (y - base)`` sets every 2y - x - base of cover.
     """
     base = last = terms[0]
-    rev = fwd = cover = 0
+    rev = cover = 0
     for y in terms:
         rev <<= y - last
         cover |= rev << (y - base)
         rev |= 1
-        fwd |= 1 << (y - base)
         last = y
-    return last, rev, fwd, cover
+    return rev, cover
+
+
+#: Byte i with its eight bits in reverse order, for ``bytes.translate``.
+_FLIPPED = bytes(sum((i >> j & 1) << (7 - j) for j in range(8)) for i in range(256))
+
+
+def _reflect(mask: int) -> int:
+    """``mask`` read backwards (bit i from bit ``mask.bit_length() - 1 - i``): bytes in
+    the other order, bits flipped, padding cut.  Bit last - x of terms x gives x - first."""
+    width = mask.bit_length()
+    size = (width + 7) // 8
+    flipped = mask.to_bytes(size, "big").translate(_FLIPPED)
+    return int.from_bytes(flipped, "little") >> (8 * size - width)
 
 
 def _has_progression(seq: Sequence[int]) -> bool:
@@ -211,8 +223,9 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
     base = terms[0]
     new = check_int(target_len, "target_len") - len(terms)
     check_bits(terms[-1] - base + max(new, 0), "prefix span")
-    last, rev, fwd, cover = _cover(terms)
-    if cover & fwd:
+    last = terms[-1]
+    rev, cover = _cover(terms)
+    if cover & _reflect(rev):
         raise MalformedInputError("terms contain a 3-term arithmetic progression")
     if new < 0:
         raise MalformedInputError(f"target_len {target_len} below seed length {len(terms)}")
@@ -363,8 +376,8 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
 
     below = min(bound, prefix.settled) if isinstance(prefix, StanleyPrefix) else bound
     head = terms[: bisect_left(terms, below)]
-    _, _, fwd, cover = _cover(head) if head else (0, 0, 0, 0)
-    return _omitted(fwd | cover, terms[0], below, bound)
+    rev, cover = _cover(head) if head else (0, 0)
+    return _omitted(_reflect(rev) | cover, terms[0], below, bound)
 
 
 def _doubled_profile(terms: tuple[int, ...], modulus: int) -> CharacterProfile | None:
@@ -379,81 +392,52 @@ def _doubled_profile(terms: tuple[int, ...], modulus: int) -> CharacterProfile |
 
 
 def doubled_prefix(
-    seed: Sequence[int], modulus: int
+    seed: Sequence[int], modulus: int, steps: int = 0, terms: Sequence[int] | None = None
 ) -> tuple[CharacterProfile | None, OmittedSet] | None:
-    """Prove that greedy growth extends a fully modular ``seed`` A mod N to
-    P = A + {0, N, 3N, 4N}, from two passes over A, without building P.  Returns
-    ``(profile, omitted)``: ``detect_character(P)``, read off A, and P's omitted
-    set; None when the proof fails.
+    """Prove that greedy growth extends A = seed + modulus*B_steps, fully modular
+    mod N = modulus*3^steps, to P = A + {0, N, 3N, 4N}, without building P; B_s, the
+    sums of distinct 3^i for i < s, is the first 2^s terms of S(0).  Returns
+    ``(profile, omitted)``, ``detect_character(P)`` and P's omitted set read off A,
+    or None when the proof fails (README, "Deep certificate").
 
-    P is the greedy extension exactly when it is 3-free and every value in
-    (max A, max P) outside P is 2y - x for terms x < y of P.  If so, by induction
-    each next term of P is admissible (it joins a subset of the 3-free P), and
-    each value skipped before it is covered by two terms below that value, so
-    already grown; greedy growth is unique, so it grows P.  Conversely greedy
-    skips a value only when a pair covers it.  No omitted value lies above
-    max A: every value there is a term or covered.  So the omitted set's mask is
-    the zero bits of the same masks below max A, equal to
-    ``omitted_set(P, max P)`` field for field.
-
-    The pairs of P follow its blocks A + iN, each wholly below the next as
-    N > max A.  A pair a + iN < b + iN inside a block covers 2b - a + iN, so these
-    pairs cover D< + {0, N, 3N, 4N} with D< = {2b - a : a < b in A}.  A pair
-    a + iN < b + jN across blocks covers 2b - a + (2j - i)N, so these pairs cover
-    D + {2, 5, 6, 7, 8}N with D = {2b - a : a, b in A}.  The check reads values
-    up to max P = max A + 4N.  D + 6N starts at 6N + 2 min A - max A, above max P
-    because N > max A, and 7N and 8N lie higher still.  D + 5N can reach max P
-    (when N < 2 max A) but decides nothing.  Take v = 2b - a + 5N <= max P and
-    w = v - 4N, which lies in (min A, max A].  If w is in A, the pair a, b + N
-    covers the term w + N, and P fails anyway.  If w is in D<, v is in D< + 4N.
-    Otherwise w + 3N is a value in (max A, max P) outside P that only D + 2N can
-    cover; if it does, w + N is a value of D above max A, so in D<, and v is in
-    D< + 3N; if not, P fails anyway.  So, up to max P, cover(P) is
-    D< + {0, N, 3N, 4N} with D + 2N, and fwd(P) = fwd(A) + {0, N, 3N, 4N}.  One
-    shift-OR pass over A gives fwd(A), its reversed mask and D<; one shift of the
-    reversed mask per b in A, by 2(b - min A), gives D.
-
-    The profile is ``detect_character(P)`` whether or not P is accepted.  Write
-    n = |A| and B = 2^top for the top block of P's 4n terms.  It is None when:
-    - min A > 0: at i = 0 the identity a[B + i] = a[B] + a[i] needs a[0] = 0;
-    - n is not a power of two: then n < B < 2n, and at i = 2n - B (0 < i < n)
-      the identity reads min A + 3N = (A[B - n] + N) + A[2n - B], that is
-      2N + min A = A[B - n] + A[2n - B], but the right side is at most
-      2 max A < 2N;
-    - c = 2 max A + 1 - N < 0: with min A = 0 and n = 2^k the top level is
-      k + 1, and its character 2 a[2n - 1] - a[2n] + 1 = 2(max A + N) - 3N + 1
-      is c, which ``detect_character`` refuses when negative.
-    Otherwise levels k + 1 and k hold with character c by construction: the
-    blocks (A + 3N, A + 4N) are 3N + (A, A + N) and A + N is N + A, with
-    2 a[2n - 1] - a[2n] + 1 = c and 2 a[n - 1] - a[n] + 1 = 2 max A - N + 1 = c.
-    Every lower level j < k reads only a[:2^(j+1)], inside a[:n] = A, so the
-    walk down from k runs on A.  The repeat factor a[2^settle] is N when the
-    walk stops at k and a term of A below it.
-
-    A modulus not above max A raises MalformedInputError; a prefix ending above
-    ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
+    Up to max P, P is covered by D< + {0, N, 3N, 4N} and D + 2N.  D = {2b - a} and
+    fwd(A) follow from the seed by the step rule; only D< = {2b - a : a < b} walks A,
+    given as ``terms`` in order: the seed when ``steps`` is 0 (the default), else as
+    ``to_modular`` builds it.  It is trusted; only its length and ends are checked.
+    N not above max A raises MalformedInputError; a prefix ending above ``BIT_LIMIT``
+    raises ResourceLimitError before any mask is built.
     """
-    terms = check_terms(seed)
-    base, top = terms[0], terms[-1]
-    if check_int(modulus, "modulus") <= top:
-        raise MalformedInputError(f"modulus {modulus} does not exceed the seed maximum {top}")
-    end = check_bits(top + 4 * modulus, "prefix end")
+    seed = check_terms(seed)
+    base, top, n = seed[0], seed[-1], check_int(modulus, "modulus")
+    for _ in range(check_int(steps, "steps") if n else 0):  # a step adds N to max A, triples N
+        top, n = top + n, check_int(3 * n, "modulus")
+    if n <= top:
+        raise MalformedInputError(f"modulus {n} does not exceed the seed maximum {top}")
+    end = check_bits(top + 4 * n, "prefix end")
+    terms = seed if terms is None else tuple(terms)
+    if len(terms) != len(seed) << steps or terms[0] != base or terms[-1] != top:
+        raise MalformedInputError("terms do not list seed + modulus * B_steps")
 
-    _, rev, fwd_a, within = _cover(terms)  # rev: bit top - a; fwd_a, within: bit v - base
-    across = 0
-    for b in terms:  # bit 2b - a - (2 base - top), for every a
+    rev, across = sum(1 << (seed[-1] - a) for a in seed), 0  # rev: bit max seed - a
+    for b in seed:  # D(seed), at bit 2b - a - (2 base - max seed)
         across |= rev << 2 * (b - base)
-    blocks = (0, modulus, 3 * modulus, 4 * modulus)
-    cover = across << (2 * modulus - (top - base))  # D + 2N, at bit v - base
+    fwd_a, q = _reflect(rev), modulus
+    for _ in range(steps):  # X | X + q: D gains D - q, D + q, D + 2q; fwd gains fwd + q
+        across |= across << q
+        across |= across << 2 * q
+        fwd_a |= fwd_a << q
+        q *= 3
+    _, within = _cover(terms)  # D<, at bit v - base
+    cover = across << (2 * n - (top - base))  # D + 2N, at bit v - base
     fwd = 0
-    for k in blocks:
+    for k in (0, n, 3 * n, 4 * n):
         cover |= within << k
         fwd |= fwd_a << k
     decided = fwd | cover
     gaps = (1 << (end - base)) - (1 << (top - base + 1))  # bits of (top, end)
     if cover & fwd or gaps & ~decided:
         return None
-    return _doubled_profile(terms, modulus), _omitted(decided, base, top, end)
+    return _doubled_profile(terms, n), _omitted(decided, base, top, end)
 
 
 def growth_diagnostic(prefix: SeedLike) -> tuple[float, ...]:

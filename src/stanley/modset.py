@@ -156,6 +156,22 @@ def verify(a: ResidueSet) -> VerificationReport:
     )
 
 
+def _check_count(count: int) -> None:
+    """Refuse a set of ``count`` elements over ``ELEMENT_LIMIT`` before it is built."""
+    if count > ELEMENT_LIMIT:
+        budget = f"the {ELEMENT_LIMIT}-element budget"
+        raise ResourceLimitError(f"product of {count} elements exceeds {budget}")
+
+
+def _ascending(modulus: int, sums: list[int]) -> ResidueSet:
+    """The sums x + N*y over two valid sets, sorted in place: strictly increasing
+    from 0, with the largest checked, they form a valid set without re-validation."""
+    sums.sort()
+    if not all(map(operator.lt, sums, sums[1:])):
+        raise PreconditionError("product sums collided; an input set repeats a residue class")
+    return _trusted(modulus, tuple(sums))
+
+
 def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """Combine as {x + N*y : x in A, y in B} with modulus N*M.
 
@@ -163,21 +179,13 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     means an input repeats a residue class, which breaks that precondition,
     so it raises PreconditionError rather than being silently deduplicated.
     More than ``ELEMENT_LIMIT`` sums raise ResourceLimitError before any is
-    built.  The inputs are valid sets, so sorted strictly increasing sums from 0,
-    with the largest checked, are a valid set and skip re-validation.
+    built.
     """
     n = a.modulus
     new_modulus = check_int(n * b.modulus, "product modulus")
     check_int(a.max_element + n * b.max_element, "product element")
-    count = len(a.elements) * len(b.elements)
-    if count > ELEMENT_LIMIT:
-        raise ResourceLimitError(
-            f"product of {count} elements exceeds the {ELEMENT_LIMIT}-element budget"
-        )
-    sums = sorted([x + n * y for x in a.elements for y in b.elements])
-    if not all(map(operator.lt, sums, sums[1:])):
-        raise PreconditionError("product sums collided; an input set repeats a residue class")
-    return _trusted(new_modulus, tuple(sums))
+    _check_count(len(a.elements) * len(b.elements))
+    return _ascending(new_modulus, [x + n * y for x in a.elements for y in b.elements])
 
 
 def scale(a: ResidueSet, c: int) -> ResidueSet:
@@ -207,7 +215,7 @@ def shift_max(a: ResidueSet, multiples: int = 1) -> ResidueSet:
     return _trusted(a.modulus, a.elements[:-1] + (new_max,))
 
 
-#: The two-element doubling block used to convert near-modular to modular.
+#: The two-element doubling block: each step of ``to_modular`` is a product with it.
 DOUBLING_BLOCK = ResidueSet(3, (0, 1))
 
 
@@ -240,16 +248,22 @@ def doubling_reduction(a: ResidueSet) -> tuple[int, int]:
 
 
 def to_modular(a: ResidueSet) -> tuple[ResidueSet, int]:
-    """The fully modular form of ``a`` and its number of doubling steps.
+    """The fully modular form of ``a`` and its number of doubling steps s.
 
-    ``doubling_reduction`` counts the least number of products with {0,1}
-    mod 3 that bring the maximum below the modulus, before any set is built;
-    ``power`` then builds them, equal by associativity to successive ones.
-    So a form over the element budget is refused after O(log steps) small
-    products, where successive ones would first build every step that fits.
+    ``doubling_reduction`` counts the products with {0,1} mod 3 that bring the
+    maximum below the modulus N.  They give a + N*B_s (see ``doubled_prefix``), built
+    in one pass, each step adding N*3^i to every element so far, and sorted once;
+    the modulus, the top and the element budget are checked before it is built.
     """
-    steps, _ = doubling_reduction(a)
-    return power(a, DOUBLING_BLOCK, steps), steps
+    steps, modulus = doubling_reduction(a)
+    check_int(modulus, "product modulus")
+    check_int(a.max_element + a.modulus * (3**steps - 1) // 2, "product element")
+    _check_count(len(a.elements) << steps)
+    sums, q = list(a.elements), a.modulus
+    for _ in range(steps):
+        sums += [x + q for x in sums]
+        q *= 3
+    return _ascending(modulus, sums), steps
 
 
 def character_of(a: ResidueSet) -> int:

@@ -413,20 +413,14 @@ def execute_and_verify(
     """Build the recipe's set and refuse to hand it over unchecked.
 
     Static checks always run: near-modularity, the expected top element and
-    modulus, and the character itself.  With ``deep`` the set is doubled
-    down to a fully modular form A mod N, and its greedy extension to 4|A|
-    terms is proved rather than regrown (``doubled_prefix``): greedy skips a
-    value only when two smaller terms cover it, so the predicted prefix
-    P = A + {0, N, 3N, 4N} is that extension exactly when P is 3-free and
-    covers every value between max A and max P that it skips.  For the same
-    reason no omitted value lies above max A, and the two passes over A that
-    prove P also yield the omitted set.  The certificate also reads P's
-    character profile off A, never building P: its top two levels hold by
-    construction, so an accepted profile has at least two levels, and the
-    levels below them are levels of A.  The profile's character and the
-    omitted-value bound are then checked against the target; a reduction
-    whose modulus would exceed ``deep_cap`` skips the deep phase instead of
-    thrashing.  Any failed check raises VerificationError; a rejected
+    modulus, and the character itself.  With ``deep`` the witness W mod M is
+    doubled to its fully modular form A = W + M*B_s mod N, and ``doubled_prefix``
+    proves from W, s and A, without regrowing it, that greedy growth from A
+    yields P = A + {0, N, 3N, 4N}; it also reads P's character profile (its two
+    constructed levels at least) and omitted set off A.  The profile's character
+    and the omitted-value bound are then checked against the target.  A
+    reduction whose modulus would exceed ``deep_cap`` skips the deep phase
+    instead of thrashing.  Any failed check raises VerificationError; a rejected
     certificate names the first term where greedy growth leaves P.
     """
     check_int(deep_cap, "deep_cap")
@@ -463,7 +457,9 @@ def execute_and_verify(
     omitted = None
     if deep and doubling_reduction(witness)[1] <= deep_cap:
         modular_form, doubling_steps = to_modular(witness)
-        certified = doubled_prefix(modular_form.elements, modular_form.modulus)
+        certified = doubled_prefix(
+            witness.elements, witness.modulus, doubling_steps, modular_form.elements
+        )
         if certified is None:
             raise VerificationError("doubling-structure", _departure(modular_form))
         profile, omitted = certified

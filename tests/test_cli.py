@@ -273,6 +273,45 @@ def test_witness_verb_deep(capsys):
     assert lines[-1] == "verified: deep"
 
 
+@pytest.mark.parametrize(
+    "lam,strategy,steps,omega,digest",
+    [
+        (50000, "even-ladder", 9, 26392,
+         "7186c1e4a4b816858bcc37e4780fc595ca51383aa921450dbedeb926b89ed248"),
+        (50001, "mod30-table", 7, 25229,
+         "a810d8328eb417dd688d1b6d08607bc3e38deffdf3e19d25717dbf1cbfb7ac37"),
+        (50011, "mod60-family", 6, 25247,
+         "f56971eea4ffe65fa8651bb94a813e4d68aa688682c71b1409c5561fc822ec93"),
+        (43741, "mod28-table", 7, 21856,
+         "e89de09d35dde3a445b4841c2b415ccdf88399e0cc7445f878b894aa575cd216"),
+    ],
+)
+def test_witness_deep_is_pinned_past_five_doubling_steps(capsys, lam, strategy, steps, omega, digest):
+    # the whole stdout, the 1024-element modular form included, byte for byte
+    code, out, _ = run(capsys, "witness", "--lambda", str(lam), "--deep")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"strategy: {strategy}"
+    assert f"doubling steps: {steps}" in lines
+    assert f"largest omitted value: {omega}" in lines
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_witness_deep_says_when_deep_cap_skips_the_deep_phase(capsys):
+    # Atk:11,2 is already modular, mod 3**11 = 177147, above the default cap
+    code, out, _ = run(capsys, "witness", "--lambda", "59050", "--deep")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2] == "checks: near-modular max-element modulus character"
+    assert lines[-1] == (
+        "verified: static-only (deep phase skipped: modulus 177147 above deep_cap 100000)"
+    )
+    code, out, _ = run(capsys, "witness", "--lambda", "59050", "--deep", "--deep-cap", "177147")
+    assert code == 0 and out.splitlines()[-1] == "verified: deep"
+    code, out, _ = run(capsys, "witness", "--lambda", "59050")
+    assert code == 0 and out.splitlines()[-1] == "verified: static"
+
+
 def test_witness_deep_prefix_over_the_mask_budget_exits_3(capsys):
     # Atk:1,21523363 reduces to mod 3**17, where max A + 4N passes the bit budget
     code, out, err = run(

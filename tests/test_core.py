@@ -317,6 +317,37 @@ def test_doubled_prefix_argument_errors():
         st.doubled_prefix([3, 0], 9)
 
 
+@pytest.mark.parametrize("lam", [1500, 1999, 20000])
+def test_doubled_prefix_from_the_seed_and_its_steps(lam):
+    # D(A) and fwd(A) from W by the step rule agree with the certificate of A alone
+    w = st.execute_and_verify(st.witness_for(lam)).witness
+    form, steps = st.to_modular(w)
+    assert steps > 0
+    certified = st.doubled_prefix(w.elements, w.modulus, steps, form.elements)
+    assert certified == st.doubled_prefix(form.elements, form.modulus)
+    assert certified[0].character == lam
+    assert st.doubled_prefix(w.elements, w.modulus, steps, list(form.elements)) == certified
+
+
+def test_doubled_prefix_checks_the_length_and_ends_of_a():
+    w = st.build_family("T:1")  # N=9; 0,1,6,7
+    near = st.shift_max(w, 2)  # 0,1,6,25: two steps to mod 81
+    form, steps = st.to_modular(near)
+    assert steps == 2 and form.modulus == 81
+    with pytest.raises(st.MalformedInputError, match="do not list"):
+        st.doubled_prefix(near.elements, 9, steps)  # A left out
+    with pytest.raises(st.MalformedInputError, match="do not list"):
+        st.doubled_prefix(near.elements, 9, steps, form.elements[:-1])
+    with pytest.raises(st.MalformedInputError, match="do not list"):
+        st.doubled_prefix(near.elements, 9, steps, (1,) + form.elements[1:])
+    with pytest.raises(st.MalformedInputError, match="seed maximum"):
+        st.doubled_prefix(near.elements, 9, 1, form.elements)  # one step: 27 <= 25 + 9
+    with pytest.raises(st.ResourceLimitError, match="64-bit range"):
+        st.doubled_prefix([0, 1], 3, 10**18)  # the modulus leaves the checked range first
+    with pytest.raises(st.MalformedInputError):
+        st.doubled_prefix([0, 1], 3, -1)
+
+
 def test_doubled_prefix_mask_budget(monkeypatch):
     # checked before any tuple or mask: max A + 4N, the end of the prefix
     with pytest.raises(st.ResourceLimitError, match="mask budget"):

@@ -196,22 +196,25 @@ def test_doubling_reduction_counts_without_building():
 
 
 def test_to_modular_over_budget_builds_little(monkeypatch):
-    # a form of 4 * 2^10 elements under a budget of 2^10 sums; one product
-    # at a time would build 8 + 16 + ... + 1024 = 2040 sums before the refusal
+    # a form of 4 * 2^10 elements under a budget of 2^10: the refusal reads only
+    # the size and top of the set, so no list of sums is ever started
+    class Unread(tuple):
+        def __iter__(self):
+            pytest.fail("the elements were read to build sums")
+
+        def __getitem__(self, index):
+            if isinstance(index, slice):
+                pytest.fail("the elements were copied to build sums")
+            return tuple.__getitem__(self, index)
+
     near = st.shift_max(st.build_T(1), 10**4)  # ten doubling steps
-    built = []
-    real = modset.product
-
-    def counting(a, b):
-        out = real(a, b)
-        built.append(len(out))
-        return out
-
+    object.__setattr__(near, "elements", Unread(near.elements))
     monkeypatch.setattr(modset, "ELEMENT_LIMIT", 1 << 10)
-    monkeypatch.setattr(modset, "product", counting)
     with pytest.raises(st.ResourceLimitError, match="element budget"):
         st.to_modular(near)
-    assert sum(built) < modset.ELEMENT_LIMIT
+    monkeypatch.setattr(modset, "ELEMENT_LIMIT", 1 << 12)  # now it fits, and is built
+    with pytest.raises(pytest.fail.Exception, match="elements were read"):
+        st.to_modular(near)
 
 
 def test_to_modular_takes_no_extra_steps(corpus):

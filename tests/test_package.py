@@ -128,13 +128,13 @@ def test_only_the_limit_owners_read_the_limits():
 
 
 def test_only_the_limit_helpers_raise_resource_limits():
-    # a resource limit is the 64-bit range, the mask budget or product's element
-    # budget, each raised by its own helper: no ad-hoc cap in between
+    # a resource limit is the 64-bit range, the mask budget or the element budget
+    # of products and modular forms, each raised by its own helper: no ad-hoc cap
     offenders = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), str(path))
         owners = _inside(path, tree, {"check_int", "check_bits", "read_int"})
-        owners |= _inside(path, tree, {"product"}, "modset.py")
+        owners |= _inside(path, tree, {"_check_count"}, "modset.py")
         offenders += [
             f"{path.name}:{node.lineno}: {ast.unparse(node)}"
             for node in ast.walk(tree)

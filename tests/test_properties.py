@@ -17,7 +17,9 @@ The deep check's certificate accepts a predicted prefix exactly when greedy
 growth yields it, and then agrees with ``omitted_set``; built from masks over
 the seed, it equals the whole-prefix shift-OR pass of ``conftest`` field for field.
 The character profile it reads off the seed is ``detect_character`` of the
-predicted prefix, accepted or not.
+predicted prefix, accepted or not.  Given W and its doubling steps instead of
+A = W + M*B_s, it builds D(A) and fwd(A) by the step rule and answers as the
+certificate of A does.
 The text parsers either answer or raise a ``StanleyError`` on any input, and
 every reader of a number (set element, family parameter, seed term) gives
 the same answer for the same text.
@@ -31,7 +33,7 @@ from hypothesis import assume, example, given, settings, strategies as hs
 
 import stanley as st
 from stanley.cli import _parse_terms
-from stanley.core import INT_LIMIT, _doubled_profile, check_terms, set_bits
+from stanley.core import INT_LIMIT, _doubled_profile, _reflect, check_terms, set_bits
 from stanley.families import FAMILY_NAMES
 from stanley.search import _add
 
@@ -110,6 +112,13 @@ def assert_omitted(gaps, expected):
 def test_limited_set_bits_lists_the_lowest(bits, limit):
     # sparse high bits make the window grow past its first word
     assert set_bits(sum(1 << b for b in bits), limit) == tuple(sorted(bits))[:limit]
+
+
+@given(bits=hs.sets(hs.integers(min_value=0, max_value=3000)))
+def test_reflect_reads_a_mask_backwards(bits):
+    # greedy's seed check and omitted_set read their term masks this way
+    top = max(bits, default=0)
+    assert _reflect(sum(1 << b for b in bits)) == sum(1 << (top - b) for b in bits)
 
 
 def edited(a, edit, k):
@@ -416,6 +425,43 @@ def test_block_certificate_equals_the_whole_prefix_pass(case):
         profile, gaps = certified
         assert profile == st.detect_character(predicted)
         assert gaps == expected
+
+
+@hs.composite
+def doubling_seeds(draw):
+    """A near-modular W = product of two operands, its top shifted up to 100
+    moduli (up to seven doubling steps), or W with one nonzero element moved,
+    dropped or added, so that some A = W + M*B_s fail the certificate."""
+    w = st.product(draw(operand), draw(operand))
+    k = draw(hs.integers(min_value=0, max_value=100))
+    if k and len(w) > 1:
+        w = st.shift_max(w, k)
+    edit = draw(hs.sampled_from((None, "move", "drop", "add")))
+    elements = set(w.elements)
+    if edit in ("move", "drop") and len(w) > 1:
+        elements.discard(draw(hs.sampled_from(w.elements[1:])))
+    if edit in ("move", "add"):
+        elements.add(draw(hs.integers(min_value=1, max_value=2 * w.modulus)))
+    return st.ResidueSet.of(w.modulus, elements)
+
+
+@given(w=doubling_seeds())
+@settings(deadline=None)
+def test_seed_form_certificate_equals_the_modular_form_one(w):
+    # D(A) and fwd(A) by the step rule from W and s, against the certificate of
+    # A = W + M*B_s written out one doubling at a time
+    try:
+        reference, steps = naive_to_modular(w)
+    except st.MalformedInputError:  # an edit made two sums collide
+        assume(False)
+    form, s = st.to_modular(w)
+    assert (form, s) == (reference, steps)
+    got = st.doubled_prefix(w.elements, w.modulus, steps, form.elements)
+    want = st.doubled_prefix(reference.elements, reference.modulus)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0]
+        assert got[1].mask == want[1].mask and got[1].scan_bound == want[1].scan_bound
 
 
 @hs.composite

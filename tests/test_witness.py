@@ -164,12 +164,12 @@ def test_appendix_erratum_entry():
 def test_appendix_check_proves_every_row_deep(monkeypatch):
     # no character dispatches to the erratum row (top 61), so only the audit
     # proves its greedy character and omitted bound
-    form = st.to_modular(st.load_appendix().row(28, 61))[0]
+    row = st.load_appendix().row(28, 61)
     real = witness.doubled_prefix
 
-    def rejects_the_flagged_row(seed, modulus):
-        certified = real(seed, modulus)
-        if (tuple(seed), modulus) == (form.elements, form.modulus):
+    def rejects_the_flagged_row(seed, modulus, *form):
+        certified = real(seed, modulus, *form)
+        if (tuple(seed), modulus) == (row.elements, row.modulus):
             return None, certified[1]  # no doubling profile
         return certified
 
@@ -312,6 +312,7 @@ def test_rejected_certificate_names_the_first_departing_term(monkeypatch):
     # no verified witness fails the certificate, so hand the deep phase a form
     # whose greedy extension takes 3 where A + {0, N, 3N, 4N} predicts 5
     monkeypatch.setattr(witness, "to_modular", lambda a: (st.ResidueSet(5, (0, 1)), 0))
+    monkeypatch.setattr(witness, "doubled_prefix", lambda *args: st.doubled_prefix((0, 1), 5))
     with pytest.raises(st.VerificationError, match="at term 2: 3, not 5") as err:
         st.execute_and_verify(st.witness_for(10), deep=True)
     assert err.value.check == "doubling-structure"
