@@ -10,13 +10,20 @@ that governs it.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Sequence, Union
 
-from .errors import FormatError, MalformedInputError, PrefixTooShortError, ResourceLimitError
+from .errors import (
+    FormatError,
+    MalformedInputError,
+    PreconditionError,
+    PrefixTooShortError,
+    ResourceLimitError,
+)
 
 #: Checked integer width for every module; ``check_int`` raises beyond it instead of growing.
 INT_LIMIT = (1 << 63) - 1
@@ -25,7 +32,7 @@ INT_LIMIT = (1 << 63) - 1
 #: A shift-OR pass over terms within it may build a cover mask up to twice as wide.
 BIT_LIMIT = 1 << 28
 
-#: Most elements a residue-set product may build; larger products raise before building.
+#: Most elements a residue-set product may hold; ``check_count`` raises beyond it before building.
 ELEMENT_LIMIT = 1 << 24
 
 _LOG2_3 = math.log2(3.0)
@@ -55,6 +62,15 @@ def check_bits(width: int, what: str) -> int:
     if width > BIT_LIMIT:
         raise ResourceLimitError(f"{what} {width} exceeds the {BIT_LIMIT}-bit mask budget")
     return width
+
+
+def check_count(count: int) -> int:
+    """Return ``count`` if a set of that many elements fits the budget; above
+    ``ELEMENT_LIMIT`` raise ResourceLimitError before any is built."""
+    if count > ELEMENT_LIMIT:
+        budget = f"the {ELEMENT_LIMIT}-element budget"
+        raise ResourceLimitError(f"product of {count} elements exceeds {budget}")
+    return count
 
 
 def read_int(text: str, what: str = "number") -> int:
@@ -206,19 +222,10 @@ def _trusted(terms: tuple[int, ...], settled: int) -> StanleyPrefix:
 
 
 def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
-    """Extend ``seed`` greedily until it has ``target_len`` terms.
-
-    The seed is checked by the same shift-OR pass that starts the extension:
-    it holds a progression exactly when a covered value is a term.
-    The next term is the lowest value above the last that no pair covers.  Its
-    gap is read from the low word of the covered-ahead mask, and from the whole
-    mask only after a covered run of 64 values or more.  Each accepted term then
-    costs two shifts over the span: one of the reflected mask of earlier terms,
-    whose new bits are the values the term covers, and one of the ahead mask.
-    Those masks span the prefix, and a span above ``BIT_LIMIT`` raises
-    ResourceLimitError: checked on the least span the request can reach before
-    the seed pass, after a covered run (the one jump in the span), and at the end.
-    """
+    """Extend ``seed`` greedily until it has ``target_len`` terms, each the lowest
+    value above the last that no pair covers (README, "Greedy growth").  A seed
+    with a progression raises MalformedInputError; a prefix whose span would pass
+    ``BIT_LIMIT`` raises ResourceLimitError."""
     terms = _terms_of(seed)
     base = terms[0]
     new = check_int(target_len, "target_len") - len(terms)
@@ -357,18 +364,9 @@ def _omitted(decided: int, base: int, below: int, scan_bound: int) -> OmittedSet
 
 
 def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
-    """The omitted integers in [0, bound), as a mask.
-
-    The prefix must reach ``bound`` so that every pair able to cover a value
-    below the bound is present; otherwise the answer would be provisional.
-    Values from ``prefix.settled`` on are decided already, so the scan stops
-    at below = min(bound, settled): on a greedy prefix its cost follows the
-    seed, not the prefix, and a plain term list gets the whole scan.
-    The omitted values are the zero bits of one shift-OR pass over the terms
-    under below (larger y cover only values above it), kept as the mask of the
-    OmittedSet; only its ``elements`` lists them.
-    A bound above ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
-    """
+    """The omitted integers in [0, bound), as a mask (README, "Greedy growth").
+    A prefix ending below ``bound`` raises PrefixTooShortError, as the answer would
+    be provisional; a bound above ``BIT_LIMIT`` raises ResourceLimitError first."""
     terms = _terms_of(prefix)
     check_bits(check_int(bound, "bound"), "scan bound")
     if terms[-1] < bound:
@@ -378,6 +376,30 @@ def omitted_set(prefix: SeedLike, bound: int) -> OmittedSet:
     head = terms[: bisect_left(terms, below)]
     rev, cover = _cover(head) if head else (0, 0)
     return _omitted(_reflect(rev) | cover, terms[0], below, bound)
+
+
+def sumset(terms: Sequence[int], shifts: Sequence[int]) -> tuple[int, ...]:
+    """{x + t : x in terms, t in shifts}, ascending.  More than ``ELEMENT_LIMIT``
+    sums raise ResourceLimitError before any is built, and two equal sums raise
+    PreconditionError: an input set repeats a residue class."""
+    check_count(len(terms) * len(shifts))
+    sums = [x + t for t in shifts for x in terms]
+    sums.sort()
+    if not all(map(operator.lt, sums, sums[1:])):
+        raise PreconditionError("product sums collided; an input set repeats a residue class")
+    return tuple(sums)
+
+
+def doubled_terms(seed: Sequence[int], modulus: int, steps: int) -> tuple[int, ...]:
+    """A = seed + modulus*B_steps, ascending, where B_s, the sums of distinct 3^i
+    for i < s, is the first 2^s terms of S(0): ``sumset`` of the seed and
+    modulus*B_s, with its checks, the element budget first."""
+    check_count(len(seed) << steps)
+    shifts, q = [0], modulus
+    for _ in range(steps):
+        shifts += [t + q for t in shifts]
+        q *= 3
+    return sumset(seed, shifts)
 
 
 def _doubled_profile(terms: tuple[int, ...], modulus: int) -> CharacterProfile | None:
@@ -392,20 +414,18 @@ def _doubled_profile(terms: tuple[int, ...], modulus: int) -> CharacterProfile |
 
 
 def doubled_prefix(
-    seed: Sequence[int], modulus: int, steps: int = 0, terms: Sequence[int] | None = None
+    seed: Sequence[int], modulus: int, steps: int = 0
 ) -> tuple[CharacterProfile | None, OmittedSet] | None:
-    """Prove that greedy growth extends A = seed + modulus*B_steps, fully modular
-    mod N = modulus*3^steps, to P = A + {0, N, 3N, 4N}, without building P; B_s, the
-    sums of distinct 3^i for i < s, is the first 2^s terms of S(0).  Returns
-    ``(profile, omitted)``, ``detect_character(P)`` and P's omitted set read off A,
-    or None when the proof fails (README, "Deep certificate").
+    """Prove that greedy growth extends A = seed + modulus*B_steps (``doubled_terms``),
+    fully modular mod N = modulus*3^steps, to P = A + {0, N, 3N, 4N}, without
+    building P.  Returns ``(profile, omitted)``, ``detect_character(P)`` and P's
+    omitted set read off A, or None when the proof fails (README, "Deep certificate").
 
     Up to max P, P is covered by D< + {0, N, 3N, 4N} and D + 2N.  D = {2b - a} and
-    fwd(A) follow from the seed by the step rule; only D< = {2b - a : a < b} walks A,
-    given as ``terms`` in order: the seed when ``steps`` is 0 (the default), else as
-    ``to_modular`` builds it.  It is trusted; only its length and ends are checked.
+    fwd(A) follow from the seed by the step rule; only D< = {2b - a : a < b} walks A.
     N not above max A raises MalformedInputError; a prefix ending above ``BIT_LIMIT``
-    raises ResourceLimitError before any mask is built.
+    raises ResourceLimitError before any mask is built, and A is built as
+    ``doubled_terms`` builds it, with its checks.
     """
     seed = check_terms(seed)
     base, top, n = seed[0], seed[-1], check_int(modulus, "modulus")
@@ -414,9 +434,7 @@ def doubled_prefix(
     if n <= top:
         raise MalformedInputError(f"modulus {n} does not exceed the seed maximum {top}")
     end = check_bits(top + 4 * n, "prefix end")
-    terms = seed if terms is None else tuple(terms)
-    if len(terms) != len(seed) << steps or terms[0] != base or terms[-1] != top:
-        raise MalformedInputError("terms do not list seed + modulus * B_steps")
+    terms = doubled_terms(seed, modulus, steps)
 
     rev, across = sum(1 << (seed[-1] - a) for a in seed), 0  # rev: bit max seed - a
     for b in seed:  # D(seed), at bit 2b - a - (2 base - max seed)

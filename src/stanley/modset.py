@@ -11,19 +11,12 @@ sets may exceed the modulus; only their residues matter to verification.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import ELEMENT_LIMIT, check_bits, check_int, check_terms, read_int, set_bits
-from .errors import (
-    FormatError,
-    MalformedInputError,
-    NegativeCharacterError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .core import check_bits, check_int, check_terms, doubled_terms, read_int, set_bits, sumset
+from .errors import FormatError, MalformedInputError, NegativeCharacterError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -156,22 +149,6 @@ def verify(a: ResidueSet) -> VerificationReport:
     )
 
 
-def _check_count(count: int) -> None:
-    """Refuse a set of ``count`` elements over ``ELEMENT_LIMIT`` before it is built."""
-    if count > ELEMENT_LIMIT:
-        budget = f"the {ELEMENT_LIMIT}-element budget"
-        raise ResourceLimitError(f"product of {count} elements exceeds {budget}")
-
-
-def _ascending(modulus: int, sums: list[int]) -> ResidueSet:
-    """The sums x + N*y over two valid sets, sorted in place: strictly increasing
-    from 0, with the largest checked, they form a valid set without re-validation."""
-    sums.sort()
-    if not all(map(operator.lt, sums, sums[1:])):
-        raise PreconditionError("product sums collided; an input set repeats a residue class")
-    return _trusted(modulus, tuple(sums))
-
-
 def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """Combine as {x + N*y : x in A, y in B} with modulus N*M.
 
@@ -184,8 +161,7 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     n = a.modulus
     new_modulus = check_int(n * b.modulus, "product modulus")
     check_int(a.max_element + n * b.max_element, "product element")
-    _check_count(len(a.elements) * len(b.elements))
-    return _ascending(new_modulus, [x + n * y for x in a.elements for y in b.elements])
+    return _trusted(new_modulus, sumset(a.elements, [n * y for y in b.elements]))
 
 
 def scale(a: ResidueSet, c: int) -> ResidueSet:
@@ -251,19 +227,13 @@ def to_modular(a: ResidueSet) -> tuple[ResidueSet, int]:
     """The fully modular form of ``a`` and its number of doubling steps s.
 
     ``doubling_reduction`` counts the products with {0,1} mod 3 that bring the
-    maximum below the modulus N.  They give a + N*B_s (see ``doubled_prefix``), built
-    in one pass, each step adding N*3^i to every element so far, and sorted once;
-    the modulus, the top and the element budget are checked before it is built.
+    maximum below the modulus N.  They give a + N*B_s, built by ``doubled_terms``
+    once the modulus and the top are checked.
     """
     steps, modulus = doubling_reduction(a)
     check_int(modulus, "product modulus")
     check_int(a.max_element + a.modulus * (3**steps - 1) // 2, "product element")
-    _check_count(len(a.elements) << steps)
-    sums, q = list(a.elements), a.modulus
-    for _ in range(steps):
-        sums += [x + q for x in sums]
-        q *= 3
-    return _ascending(modulus, sums), steps
+    return _trusted(modulus, doubled_terms(a.elements, a.modulus, steps)), steps
 
 
 def character_of(a: ResidueSet) -> int:

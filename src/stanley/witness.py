@@ -21,6 +21,7 @@ from .core import (
     OmittedSet,
     check_int,
     doubled_prefix,
+    doubled_terms,
     greedy_extend,
 )
 from .errors import (
@@ -42,7 +43,6 @@ from .modset import (
     format_set,
     parse_set,
     shift_max,
-    to_modular,
     verify,
 )
 from .search import SearchSpec, search_near_modular
@@ -351,14 +351,17 @@ def appendix_check() -> AppendixReport:
 
 @dataclass(frozen=True)
 class VerifiedWitness:
-    """A recipe's output set together with everything checked about it."""
+    """A recipe's output set together with everything checked about it.
+
+    A deep run keeps the witness's doubling steps s, not its fully modular form
+    A = W + M*B_s: ``modular_form`` builds A from the witness on each read.
+    """
 
     recipe: WitnessRecipe
     witness: ResidueSet
     character: int
     checks: tuple[str, ...]
     search_nodes: int = 0
-    modular_form: ResidueSet | None = None
     doubling_steps: int | None = None
     profile: CharacterProfile | None = None
     omitted: OmittedSet | None = None
@@ -366,6 +369,12 @@ class VerifiedWitness:
     @property
     def deep_verified(self) -> bool:
         return self.profile is not None
+
+    @property
+    def modular_form(self) -> ResidueSet | None:
+        """The fully modular form the deep phase proved, or None without one."""
+        steps = self.doubling_steps
+        return None if steps is None else _modular_form(self.witness, steps)
 
 
 def _resolve_base(recipe: WitnessRecipe) -> tuple[ResidueSet, int]:
@@ -391,6 +400,11 @@ def _resolve_base(recipe: WitnessRecipe) -> tuple[ResidueSet, int]:
     raise MalformedInputError(f"unsupported recipe base {base!r}")
 
 
+def _modular_form(w: ResidueSet, steps: int) -> ResidueSet:
+    """A = W + M*B_s mod M*3^s, the set ``doubled_prefix`` certifies for W and s."""
+    return ResidueSet(w.modulus * 3**steps, doubled_terms(w.elements, w.modulus, steps))
+
+
 def _departure(form: ResidueSet) -> str:
     """Where the greedy extension of a modular form first leaves A + {0, N, 3N, 4N}."""
     grown = greedy_extend(form.elements, 4 * len(form)).terms
@@ -413,14 +427,16 @@ def execute_and_verify(
     """Build the recipe's set and refuse to hand it over unchecked.
 
     Static checks always run: near-modularity, the expected top element and
-    modulus, and the character itself.  With ``deep`` the witness W mod M is
-    doubled to its fully modular form A = W + M*B_s mod N, and ``doubled_prefix``
-    proves from W, s and A, without regrowing it, that greedy growth from A
+    modulus, and the character itself.  With ``deep``, ``doubling_reduction``
+    counts the s steps that double the witness W mod M to its fully modular
+    form A = W + M*B_s mod N = M*3^s, and ``doubled_prefix`` proves from W and s
+    alone, building A itself and never regrowing it, that greedy growth from A
     yields P = A + {0, N, 3N, 4N}; it also reads P's character profile (its two
     constructed levels at least) and omitted set off A.  The profile's character
-    and the omitted-value bound are then checked against the target.  A
-    reduction whose modulus would exceed ``deep_cap`` skips the deep phase
-    instead of thrashing.  Any failed check raises VerificationError; a rejected
+    and the omitted-value bound are then checked against the target.  The result
+    keeps s, and builds A again only when ``modular_form`` is read.  A reduction
+    whose modulus would exceed ``deep_cap`` skips the deep phase instead of
+    thrashing.  Any failed check raises VerificationError; a rejected
     certificate names the first term where greedy growth leaves P.
     """
     check_int(deep_cap, "deep_cap")
@@ -451,23 +467,18 @@ def execute_and_verify(
         )
     checks.append("character")
 
-    modular_form = None
-    doubling_steps = None
-    profile = None
-    omitted = None
-    if deep and doubling_reduction(witness)[1] <= deep_cap:
-        modular_form, doubling_steps = to_modular(witness)
-        certified = doubled_prefix(
-            witness.elements, witness.modulus, doubling_steps, modular_form.elements
-        )
+    doubling_steps = profile = omitted = None
+    steps, modulus = doubling_reduction(witness) if deep else (0, 0)
+    if deep and modulus <= deep_cap:
+        certified = doubled_prefix(witness.elements, witness.modulus, steps)
         if certified is None:
-            raise VerificationError("doubling-structure", _departure(modular_form))
+            raise VerificationError("doubling-structure", _departure(_modular_form(witness, steps)))
         profile, omitted = certified
         if profile is None or profile.character != recipe.target_character:
             raise VerificationError(
                 "doubling-structure",
-                f"greedy extension of {format_set(modular_form)} does not repeat"
-                f" with character {recipe.target_character} (got {profile})",
+                f"greedy extension of {format_set(_modular_form(witness, steps))} does not"
+                f" repeat with character {recipe.target_character} (got {profile})",
             )
         checks.append("doubling-structure")
         if omitted.omega is not None and omitted.omega >= recipe.target_character:
@@ -477,17 +488,10 @@ def execute_and_verify(
                 f" {recipe.target_character}",
             )
         checks.append("omitted-bound")
+        doubling_steps = steps
 
     return VerifiedWitness(
-        recipe,
-        witness,
-        character,
-        tuple(checks),
-        nodes,
-        modular_form,
-        doubling_steps,
-        profile,
-        omitted,
+        recipe, witness, character, tuple(checks), nodes, doubling_steps, profile, omitted
     )
 
 
@@ -511,7 +515,7 @@ class CoverageEntry:
     """One character's row in a coverage sweep."""
 
     character: int
-    status: str  # "verified" | "excluded" | "failed"
+    status: str  # "verified" | "static-only" (deep_cap skipped deep) | "excluded" | "failed"
     strategy: str | None = None
     base: str | None = None
     max_element: int | None = None
@@ -538,7 +542,7 @@ def _coverage_entry(target: int, deep: bool, deep_cap: int) -> CoverageEntry:
         )
     return CoverageEntry(
         target,
-        "verified",
+        "static-only" if deep and not result.deep_verified else "verified",
         recipe.strategy,
         describe_base(recipe.base),
         result.witness.max_element,
@@ -562,17 +566,20 @@ class CoverageReport:
 
     @property
     def all_admissible_verified(self) -> bool:
-        return all(e.status in ("verified", "excluded") for e in self.entries)
+        return self.count("failed") == 0
 
     def summary_line(self) -> str:
+        shallow = self.count("static-only")
         return (
             f"characters 0..{self.lambda_max}: {self.count('verified')} verified,"
-            f" {self.count('excluded')} excluded, {self.count('failed')} failed"
+            + (f" {shallow} static-only," if shallow else "")
+            + f" {self.count('excluded')} excluded, {self.count('failed')} failed"
         )
 
     def to_text_lines(self) -> list[str]:
+        width = max(len(e.status) for e in self.entries)  # 8, or 11 with static-only rows
         lines = [
-            f"{'char':>5}  {'status':<8}  {'strategy':<17}  "
+            f"{'char':>5}  {'status':<{width}}  {'strategy':<17}  "
             f"{'base':<30}  {'max':>7}  {'mod':>5}  {'lvl':>3}  {'omega':>5}"
         ]
         for e in self.entries:
@@ -584,17 +591,19 @@ class CoverageReport:
             top = "-" if e.max_element is None else str(e.max_element)
             modulus = "-" if e.modulus is None else str(e.modulus)
             lines.append(
-                f"{e.character:>5}  {e.status:<8}  {e.strategy:<17}  "
+                f"{e.character:>5}  {e.status:<{width}}  {e.strategy:<17}  "
                 f"{e.base:<30}  {top:>7}  {modulus:>5}  {levels:>3}  {omega:>5}"
             )
         lines.append(self.summary_line())
         return lines
 
     def to_json_dict(self) -> dict:
+        shallow = self.count("static-only")
         return {
             "lambda_max": self.lambda_max,
             "deep_cap": self.deep_cap,
             "verified": self.count("verified"),
+            **({"static-only": shallow} if shallow else {}),
             "excluded": self.count("excluded"),
             "failed": self.count("failed"),
             "entries": [asdict(e) for e in self.entries],

@@ -347,6 +347,14 @@ def test_coverage_to_1000_is_pinned(capsys):
     assert digest == "634856330de75179f49809c069fbd1eed7cbc3494eeaf6dde67416807cd5db06"
 
 
+def test_coverage_json_to_1000_is_pinned(capsys):
+    # the --json form of the same sweep: every entry and total, byte for byte
+    code, out, _ = run(capsys, "coverage", "--max", "1000", "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == "d8ada52ac9c72e77d4d29377423303195ae1d54380b499e518088cd55e6af8b5"
+
+
 def test_coverage_is_deterministic(capsys):
     _, first, _ = run(capsys, "coverage", "--max", "20")
     _, second, _ = run(capsys, "coverage", "--max", "20")

@@ -319,33 +319,35 @@ def test_doubled_prefix_argument_errors():
 
 @pytest.mark.parametrize("lam", [1500, 1999, 20000])
 def test_doubled_prefix_from_the_seed_and_its_steps(lam):
-    # D(A) and fwd(A) from W by the step rule agree with the certificate of A alone
+    # D(A) and fwd(A) from W by the step rule, with A built from W and s inside,
+    # agree with the certificate of A alone
     w = st.execute_and_verify(st.witness_for(lam)).witness
     form, steps = st.to_modular(w)
     assert steps > 0
-    certified = st.doubled_prefix(w.elements, w.modulus, steps, form.elements)
+    certified = st.doubled_prefix(w.elements, w.modulus, steps)
     assert certified == st.doubled_prefix(form.elements, form.modulus)
     assert certified[0].character == lam
-    assert st.doubled_prefix(w.elements, w.modulus, steps, list(form.elements)) == certified
+    assert st.doubled_prefix(list(w.elements), w.modulus, steps) == certified
 
 
-def test_doubled_prefix_checks_the_length_and_ends_of_a():
-    w = st.build_family("T:1")  # N=9; 0,1,6,7
-    near = st.shift_max(w, 2)  # 0,1,6,25: two steps to mod 81
+def test_doubled_prefix_refuses_bad_steps_and_a_seed_whose_a_repeats(monkeypatch):
+    near = st.shift_max(st.build_family("T:1"), 2)  # N=9; 0,1,6,25: two steps to mod 81
     form, steps = st.to_modular(near)
     assert steps == 2 and form.modulus == 81
-    with pytest.raises(st.MalformedInputError, match="do not list"):
-        st.doubled_prefix(near.elements, 9, steps)  # A left out
-    with pytest.raises(st.MalformedInputError, match="do not list"):
-        st.doubled_prefix(near.elements, 9, steps, form.elements[:-1])
-    with pytest.raises(st.MalformedInputError, match="do not list"):
-        st.doubled_prefix(near.elements, 9, steps, (1,) + form.elements[1:])
+    assert st.doubled_prefix(near.elements, 9, steps) == st.doubled_prefix(form.elements, 81)
     with pytest.raises(st.MalformedInputError, match="seed maximum"):
-        st.doubled_prefix(near.elements, 9, 1, form.elements)  # one step: 27 <= 25 + 9
+        st.doubled_prefix(near.elements, 9, 1)  # one step: 27 <= 25 + 9
     with pytest.raises(st.ResourceLimitError, match="64-bit range"):
         st.doubled_prefix([0, 1], 3, 10**18)  # the modulus leaves the checked range first
     with pytest.raises(st.MalformedInputError):
         st.doubled_prefix([0, 1], 3, -1)
+    # 0 and 3 share a class mod 3, so A = (0, 3) + {0, 3} holds 3 twice
+    with pytest.raises(st.PreconditionError, match="collided"):
+        st.doubled_prefix([0, 3], 3, 1)
+    # the element budget is checked before A is built: 4 * 2^2 elements
+    monkeypatch.setattr(core, "ELEMENT_LIMIT", 15)
+    with pytest.raises(st.ResourceLimitError, match="element budget"):
+        st.doubled_prefix(near.elements, 9, steps)
 
 
 def test_doubled_prefix_mask_budget(monkeypatch):

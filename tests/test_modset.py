@@ -120,7 +120,7 @@ def test_product_cardinality_and_verdict(small_corpus):
 
 def test_product_element_budget(monkeypatch):
     # refused before any sum is built, so the limit can be tested small
-    monkeypatch.setattr(modset, "ELEMENT_LIMIT", 16)
+    monkeypatch.setattr(core, "ELEMENT_LIMIT", 16)
     block = st.ResidueSet(9, (0, 1, 6, 7))
     assert len(st.product(block, block)) == 16
     with pytest.raises(st.ResourceLimitError):
@@ -209,10 +209,10 @@ def test_to_modular_over_budget_builds_little(monkeypatch):
 
     near = st.shift_max(st.build_T(1), 10**4)  # ten doubling steps
     object.__setattr__(near, "elements", Unread(near.elements))
-    monkeypatch.setattr(modset, "ELEMENT_LIMIT", 1 << 10)
+    monkeypatch.setattr(core, "ELEMENT_LIMIT", 1 << 10)
     with pytest.raises(st.ResourceLimitError, match="element budget"):
         st.to_modular(near)
-    monkeypatch.setattr(modset, "ELEMENT_LIMIT", 1 << 12)  # now it fits, and is built
+    monkeypatch.setattr(core, "ELEMENT_LIMIT", 1 << 12)  # now it fits, and is built
     with pytest.raises(pytest.fail.Exception, match="elements were read"):
         st.to_modular(near)
 

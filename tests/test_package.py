@@ -112,17 +112,18 @@ def _names_read(node):
 
 def test_only_the_limit_owners_read_the_limits():
     # every 64-bit range check goes through check_int (read_int is its text
-    # front end) and every mask-budget check through check_bits
+    # front end), every mask-budget check through check_bits and every
+    # element-budget check through check_count
     offenders = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), str(path))
-        owners = _inside(path, tree, {"check_int", "read_int", "check_bits"})
+        owners = _inside(path, tree, {"check_int", "read_int", "check_bits", "check_count"})
         offenders += [
             f"{path.name}:{node.lineno}: {name}"
             for node in ast.walk(tree)
             if id(node) not in owners
             for name in _names_read(node)
-            if name in ("INT_LIMIT", "BIT_LIMIT")
+            if name in ("INT_LIMIT", "BIT_LIMIT", "ELEMENT_LIMIT")
         ]
     assert offenders == []
 
@@ -133,8 +134,7 @@ def test_only_the_limit_helpers_raise_resource_limits():
     offenders = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), str(path))
-        owners = _inside(path, tree, {"check_int", "check_bits", "read_int"})
-        owners |= _inside(path, tree, {"_check_count"}, "modset.py")
+        owners = _inside(path, tree, {"check_int", "check_bits", "check_count", "read_int"})
         offenders += [
             f"{path.name}:{node.lineno}: {ast.unparse(node)}"
             for node in ast.walk(tree)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 import stanley as st
-from stanley import core, witness
+from stanley import core, modset, witness
 from stanley.witness import SMALL_CASE_PARAMS, _split_pow3
 
 
@@ -309,13 +309,34 @@ def test_accepted_certificate_regrows_nothing(monkeypatch, lam):
 
 
 def test_rejected_certificate_names_the_first_departing_term(monkeypatch):
-    # no verified witness fails the certificate, so hand the deep phase a form
-    # whose greedy extension takes 3 where A + {0, N, 3N, 4N} predicts 5
-    monkeypatch.setattr(witness, "to_modular", lambda a: (st.ResidueSet(5, (0, 1)), 0))
-    monkeypatch.setattr(witness, "doubled_prefix", lambda *args: st.doubled_prefix((0, 1), 5))
-    with pytest.raises(st.VerificationError, match="at term 2: 3, not 5") as err:
-        st.execute_and_verify(st.witness_for(10), deep=True)
+    # no verified witness fails the certificate, so let through a set that is
+    # not near-modular: N=5; 0,1,3 (character 2) is already modular, and its
+    # greedy extension takes 4 where A + {0, N, 3N, 4N} predicts 5
+    real_verify = witness.verify
+    monkeypatch.setattr(
+        witness, "verify", lambda a: dataclasses.replace(real_verify(a), is_near_modular=True)
+    )
+    recipe = st.WitnessRecipe(2, "even-ladder", st.ResidueSet(5, (0, 1, 3)), 0, 3, 5)
+    with pytest.raises(st.VerificationError, match="at term 3: 4, not 5") as err:
+        st.execute_and_verify(recipe, deep=True)
     assert err.value.check == "doubling-structure"
+
+
+@pytest.mark.parametrize("lam", [1500, 1999, 20000])
+def test_deep_path_builds_no_modular_form(monkeypatch, lam):
+    # the certificate builds A from W and s itself; only modular_form builds it again
+    real = st.to_modular
+
+    def no_modular_form(*args, **kwargs):
+        raise AssertionError("to_modular was called")
+
+    monkeypatch.setattr(witness, "to_modular", no_modular_form, raising=False)
+    monkeypatch.setattr(modset, "to_modular", no_modular_form)
+    result = st.execute_and_verify(st.witness_for(lam), deep=True)
+    assert result.deep_verified and result.doubling_steps > 0
+    report = st.coverage_report(200)
+    assert report.count("verified") == 195 and report.all_admissible_verified
+    assert result.modular_form == real(result.witness)[0]
 
 
 def test_execute_rejects_wrong_geometry():
@@ -383,6 +404,28 @@ def test_coverage_threads_agree(reports_two_cpus):
     solo = st.coverage_report(24, deep=True)
     pooled = st.coverage_report(24, deep=True, threads=2)
     assert solo.entries == pooled.entries
+
+
+def test_coverage_says_static_only_when_deep_cap_skips_the_deep_phase():
+    # deep was asked for, so a row whose deep phase deep_cap skipped is not "verified"
+    report = st.coverage_report(100, deep_cap=50)
+    shallow = [e for e in report.entries if e.status == "static-only"]
+    assert len(shallow) == 72 and report.count("verified") == 23
+    assert not any(e.deep_verified for e in shallow)
+    assert all(e.deep_verified for e in report.entries if e.status == "verified")
+    assert report.all_admissible_verified  # the exit code does not change
+    lines = report.to_text_lines()
+    assert lines[-1] == "characters 0..100: 23 verified, 72 static-only, 6 excluded, 0 failed"
+    row = next(line for line in lines if line.startswith("   63  "))
+    assert row.split()[:2] == ["63", "static-only"] and row.split()[-2:] == ["-", "-"]
+    assert lines[0].index("strategy") == row.index("mod30-table")  # the columns stay aligned
+    blob = report.to_json_dict()
+    assert (blob["verified"], blob["static-only"], blob["excluded"]) == (23, 72, 6)
+    assert blob["entries"][63]["status"] == "static-only"
+    # a static sweep asked for no deep phase, so its rows stay "verified"
+    static = st.coverage_report(100, deep=False)
+    assert static.count("verified") == 95 and "static-only" not in static.to_json_dict()
+    assert static.summary_line() == "characters 0..100: 95 verified, 6 excluded, 0 failed"
 
 
 def test_coverage_report_rendering():
