@@ -208,12 +208,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    report = coverage_report(
-        args.max,
-        deep=not args.no_deep,
-        deep_cap=args.deep_cap,
-        threads=args.threads,
-    )
+    report = coverage_report(args.max, deep=not args.no_deep, deep_cap=args.deep_cap)
     if args.json:
         json.dump(report.to_json_dict(), sys.stdout, indent=2, sort_keys=True)
         print()
@@ -313,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=read_int, required=True, help="largest character to cover")
     p.add_argument("--deep-cap", type=read_int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
     p.add_argument("--no-deep", action="store_true", help="static checks only")
-    p.add_argument("--threads", type=read_int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_coverage)
 

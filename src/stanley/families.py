@@ -13,11 +13,12 @@ from typing import Union
 
 from .core import check_int, read_int
 from .errors import InvariantViolationError, MalformedInputError, PreconditionError
-from .modset import DOUBLING_BLOCK, ResidueSet, power, product, scale, shift_max, verify
+from .modset import ResidueSet, power, product, scale, shift_max, verify
 
-#: The unit set and the elementary blocks besides modset's DOUBLING_BLOCK,
-#: {0,1} mod 3.  All four blocks are verified near-modular at import time.
+#: The unit set and the four elementary blocks, all verified near-modular
+#: at import time.
 UNIT = ResidueSet(1, (0,))
+DOUBLING_BLOCK = ResidueSet(3, (0, 1))
 SEED_02 = ResidueSet(3, (0, 2))
 MOD10_A = ResidueSet(10, (0, 7, 9, 16))
 MOD10_B = ResidueSet(10, (0, 1, 7, 8))

@@ -191,10 +191,6 @@ def shift_max(a: ResidueSet, multiples: int = 1) -> ResidueSet:
     return _trusted(a.modulus, a.elements[:-1] + (new_max,))
 
 
-#: The two-element doubling block: each step of ``to_modular`` is a product with it.
-DOUBLING_BLOCK = ResidueSet(3, (0, 1))
-
-
 def power(a: ResidueSet, block: ResidueSet, n: int) -> ResidueSet:
     """``a`` times n copies of ``block``, by repeated squaring.
 

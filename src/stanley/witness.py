@@ -11,9 +11,8 @@ way down to a greedy extension of the fully modular form.
 from __future__ import annotations
 
 import importlib.resources
-import os
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import ClassVar, Union
 
 from .core import (
@@ -21,7 +20,6 @@ from .core import (
     OmittedSet,
     check_int,
     doubled_prefix,
-    doubled_terms,
     greedy_extend,
 )
 from .errors import (
@@ -43,6 +41,7 @@ from .modset import (
     format_set,
     parse_set,
     shift_max,
+    to_modular,
     verify,
 )
 from .search import SearchSpec, search_near_modular
@@ -373,8 +372,7 @@ class VerifiedWitness:
     @property
     def modular_form(self) -> ResidueSet | None:
         """The fully modular form the deep phase proved, or None without one."""
-        steps = self.doubling_steps
-        return None if steps is None else _modular_form(self.witness, steps)
+        return None if self.doubling_steps is None else to_modular(self.witness)[0]
 
 
 def _resolve_base(recipe: WitnessRecipe) -> tuple[ResidueSet, int]:
@@ -398,11 +396,6 @@ def _resolve_base(recipe: WitnessRecipe) -> tuple[ResidueSet, int]:
             )
         return result.witness, result.nodes
     raise MalformedInputError(f"unsupported recipe base {base!r}")
-
-
-def _modular_form(w: ResidueSet, steps: int) -> ResidueSet:
-    """A = W + M*B_s mod M*3^s, the set ``doubled_prefix`` certifies for W and s."""
-    return ResidueSet(w.modulus * 3**steps, doubled_terms(w.elements, w.modulus, steps))
 
 
 def _departure(form: ResidueSet) -> str:
@@ -472,12 +465,12 @@ def execute_and_verify(
     if deep and modulus <= deep_cap:
         certified = doubled_prefix(witness.elements, witness.modulus, steps)
         if certified is None:
-            raise VerificationError("doubling-structure", _departure(_modular_form(witness, steps)))
+            raise VerificationError("doubling-structure", _departure(to_modular(witness)[0]))
         profile, omitted = certified
         if profile is None or profile.character != recipe.target_character:
             raise VerificationError(
                 "doubling-structure",
-                f"greedy extension of {format_set(_modular_form(witness, steps))} does not"
+                f"greedy extension of {format_set(to_modular(witness)[0])} does not"
                 f" repeat with character {recipe.target_character} (got {profile})",
             )
         checks.append("doubling-structure")
@@ -615,28 +608,11 @@ def coverage_report(
     *,
     deep: bool = True,
     deep_cap: int = DEFAULT_DEEP_CAP,
-    threads: int = 1,
 ) -> CoverageReport:
-    """Sweep characters 0..lambda_max and verify a witness for each
-    admissible one.  ``threads`` worker processes, at most ``os.cpu_count()``,
-    share the characters in chunks of four; entries come back ordered by
-    character whatever the count, so it changes only the speed."""
+    """Sweep characters 0..lambda_max in order, in this process, and verify a
+    witness for each admissible one."""
     if check_int(lambda_max, "lambda_max") < 16:
         raise PreconditionError("lambda_max must be at least 16")
     check_int(deep_cap, "deep_cap")  # else every entry would fail on it
-    if check_int(threads, "threads") < 1:
-        raise MalformedInputError("threads must be positive")
-    limit = os.cpu_count() or 1
-    if threads > limit:
-        raise MalformedInputError(f"threads {threads} exceeds the {limit} CPUs of this host")
-    entry = partial(_coverage_entry, deep=deep, deep_cap=deep_cap)
-    characters = range(lambda_max + 1)
-    if threads == 1:
-        return CoverageReport(lambda_max, deep_cap, tuple(map(entry, characters)))
-    from concurrent.futures import ProcessPoolExecutor  # so `import stanley` loads no multiprocessing
-
-    pool = ProcessPoolExecutor(max_workers=threads)
-    try:
-        return CoverageReport(lambda_max, deep_cap, tuple(pool.map(entry, characters, chunksize=4)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    entries = tuple(_coverage_entry(c, deep, deep_cap) for c in range(lambda_max + 1))
+    return CoverageReport(lambda_max, deep_cap, entries)

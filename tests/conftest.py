@@ -6,9 +6,6 @@ the optimized paths always have something independent to disagree with.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-
 import pytest
 
 import stanley as st
@@ -365,22 +362,6 @@ def build_corpus() -> list[st.ResidueSet]:
     tables = st.load_appendix()
     sets += list(tables.mod28) + list(tables.mod30)
     return sets
-
-
-@pytest.fixture
-def reports_two_cpus(monkeypatch):
-    """A host reporting two CPUs whatever it has; process pools still start."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-
-@pytest.fixture
-def two_cpus(reports_two_cpus, monkeypatch):
-    """A host reporting two CPUs, on which starting a process pool fails the test."""
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
 
 @pytest.fixture(scope="session")

@@ -373,20 +373,21 @@ def test_search_verb_found(capsys):
 @pytest.mark.parametrize(
     "argv,code,lines",
     [
-        (("--mod", "28", "--max", "57", "--size", "8", "--budget", "300"), 3,
+        (("search", "--mod", "28", "--max", "57", "--size", "8", "--budget", "300"), 3,
          ["nodes: 301", "budget exceeded", "resume: 20"]),
         # search always pins 0; the old --no-zero flag is a usage error
-        (("--mod", "28", "--max", "57", "--size", "8", "--no-zero"), 2, []),
-        (("--mod", "30", "--max", "46", "--size", "8"), 0, ["nodes: 680"]),
-        (("--mod", "32", "--max", "27", "--size", "8"), 1,
+        (("search", "--mod", "28", "--max", "57", "--size", "8", "--no-zero"), 2, []),
+        (("search", "--mod", "30", "--max", "46", "--size", "8"), 0, ["nodes: 680"]),
+        (("search", "--mod", "32", "--max", "27", "--size", "8"), 1,
          ["nodes: 1104", "exhausted: no witness in this space"]),
-        # search runs in one process; only coverage takes --threads
-        (("--mod", "28", "--max", "57", "--size", "8", "--threads", "2"), 2, []),
+        # search and coverage run in one process; neither takes --threads
+        (("search", "--mod", "28", "--max", "57", "--size", "8", "--threads", "2"), 2, []),
+        (("coverage", "--max", "16", "--threads", "2"), 2, []),
     ],
 )
 def test_search_node_counts_are_pinned(capsys, argv, code, lines):
     # the default space's 666 nodes are pinned in test_search_verb_found
-    got, out, _ = run(capsys, "search", *argv)
+    got, out, _ = run(capsys, *argv)
     assert got == code
     assert out.splitlines()[: len(lines) or None] == lines  # [] pins an empty stdout
 
@@ -460,11 +461,6 @@ def test_verify_unreadable_files(tmp_path, capsys):
     bad.write_bytes("N=3; 0,1\nN=9; 0,2,5,6 # \u00e9\n".encode("utf-8"))
     code, out, err = run(capsys, "verify", str(bad))
     assert code == 2 and out == "" and "non-ASCII" in err
-
-
-def test_threads_above_cpu_count_are_usage_errors(capsys, two_cpus):
-    code, out, err = run(capsys, "coverage", "--max", "16", "--threads", "3")
-    assert code == 2 and out == "" and "threads 3" in err
 
 
 def test_search_verb_exhausted(capsys):

@@ -1,7 +1,7 @@
 """Package structure: modules share only public names, every exported name has
 a user besides the tests, one reader owns ``int``, one helper owns each limit,
-one module owns the process pool and loads it only when a pool starts, and no
-module reads the environment."""
+every module runs in one process and ``import stanley`` loads no process pool,
+and no module reads the environment."""
 
 import ast
 import re
@@ -145,18 +145,19 @@ def test_only_the_limit_helpers_raise_resource_limits():
     assert offenders == []
 
 
-def test_only_witness_starts_process_pools():
-    # coverage_report owns the one process pool; search runs in one process
+def test_no_module_starts_a_process_pool():
+    # coverage and search run in one process
     offenders = []
     for path in MODULES:
-        if path.name == "witness.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             modules = (
                 [alias.name for alias in node.names] if isinstance(node, ast.Import)
                 else [node.module] if isinstance(node, ast.ImportFrom) else []
             )
-            if "concurrent.futures" in modules or "ProcessPoolExecutor" in _names_read(node):
+            if (
+                any(m.split(".")[0] in ("concurrent", "multiprocessing") for m in modules if m)
+                or {"ProcessPoolExecutor", "cpu_count"}.intersection(_names_read(node))
+            ):
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert offenders == []
 
@@ -196,7 +197,6 @@ INTEGER_PARAMETERS = {
     ),
     "coverage_report.lambda_max": stanley.coverage_report,
     "coverage_report.deep_cap": lambda v: stanley.coverage_report(16, deep_cap=v),
-    "coverage_report.threads": lambda v: stanley.coverage_report(16, threads=v),
     "witness_for.target": stanley.witness_for,
     "execute_and_verify.deep_cap": lambda v: stanley.execute_and_verify(
         stanley.witness_for(16), deep=True, deep_cap=v

@@ -1,7 +1,6 @@
 """Recipe dispatch, bundled tables, and the execute/verify pipeline."""
 
 import dataclasses
-import os
 
 import pytest
 
@@ -324,19 +323,19 @@ def test_rejected_certificate_names_the_first_departing_term(monkeypatch):
 
 @pytest.mark.parametrize("lam", [1500, 1999, 20000])
 def test_deep_path_builds_no_modular_form(monkeypatch, lam):
-    # the certificate builds A from W and s itself; only modular_form builds it again
-    real = st.to_modular
-
+    # the certificate builds A from W and s itself; only modular_form builds it again,
+    # through to_modular, so it is read once to_modular is restored
     def no_modular_form(*args, **kwargs):
         raise AssertionError("to_modular was called")
 
-    monkeypatch.setattr(witness, "to_modular", no_modular_form, raising=False)
+    monkeypatch.setattr(witness, "to_modular", no_modular_form)
     monkeypatch.setattr(modset, "to_modular", no_modular_form)
     result = st.execute_and_verify(st.witness_for(lam), deep=True)
     assert result.deep_verified and result.doubling_steps > 0
     report = st.coverage_report(200)
     assert report.count("verified") == 195 and report.all_admissible_verified
-    assert result.modular_form == real(result.witness)[0]
+    monkeypatch.undo()
+    assert result.modular_form == st.to_modular(result.witness)[0]
 
 
 def test_execute_rejects_wrong_geometry():
@@ -390,20 +389,6 @@ def test_coverage_matches_documented_small_sweep():
 def test_coverage_precondition():
     with pytest.raises(st.PreconditionError):
         st.coverage_report(10)
-
-
-def test_coverage_threads_capped_at_cpu_count(two_cpus, monkeypatch):
-    with pytest.raises(st.MalformedInputError):
-        st.coverage_report(16, threads=3)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown count: one worker
-    with pytest.raises(st.MalformedInputError):
-        st.coverage_report(16, threads=2)
-
-
-def test_coverage_threads_agree(reports_two_cpus):
-    solo = st.coverage_report(24, deep=True)
-    pooled = st.coverage_report(24, deep=True, threads=2)
-    assert solo.entries == pooled.entries
 
 
 def test_coverage_says_static_only_when_deep_cap_skips_the_deep_phase():
