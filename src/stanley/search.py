@@ -2,20 +2,18 @@
 
 The searcher enumerates candidate sets {0, t} plus middle elements from
 [1, t-1] in colexicographic order.  It places 0, then t, then the middles in
-descending order, so 0 is the only placed element below a new value.  Each
-node keeps two residue masks mod N, ``blocked`` (where a new element would
-close a progression, as an endpoint 2y - x or as a midpoint r with
-2r = x + z) and ``cov`` (the residues 2y - x covered so far), beside summary
-masks of the placed elements q: -q, 2q for q != 0, and q halved.  Placing a
-value rotates the summaries, a fixed number of big-int operations however
-many elements are placed.  New elements come from unblocked residues only.
-Violations are monotone under supersets, so pruning never skips a witness;
-tests compare the pruned scan against a full enumeration on tiny instances.
+descending order, each in one step on a few residue masks mod N: a fixed
+number of big-int shifts however many elements are placed (README,
+"Search").  New elements come from unblocked residues only.  Violations are
+monotone under supersets, so pruning never skips a witness; tests compare
+the pruned scan against a full enumeration on tiny instances and its node
+counts against a plain depth-first walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .core import check_bits, check_int
 from .errors import InvariantViolationError, MalformedInputError
@@ -31,8 +29,9 @@ class SearchSpec:
     The space is every ``cardinality``-element set holding 0 and
     ``max_element``, whose other members (the middles) lie strictly between
     them.  ``budget`` bounds the number of candidate placements examined.
-    Every search mask is ``modulus`` bits wide, so a modulus above
-    ``BIT_LIMIT`` raises ResourceLimitError.
+    The search's masks are ``modulus`` bits wide and its doubled ones
+    2 * ``modulus`` (4 * ``modulus`` for the halving mask of an even modulus),
+    so a modulus above ``BIT_LIMIT`` raises ResourceLimitError.
     """
 
     modulus: int
@@ -73,90 +72,112 @@ class _BudgetHit(Exception):
     pass
 
 
-def _add(n: int, value: int, masks: tuple[int, ...]) -> tuple[int, ...]:
-    """The search masks mod ``n`` after placing ``value``.
+def _row(n: int, value: int) -> tuple[int, int, int, int, int, int]:
+    """Shift counts that place ``value`` mod ``n``; they depend on value mod 2n only.
 
-    ``masks`` is ``(blocked, cov, neg, dbl, even, odd)``, all zero before 0 is
-    placed.  ``blocked`` and ``cov`` are the module's two residue masks; the
-    rest summarise the placed elements q.  ``neg`` holds -q and ``dbl`` holds
-    2q for q != 0.  The halving masks hold q * 2^-1 for odd n (``even`` and
-    ``odd`` alike) and, for even n, q // 2 mod n/2 in both halves of the mask
-    of q's parity.  0 is placed first and every later value below all placed
-    elements but 0, so the pairs of ``value`` with them are these masks
-    rotated.
+    value, -value and 2 value mod n; n - (2 value mod n), the right shift that
+    turns a doubled mask by 2 value; value's entry in the halving mask and the
+    right shift that turns that mask by value's half.  For even n the halving
+    mask of odd values sits 2n bits up, and both carry that offset.
     """
-    blocked, cov, neg, dbl, even, odd = masks
-    full = (1 << n) - 1
+    minus, twice = -value % n, 2 * value % n
     if n % 2:
-        shift = entry = value * (n + 1) // 2 % n
-        half = even = odd = even | 1 << entry
+        entry = shift = value * (n + 1) // 2 % n  # value * 2^-1
+        offset = 0
     else:
         entry, shift = value // 2 % (n // 2), (value + 1) // 2 % n
-        if value % 2:
-            half = odd = odd | 1 << entry | 1 << entry + n // 2
-        else:
-            half = even = even | 1 << entry | 1 << entry + n // 2
-    minus, twice = -value % n, 2 * value % n
-    up = (dbl << minus | dbl >> n - minus) & full  # 2q - value for q != 0
-    # 2 value - q, then the r with 2r = q + value (half holds value, so r = value too)
-    rotated = neg << twice | neg >> n - twice | half << shift | half >> n - shift
-    blocked |= up | 1 << minus | rotated & full  # minus: 2q - value for q = 0
-    cov |= up | 1 << twice | 1 << value % n  # twice: 2 value - 0
-    if value:
-        dbl |= 1 << twice
-    return blocked, cov, neg | 1 << minus, dbl, even, odd
+        offset = 2 * n * (value % 2)
+    return value % n, minus, twice, n - twice, entry + offset, n - shift + offset
 
 
-def _scan_partition(
-    n: int,
-    cardinality: int,
-    fixed: tuple[int, ...],
-    masks: tuple[int, ...],
-    outer_value: int,
-    budget: int,
-) -> tuple[tuple[int, ...] | None, int]:
-    """Scan every candidate whose largest middle element is ``outer_value``.
+def _partitions(free: int, n: int, first: int, top: int) -> Iterator[int]:
+    """The largest middle elements from ``first`` below ``top`` whose residue is free."""
+    for outer in range(first, top):
+        if free >> outer % n & 1:
+            yield outer
 
-    ``masks`` are ``_add``'s masks of the ``fixed`` elements 0 and t.  Middles
-    are placed in descending order, so 0 is the only placed element below a
-    new value and each placement is a fixed number of mask rotations.  The
-    values a slot may take are the unblocked residues, repeated over the
-    slot's value range by one multiply with a repunit (one bit every ``n``
-    places).  Returns (witness elements or None, nodes examined); the count
-    is ``budget + 1`` when the budget ran out.
+
+def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tuple[Callable, Callable]:
+    """The node visitor of one search and a reader of its progress (README, "Search").
+
+    ``visit(value, depth, blocked, cov, neg, dbl, halves)`` places ``value`` as
+    element ``depth`` (0, then ``top``, then the middles, descending) on the
+    masks of the elements before it, all 0 before 0.  It returns None when
+    ``cov`` falls short of ``need[depth]`` or nothing below completes a
+    witness.  At the last depth, ``len(need) - 1``, it returns the masks after
+    the value; before it, it visits the values the next element may take and
+    returns the first witness's last masks.  Each middle visited is a node;
+    node ``budget + 1`` raises _BudgetHit.  ``progress()`` reads the elements
+    placed, the node count and the partition being scanned.
     """
-    total_pairs = cardinality * (cardinality + 1) // 2
+    n2 = 2 * n
     full = (1 << n) - 1
-    repunit = ((1 << n * (outer_value // n + 1)) - 1) // full
-    chosen = list(fixed)
+    rep = 1 | 1 << n  # a residue bit, doubled
+    hrep = rep if n % 2 else rep | rep << n // 2  # a halving entry, doubled
+    last = len(need) - 1
+    rows: dict[int, tuple[int, ...]] = {}  # _row by value mod 2n, for the values reached
+    chosen: list[int] = []
     nodes = 0
+    partition = None
+    repunit, reach = 1, n  # one bit every n places, below reach
 
-    def rec(slot: int, lo: int, hi: int, masks: tuple[int, ...]) -> tuple[int, ...] | None:
-        nonlocal nodes
-        # Prune a node whose cov cannot reach n even if every pair still to come is new.
-        depth = cardinality - slot + 1
-        need = n - total_pairs + depth * (depth + 1) // 2
-        window = ((~masks[0] & full) * repunit & (2 << hi) - 1) >> lo << lo
-        while window:
-            bit = window & -window
-            window ^= bit
-            value = bit.bit_length() - 1
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetHit
-            placed = _add(n, value, masks)
-            if placed[1].bit_count() >= need:
-                chosen.append(value)
-                got = tuple(sorted(chosen)) if slot == 1 else rec(slot - 1, slot - 1, value - 1, placed)
-                if got is not None:
+    def visit(value: int, depth: int, blocked: int, cov: int, neg: int, dbl: int, halves: int):
+        nonlocal nodes, partition, repunit, reach
+        key = value % n2
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _row(n, key)
+        at, minus, twice, back, entry, turn = row
+        up = dbl >> at & full  # 2q - value for q != 0
+        cov |= up | 1 << twice | 1 << at  # twice: 2 value - 0; at: value itself
+        if cov.bit_count() < need[depth]:
+            return None
+        halves |= hrep << entry
+        # minus: 2q - value for q = 0; then 2 value - q, and the r with 2r = q + value
+        blocked |= up | 1 << minus | (neg >> back | halves >> turn) & full
+        neg |= rep << minus
+        if value:
+            dbl |= rep << twice
+        chosen.append(value)
+        if depth == last:
+            return blocked, cov, neg, dbl, halves
+        free = ~blocked & full
+        depth += 1
+        if depth > 2:  # the next middle: from the least that leaves room for the rest
+            low = last + 1 - depth
+            window = (free * repunit & (1 << value) - 1) >> low << low
+            while window:
+                bit = window & -window
+                window ^= bit
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                got = visit(bit.bit_length() - 1, depth, blocked, cov, neg, dbl, halves)
+                if got:
                     return got
-                chosen.pop()
+        elif depth == 2:  # a start that blocks every residue leaves no partition to walk
+            for outer in _partitions(free, n, first, top) if free else ():
+                partition = outer
+                while reach < outer:
+                    repunit |= repunit << reach
+                    reach *= 2
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                got = visit(outer, 2, blocked, cov, neg, dbl, halves)
+                if got:
+                    return got
+        elif free >> top % n & 1:
+            got = visit(top, 1, blocked, cov, neg, dbl, halves)
+            if got:
+                return got
+        chosen.pop()
         return None
 
-    try:
-        return rec(cardinality - len(fixed), outer_value, outer_value, masks), nodes
-    except _BudgetHit:
-        return None, nodes
+    def progress() -> tuple[list[int], int, int | None]:
+        return chosen, nodes, partition
+
+    return visit, progress
 
 
 def _finish(elements: tuple[int, ...], spec: SearchSpec, nodes: int, token: int | None) -> SearchResult:
@@ -177,27 +198,19 @@ def search_near_modular(spec: SearchSpec, *, resume: int | None = None) -> Searc
     n, t, s = spec.modulus, spec.max_element, spec.cardinality
     if resume is not None and check_int(resume, "resume") >= t:
         raise MalformedInputError(f"resume {resume} is not below max_element {t}")
-    fixed = (0, t)
-
-    masks = (0,) * 6
-    for e in fixed:
-        if masks[0] >> (e % n) & 1:
-            return SearchResult("exhausted", None, 0, None)
-        masks = _add(n, e, masks)
-
-    if s == len(fixed):
-        if masks[1].bit_count() == n:
-            return _finish(fixed, spec, 0, None)
-        return SearchResult("exhausted", None, 0, None)
-    if not ~masks[0] & (1 << n) - 1:  # no free residue for any middle
-        return SearchResult("exhausted", None, 0, None)
-
-    nodes_total = 0
-    for outer in range(max(spec.first_partition, resume or 0), t):
-        witness, used = _scan_partition(n, s, fixed, masks, outer, spec.budget - nodes_total)
-        nodes_total += used
-        if nodes_total > spec.budget:
-            return SearchResult("budget_exceeded", None, nodes_total, outer)
-        if witness is not None:
-            return _finish(witness, spec, nodes_total, outer)
-    return SearchResult("exhausted", None, nodes_total, None)
+    # Element d places (d + 1)(d + 2)/2 of the s(s + 1)/2 pairs; cov must reach n
+    # even if every pair to come is new.  The fixed pair 0, t is not pruned, only
+    # checked when it is the whole set.
+    pairs = s * (s + 1) // 2
+    need = [0, 0][: s - 1] + [n - pairs + (d + 1) * (d + 2) // 2 for d in range(min(2, s - 1), s)]
+    visit, progress = _searcher(n, t, need, max(spec.first_partition, resume or 0), spec.budget)
+    try:
+        found = visit(0, 0, 0, 0, 0, 0, 0)
+    except _BudgetHit:
+        found = None
+    chosen, nodes, partition = progress()
+    if nodes > spec.budget:
+        return SearchResult("budget_exceeded", None, nodes, partition)
+    if found:
+        return _finish(tuple(sorted(chosen)), spec, nodes, partition)
+    return SearchResult("exhausted", None, nodes, None)

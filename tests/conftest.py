@@ -219,6 +219,57 @@ def naive_place(n: int, placed, value) -> tuple[int, int]:
     return blocked, cov
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+def naive_search(spec: st.SearchSpec, resume: int | None = None):
+    """``search_near_modular`` as a plain colex walk: (status, witness, nodes, token).
+
+    Partitions (the largest middle) ascend from ``resume`` or the first; inside
+    one the middles descend, each tried from the least that leaves room for
+    the rest.  Every candidate off the residues ``naive_place`` blocks is a
+    node and is kept when its ``naive_place`` coverage can still reach n with
+    every pair to come new.  Node ``budget + 1`` stops the walk.
+    """
+    n, top, size, budget = spec.modulus, spec.max_element, spec.cardinality, spec.budget
+    pairs = size * (size + 1) // 2
+    if naive_place(n, [], 0)[0] >> top % n & 1:
+        return "exhausted", None, 0, None
+    if size == 2:
+        covered = naive_place(n, [0], top)[1] == (1 << n) - 1
+        return ("found", st.ResidueSet.of(n, (0, top)), 0, None) if covered else ("exhausted", None, 0, None)
+    nodes = 0
+
+    def walk(placed, candidates):
+        nonlocal nodes
+        blocked = naive_place(n, placed[:-1], placed[-1])[0]
+        for value in candidates:
+            if blocked >> value % n & 1:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetSpent
+            count = len(placed) + 1
+            if bin(naive_place(n, placed, value)[1]).count("1") < n - pairs + count * (count + 1) // 2:
+                continue
+            if count == size:
+                return [*placed, value]
+            got = walk([*placed, value], range(size - count, value))
+            if got:
+                return got
+        return None
+
+    for outer in range(max(size - 2, resume or 0), top):
+        try:
+            got = walk([0, top], [outer])
+        except _BudgetSpent:
+            return "budget_exceeded", None, nodes, outer
+        if got:
+            return "found", st.ResidueSet.of(n, got), nodes, outer
+    return "exhausted", None, nodes, None
+
+
 def naive_admissible(n: int, placed) -> int:
     """Bitmask of residues mod ``n`` a new element may take beside ``placed``.
 

@@ -5,11 +5,13 @@ no-progression property, and keeps full coverage.  Transforms must preserve
 the near-modular verdict, and the greedy generator must be prefix-stable.
 The shift-OR sequence core, the residue-mask ``verify`` and the search's
 rotated placement masks must agree with the pair-by-pair oracles in
-``conftest`` on dense and sparse inputs, with and without 0, valid or not,
-and ``detect_character`` must match the level-by-level scan on greedy and
-tampered prefixes.  ``check_terms`` returns or raises what its per-element
-oracle does, and every value of a greedy prefix above its ``settled`` point
-is a term or covered, so ``omitted_set`` may stop there.  Every mask-backed
+``conftest`` on dense and sparse inputs, with and without 0, valid or not;
+the search returns the status, witness, node count and resume token of a
+plain colex walk over those oracles; and ``detect_character`` must match
+the level-by-level scan on greedy and tampered prefixes.  ``check_terms``
+returns or raises what its per-element oracle does, and every value of a
+greedy prefix above its ``settled`` point is a term or covered, so
+``omitted_set`` may stop there.  Every mask-backed
 ``OmittedSet`` reads the oracle's elements, largest value and count, and the
 sets ``product``, ``power`` and ``shift_max`` build unchecked equal their
 re-validated copies.
@@ -35,7 +37,7 @@ import stanley as st
 from stanley.cli import _parse_terms
 from stanley.core import INT_LIMIT, _doubled_profile, _reflect, check_terms, set_bits
 from stanley.families import FAMILY_NAMES
-from stanley.search import _add
+from stanley.search import _searcher
 
 from conftest import (
     naive_admissible,
@@ -46,6 +48,7 @@ from conftest import (
     naive_is_3_free,
     naive_omitted,
     naive_place,
+    naive_search,
     naive_to_modular,
     naive_verify,
     predicted_prefix,
@@ -587,10 +590,29 @@ def test_blocked_mask_matches_two_mask_rule(n, placed):
     ),
 )
 def test_placement_rotations_match_the_pair_loop(n, placed):
-    masks = (0,) * 6
+    # with one coverage bound of 0 every visit is the last: it places its value
+    # on the masks given and returns the masks after it
+    visit, _progress = _searcher(n, placed[-1] + 1, [0], 0, 1)
+    masks = (0,) * 5
     for i, value in enumerate(placed):
-        masks = _add(n, value, masks)
+        masks = visit(value, 0, *masks)
         assert masks[:2] == naive_place(n, placed[:i], value)
+
+
+@given(data=hs.data())
+@settings(deadline=None)
+def test_search_matches_the_plain_walk(data):
+    # both moduli parities, spaces from fixed-only to four middles, budgets that
+    # stop inside a partition, and resumed scans
+    n = data.draw(hs.integers(min_value=1, max_value=24), label="n")
+    size = data.draw(hs.integers(min_value=2, max_value=6), label="size")
+    top = data.draw(hs.integers(min_value=size - 1, max_value=max(2 * n, size - 1)), label="top")
+    # small budgets half the time: most of these spaces take under a hundred nodes
+    budget = data.draw(hs.integers(1, 50) | hs.integers(1, 3000), label="budget")
+    resume = data.draw(hs.none() | hs.integers(min_value=0, max_value=top - 1), label="resume")
+    spec = st.SearchSpec(n, top, size, budget)
+    got = st.search_near_modular(spec, resume=resume)
+    assert (got.status, got.witness, got.nodes, got.resume_token) == naive_search(spec, resume)
 
 
 # near-miss numbers: non-ASCII digits, signs, separators, leading zeros, long runs

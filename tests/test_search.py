@@ -1,12 +1,14 @@
-"""Search engine vs. unpruned enumeration, plus budget/resume plumbing."""
+"""Search engine vs. unpruned enumeration, budget/resume plumbing and pinned node counts."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 import stanley as st
 from stanley.core import BIT_LIMIT
+from stanley.witness import SMALL_CASE_PARAMS
 
 from conftest import brute_character, naive_greedy
 
@@ -115,13 +117,75 @@ def test_odd_modulus_node_counts_are_pinned(spec, status, nodes, token, witness)
     assert (got.witness and st.format_set(got.witness)) == witness
 
 
+#: (nodes, resume_token, witness) of each small-case search witness_for dispatches
+SMALL_CASE_SEARCHES = {
+    7: (2, 7, "N=10; 0,1,7,8"),
+    13: (76, 14, "N=30; 0,1,3,4,10,13,14,21"),
+    17: (200, 20, "N=28; 0,4,5,9,15,17,20,22"),
+    19: (4, 11, "N=10; 0,3,11,14"),
+    21: (401, 24, "N=30; 0,1,3,4,21,22,24,25"),
+    23: (3, 9, "N=10; 0,7,9,16"),
+    25: (1027, 26, "N=32; 0,2,3,5,23,25,26,28"),
+    27: (2, 7, "N=10; 0,1,7,18"),
+    29: (1232, 26, "N=30; 0,7,9,16,17,20,26,29"),
+    31: (666, 24, "N=28; 0,5,11,13,16,18,24,29"),
+    33: (1860, 28, "N=30; 0,3,7,10,21,24,28,31"),
+    35: (5, 13, "N=10; 0,9,13,22"),
+    37: (417, 23, "N=28; 0,1,3,19,20,22,23,32"),
+    39: (4, 11, "N=10; 0,3,11,24"),
+    41: (1333, 32, "N=30; 0,3,11,14,21,24,32,35"),
+    43: (3, 9, "N=10; 0,7,9,26"),
+    45: (2478, 34, "N=30; 0,3,13,16,21,24,34,37"),
+    47: (2, 7, "N=10; 0,1,7,28"),
+    49: (1233, 32, "N=28; 0,1,9,12,13,31,32,38"),
+    51: (891, 29, "N=28; 0,5,13,16,18,24,29,39"),
+    53: (2776, 34, "N=30; 0,3,20,21,23,24,34,41"),
+    55: (5, 13, "N=10; 0,9,13,32"),
+    57: (1348, 29, "N=30; 0,3,9,12,20,22,29,43"),
+    59: (4, 11, "N=10; 0,3,11,34"),
+    61: (867, 29, "N=28; 0,5,11,13,18,24,29,44"),
+}
+
+
+def test_small_case_searches_are_pinned():
+    assert sorted(SMALL_CASE_SEARCHES) == sorted(SMALL_CASE_PARAMS)
+    for character, (modulus, cardinality) in SMALL_CASE_PARAMS.items():
+        top = (modulus + character - 1) // 2
+        got = st.search_near_modular(st.SearchSpec(modulus, top, cardinality))
+        assert got.status == "found"
+        assert (got.nodes, got.resume_token, st.format_set(got.witness)) == SMALL_CASE_SEARCHES[character]
+
+
+@pytest.mark.parametrize(
+    "spec,nodes",
+    [(st.SearchSpec(7, 80001, 3), 22858), (st.SearchSpec(11, 20001, 4, budget=200000), 10909)],
+)
+def test_large_top_searches_are_pinned(spec, nodes):
+    # tens of thousands of partitions, each read from one residue bit
+    got = st.search_near_modular(spec)
+    assert (got.status, got.nodes) == ("exhausted", nodes)
+
+
+def test_large_modulus_search_memory():
+    # the table holds shift counts only; masks of 2^22 + 1 bits are placed
+    # one partition at a time and every partition is pruned at its first node
+    tracemalloc.start()
+    try:
+        got = st.search_near_modular(st.SearchSpec(2**22 + 1, 57, 8, budget=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.status, got.nodes) == ("exhausted", 51)
+    assert peak < 40 * 2**20
+
+
 def test_blocked_start_is_exhausted_before_any_partition(monkeypatch):
     # 0 and 10^5 block every residue mod 3, so no middle can ever be placed;
     # the 99,999 partitions are not walked
     def no_scan(*args):
         raise AssertionError("a partition was scanned")
 
-    monkeypatch.setattr("stanley.search._scan_partition", no_scan)
+    monkeypatch.setattr("stanley.search._partitions", no_scan)
     for resume in (None, 50_000):
         got = st.search_near_modular(st.SearchSpec(3, 10**5, 3), resume=resume)
         assert got == st.SearchResult("exhausted", None, 0, None)
@@ -135,7 +199,7 @@ def test_budget_validation():
 
 
 def test_spec_integers_are_checked():
-    # every search mask is modulus bits wide, so the modulus has a bit budget
+    # the search's doubled masks are 2 * modulus bits wide, and the modulus has the bit budget
     # a bool budget, such as a stale positional zero flag, is not an integer
     for args in ((28.5, 57, 8), (28, 57.0, 8), (28, 57, 8.0), (28, 57, True), (28, 57, 8, True)):
         with pytest.raises(st.MalformedInputError):
