@@ -6,6 +6,7 @@ from .core import (
     StanleyPrefix,
     detect_character,
     doubled_prefix,
+    doubling_reduction,
     greedy_extend,
     growth_diagnostic,
     omitted_set,
@@ -42,7 +43,6 @@ from .modset import (
     ResidueSet,
     VerificationReport,
     character_of,
-    doubling_reduction,
     format_set,
     load_set_file,
     parse_set,

@@ -16,7 +16,8 @@ from functools import reduce
 from typing import Sequence
 
 from . import __version__
-from .core import detect_character, greedy_extend, growth_diagnostic, omitted_set, read_int
+from .core import (detect_character, doubling_reduction, greedy_extend, growth_diagnostic,
+                   omitted_set, read_int)
 from .errors import (
     MalformedInputError,
     PreconditionError,
@@ -28,7 +29,6 @@ from .families import FAMILY_NAMES, build_family
 from .modset import (
     ResidueSet,
     character_of,
-    doubling_reduction,
     format_set,
     load_set_file,
     parse_set,
@@ -200,7 +200,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         print(f"largest omitted value: {omega}")
         print("verified: deep")
     elif args.deep:  # a deep run returns unproved only when deep_cap skipped the phase
-        skipped = f"modulus {doubling_reduction(result.witness)[1]} above deep_cap {args.deep_cap}"
+        modulus = doubling_reduction(result.witness.max_element, result.witness.modulus)[1]
+        skipped = f"modulus {modulus} above deep_cap {args.deep_cap}"
         print(f"verified: static-only (deep phase skipped: {skipped})")
     else:
         print("verified: static")

@@ -390,10 +390,24 @@ def sumset(terms: Sequence[int], shifts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def doubled_terms(seed: Sequence[int], modulus: int, steps: int) -> tuple[int, ...]:
-    """A = seed + modulus*B_steps, ascending, where B_s, the sums of distinct 3^i
-    for i < s, is the first 2^s terms of S(0): ``sumset`` of the seed and
-    modulus*B_s, with its checks, the element budget first."""
+def doubling_reduction(top: int, modulus: int) -> tuple[int, int]:
+    """``(steps, N)`` for a maximum ``top`` mod ``modulus``: each step adds the modulus
+    to the maximum and triples the modulus, until the maximum lies below N.  Checked
+    inputs (a modulus of at least 1), unchecked steps: N may pass ``INT_LIMIT``."""
+    check_int(top, "top")
+    if check_int(modulus, "modulus") < 1:
+        raise MalformedInputError(f"modulus {modulus} is not positive")
+    steps = 0
+    while top >= modulus:
+        top, modulus, steps = top + modulus, 3 * modulus, steps + 1
+    return steps, modulus
+
+
+def doubled_terms(seed: Sequence[int], modulus: int) -> tuple[int, ...]:
+    """A = seed + modulus*B_s, ascending, mod N = modulus*3^s (``doubling_reduction``),
+    where B_s, the sums of distinct 3^i for i < s, is the first 2^s terms of S(0):
+    ``sumset`` of the seed and modulus*B_s, with its checks, the element budget first."""
+    steps = doubling_reduction(seed[-1], modulus)[0]
     check_count(len(seed) << steps)
     shifts, q = [0], modulus
     for _ in range(steps):
@@ -414,27 +428,24 @@ def _doubled_profile(terms: tuple[int, ...], modulus: int) -> CharacterProfile |
 
 
 def doubled_prefix(
-    seed: Sequence[int], modulus: int, steps: int = 0
+    seed: Sequence[int], modulus: int
 ) -> tuple[CharacterProfile | None, OmittedSet] | None:
-    """Prove that greedy growth extends A = seed + modulus*B_steps (``doubled_terms``),
-    fully modular mod N = modulus*3^steps, to P = A + {0, N, 3N, 4N}, without
-    building P.  Returns ``(profile, omitted)``, ``detect_character(P)`` and P's
-    omitted set read off A, or None when the proof fails (README, "Deep certificate").
+    """Prove that greedy growth extends A = seed + modulus*B_s (``doubled_terms``), fully
+    modular mod N = modulus*3^s for the s of ``doubling_reduction``, to P = A + {0, N,
+    3N, 4N}, without building P.  Returns ``(profile, omitted)``, ``detect_character(P)``
+    and P's omitted set read off A, or None when the proof fails (README, "Deep certificate").
 
     Up to max P, P is covered by D< + {0, N, 3N, 4N} and D + 2N.  D = {2b - a} and
     fwd(A) follow from the seed by the step rule; only D< = {2b - a : a < b} walks A.
-    N not above max A raises MalformedInputError; a prefix ending above ``BIT_LIMIT``
+    A modulus of 0 raises MalformedInputError; a prefix ending above ``BIT_LIMIT``
     raises ResourceLimitError before any mask is built, and A is built as
     ``doubled_terms`` builds it, with its checks.
     """
     seed = check_terms(seed)
-    base, top, n = seed[0], seed[-1], check_int(modulus, "modulus")
-    for _ in range(check_int(steps, "steps") if n else 0):  # a step adds N to max A, triples N
-        top, n = top + n, check_int(3 * n, "modulus")
-    if n <= top:
-        raise MalformedInputError(f"modulus {n} does not exceed the seed maximum {top}")
+    steps, n = doubling_reduction(seed[-1], modulus)
+    base, top = seed[0], seed[-1] + (n - modulus) // 2  # max A: a step adds its modulus
     end = check_bits(top + 4 * n, "prefix end")
-    terms = doubled_terms(seed, modulus, steps)
+    terms = doubled_terms(seed, modulus)
 
     rev, across = sum(1 << (seed[-1] - a) for a in seed), 0  # rev: bit max seed - a
     for b in seed:  # D(seed), at bit 2b - a - (2 base - max seed)

@@ -34,8 +34,7 @@ del _seed
 
 def build_T(n: int) -> ResidueSet:
     """n-fold product of {0,1,6,7} mod 9; modulus 9**n, 4**n elements."""
-    if n < 0:
-        raise MalformedInputError("T requires n >= 0")
+    check_int(n, "T parameter n")
     return power(UNIT, BLOCK, n)
 
 
@@ -54,14 +53,13 @@ def _swap_pivot(base: ResidueSet, pivot: int) -> ResidueSet:
 
 def build_Acal(n: int) -> ResidueSet:
     """Modular set mod 3**(2n+1) with 2*4**n elements and max 2*9**n."""
-    if n < 0:
-        raise MalformedInputError("Acal requires n >= 0")
+    check_int(n, "Acal parameter n")
     return _swap_pivot(build_Ttilde(n), 3 ** (2 * n))
 
 
 def build_U(n: int) -> ResidueSet:
     """{0,2} stacked under n-1 copies of the T block; modulus 3**(2n-1)."""
-    if n < 1:
+    if check_int(n, "U parameter n") < 1:
         raise MalformedInputError("U requires n >= 1")
     return power(SEED_02, BLOCK, n - 1)
 
@@ -73,7 +71,7 @@ def build_Utilde(n: int) -> ResidueSet:
 
 def build_Bcal(n: int) -> ResidueSet:
     """Modular set mod 3**(2n) with 4**n elements and max 2*3**(2n-1)."""
-    if n < 1:
+    if check_int(n, "Bcal parameter n") < 1:
         raise MalformedInputError("Bcal requires n >= 1")
     return _swap_pivot(build_Utilde(n), 3 ** (2 * n - 1))
 
@@ -81,7 +79,7 @@ def build_Bcal(n: int) -> ResidueSet:
 def build_At(t: int) -> ResidueSet:
     """The Acal/Bcal ladder by modulus exponent: modular mod 3**t,
     2**t elements, max 2*3**(t-1)."""
-    if t < 1:
+    if check_int(t, "At parameter t") < 1:
         raise MalformedInputError("At requires t >= 1")
     if t % 2:
         return build_Acal((t - 1) // 2)
@@ -94,9 +92,9 @@ def build_Atk(t: int, k: int) -> ResidueSet:
     k = 2 is the base set, k = 4 its doubling by scale 2, and every +3 in
     k is one modulus added onto the maximum.
     """
-    if t < 1:
+    if check_int(t, "Atk parameter t") < 1:
         raise MalformedInputError("Atk requires t >= 1")
-    if k < 2:
+    if check_int(k, "Atk parameter k") < 2:
         raise PreconditionError("Atk requires k >= 2")
     if k % 3 == 0:
         raise PreconditionError("Atk requires k not divisible by 3")
@@ -113,8 +111,7 @@ R_VARIANTS = ("plain", "prime", "doubleprime", "tripleprime")
 
 def build_R(n: int, variant: str = "plain") -> ResidueSet:
     """Near-modular mod 3**(n+1) with max (2|7|11|16)*3**n by variant."""
-    if n < 0:
-        raise MalformedInputError("R requires n >= 0")
+    check_int(n, "R parameter n")
     base = build_At(n + 1)
     if variant == "plain":
         return base
@@ -133,8 +130,7 @@ def build_CDEF(n: int, which: str) -> ResidueSet:
     C and D widen the plain and prime R variants by {0,7,9,16} mod 10;
     E and F widen the doubleprime and tripleprime variants by {0,1,7,8}.
     """
-    if n < 0:
-        raise MalformedInputError("C/D/E/F require n >= 0")
+    check_int(n, "C/D/E/F parameter n")
     table = {
         "C": ("plain", MOD10_A),
         "D": ("prime", MOD10_A),

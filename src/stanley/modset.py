@@ -15,7 +15,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import check_bits, check_int, check_terms, doubled_terms, read_int, set_bits, sumset
+from .core import (check_bits, check_int, check_terms, doubled_terms, doubling_reduction,
+                   read_int, set_bits, sumset)
 from .errors import FormatError, MalformedInputError, NegativeCharacterError, PreconditionError
 
 
@@ -210,26 +211,16 @@ def power(a: ResidueSet, block: ResidueSet, n: int) -> ResidueSet:
     return a
 
 
-def doubling_reduction(a: ResidueSet) -> tuple[int, int]:
-    """``(steps, modulus)`` of ``to_modular(a)``, by arithmetic alone: each step
-    adds the modulus to the maximum and triples the modulus."""
-    top, modulus, steps = a.max_element, a.modulus, 0
-    while top >= modulus:
-        top, modulus, steps = top + modulus, 3 * modulus, steps + 1
-    return steps, modulus
-
-
 def to_modular(a: ResidueSet) -> tuple[ResidueSet, int]:
     """The fully modular form of ``a`` and its number of doubling steps s.
 
     ``doubling_reduction`` counts the products with {0,1} mod 3 that bring the
-    maximum below the modulus N.  They give a + N*B_s, built by ``doubled_terms``
-    once the modulus and the top are checked.
+    maximum below the modulus N; they give a + M*B_s for a's modulus M, built by
+    ``doubled_terms`` once N is checked (the top of the form lies below N).
     """
-    steps, modulus = doubling_reduction(a)
+    steps, modulus = doubling_reduction(a.max_element, a.modulus)
     check_int(modulus, "product modulus")
-    check_int(a.max_element + a.modulus * (3**steps - 1) // 2, "product element")
-    return _trusted(modulus, doubled_terms(a.elements, a.modulus, steps)), steps
+    return _trusted(modulus, doubled_terms(a.elements, a.modulus)), steps
 
 
 def character_of(a: ResidueSet) -> int:

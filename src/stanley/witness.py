@@ -20,6 +20,7 @@ from .core import (
     OmittedSet,
     check_int,
     doubled_prefix,
+    doubling_reduction,
     greedy_extend,
 )
 from .errors import (
@@ -37,7 +38,6 @@ from .families import FamilyId, build_family
 from .modset import (
     ResidueSet,
     character_of,
-    doubling_reduction,
     format_set,
     parse_set,
     shift_max,
@@ -81,7 +81,8 @@ class TableRef:
     max_element: int
 
     def __post_init__(self) -> None:
-        if self.modulus not in _BANDS:
+        check_int(self.max_element, "max_element")
+        if check_int(self.modulus, "modulus") not in _BANDS:
             raise MalformedInputError(f"no bundled table mod {self.modulus}")
 
 
@@ -309,8 +310,8 @@ class AppendixTables:
     errata: tuple[ErratumEntry, ...]
 
     def row(self, modulus: int, max_element: int) -> ResidueSet:
-        band = _BANDS.get(modulus, ())
-        if max_element not in band:
+        band = _BANDS.get(check_int(modulus, "modulus"), ())
+        if check_int(max_element, "max_element") not in band:
             raise PreconditionError(f"no bundled row mod {modulus} with top {max_element}")
         return getattr(self, f"mod{modulus}")[band.index(max_element)]
 
@@ -420,17 +421,17 @@ def execute_and_verify(
     """Build the recipe's set and refuse to hand it over unchecked.
 
     Static checks always run: near-modularity, the expected top element and
-    modulus, and the character itself.  With ``deep``, ``doubling_reduction``
-    counts the s steps that double the witness W mod M to its fully modular
-    form A = W + M*B_s mod N = M*3^s, and ``doubled_prefix`` proves from W and s
-    alone, building A itself and never regrowing it, that greedy growth from A
-    yields P = A + {0, N, 3N, 4N}; it also reads P's character profile (its two
-    constructed levels at least) and omitted set off A.  The profile's character
-    and the omitted-value bound are then checked against the target.  The result
-    keeps s, and builds A again only when ``modular_form`` is read.  A reduction
-    whose modulus would exceed ``deep_cap`` skips the deep phase instead of
-    thrashing.  Any failed check raises VerificationError; a rejected
-    certificate names the first term where greedy growth leaves P.
+    modulus, and the character itself.  With ``deep``, ``doubling_reduction`` of
+    the top and modulus M of the witness W gives the s steps to its fully modular
+    form A = W + M*B_s mod N = M*3^s; an N above ``deep_cap`` skips the deep phase
+    instead of thrashing.  Otherwise ``doubled_prefix`` proves from W alone,
+    working out s and building A itself and never regrowing it, that greedy growth
+    from A yields P = A + {0, N, 3N, 4N}; it also reads P's character profile (its
+    two constructed levels at least) and omitted set off A.  The profile's
+    character and the omitted-value bound are then checked against the target.
+    The result keeps s, and builds A again only when ``modular_form`` is read.
+    Any failed check raises VerificationError; a rejected certificate names the
+    first term where greedy growth leaves P.
     """
     check_int(deep_cap, "deep_cap")
     base, nodes = _resolve_base(recipe)
@@ -461,9 +462,9 @@ def execute_and_verify(
     checks.append("character")
 
     doubling_steps = profile = omitted = None
-    steps, modulus = doubling_reduction(witness) if deep else (0, 0)
+    steps, modulus = doubling_reduction(witness.max_element, witness.modulus) if deep else (0, 0)
     if deep and modulus <= deep_cap:
-        certified = doubled_prefix(witness.elements, witness.modulus, steps)
+        certified = doubled_prefix(witness.elements, witness.modulus)
         if certified is None:
             raise VerificationError("doubling-structure", _departure(to_modular(witness)[0]))
         profile, omitted = certified

@@ -309,8 +309,8 @@ def test_doubled_prefix_rejects_what_greedy_does_not_grow():
 
 
 def test_doubled_prefix_argument_errors():
-    with pytest.raises(st.MalformedInputError, match="seed maximum"):
-        st.doubled_prefix([0, 3], 3)
+    with pytest.raises(st.MalformedInputError, match="modulus 0 is not positive"):
+        st.doubled_prefix([0, 3], 0)
     with pytest.raises(st.MalformedInputError):
         st.doubled_prefix([0, 3], -4)
     with pytest.raises(st.MalformedInputError):
@@ -319,35 +319,41 @@ def test_doubled_prefix_argument_errors():
 
 @pytest.mark.parametrize("lam", [1500, 1999, 20000])
 def test_doubled_prefix_from_the_seed_and_its_steps(lam):
-    # D(A) and fwd(A) from W by the step rule, with A built from W and s inside,
-    # agree with the certificate of A alone
+    # D(A) and fwd(A) from W by the step rule, with s worked out and A built from W
+    # inside, agree with the certificate of A alone
     w = st.execute_and_verify(st.witness_for(lam)).witness
     form, steps = st.to_modular(w)
     assert steps > 0
-    certified = st.doubled_prefix(w.elements, w.modulus, steps)
+    certified = st.doubled_prefix(w.elements, w.modulus)
     assert certified == st.doubled_prefix(form.elements, form.modulus)
     assert certified[0].character == lam
-    assert st.doubled_prefix(list(w.elements), w.modulus, steps) == certified
+    assert st.doubled_prefix(list(w.elements), w.modulus) == certified
 
 
-def test_doubled_prefix_refuses_bad_steps_and_a_seed_whose_a_repeats(monkeypatch):
+def test_doubled_prefix_reduces_the_seed_and_refuses_one_whose_a_repeats(monkeypatch):
     near = st.shift_max(st.build_family("T:1"), 2)  # N=9; 0,1,6,25: two steps to mod 81
     form, steps = st.to_modular(near)
     assert steps == 2 and form.modulus == 81
-    assert st.doubled_prefix(near.elements, 9, steps) == st.doubled_prefix(form.elements, 81)
-    with pytest.raises(st.MalformedInputError, match="seed maximum"):
-        st.doubled_prefix(near.elements, 9, 1)  # one step: 27 <= 25 + 9
-    with pytest.raises(st.ResourceLimitError, match="64-bit range"):
-        st.doubled_prefix([0, 1], 3, 10**18)  # the modulus leaves the checked range first
-    with pytest.raises(st.MalformedInputError):
-        st.doubled_prefix([0, 1], 3, -1)
+    certified = st.doubled_prefix(near.elements, 9)
+    assert certified == st.doubled_prefix(form.elements, 81)
+    assert certified[0].character == st.character_of(near) == 42
     # 0 and 3 share a class mod 3, so A = (0, 3) + {0, 3} holds 3 twice
     with pytest.raises(st.PreconditionError, match="collided"):
-        st.doubled_prefix([0, 3], 3, 1)
+        st.doubled_prefix([0, 3], 3)
     # the element budget is checked before A is built: 4 * 2^2 elements
     monkeypatch.setattr(core, "ELEMENT_LIMIT", 15)
     with pytest.raises(st.ResourceLimitError, match="element budget"):
-        st.doubled_prefix(near.elements, 9, steps)
+        st.doubled_prefix(near.elements, 9)
+
+
+def test_doubled_terms_refuses_the_size_of_its_own_steps():
+    # 2^62 mod 1 takes 40 steps: 2 << 40 elements, refused before any is built,
+    # and the certificate refuses its prefix end before that
+    assert core.doubling_reduction(2**62, 1)[0] == 40
+    with pytest.raises(st.ResourceLimitError, match="element budget"):
+        core.doubled_terms([0, 2**62], 1)
+    with pytest.raises(st.ResourceLimitError, match="mask budget"):
+        st.doubled_prefix([0, 2**62], 1)
 
 
 def test_doubled_prefix_mask_budget(monkeypatch):

@@ -188,11 +188,15 @@ def test_power_equals_successive_products():
 
 def test_doubling_reduction_counts_without_building():
     row = st.load_appendix().row(30, 74)
-    assert st.doubling_reduction(row) == (2, 270)
-    assert st.doubling_reduction(ACAL1) == (0, 27)
+    assert st.doubling_reduction(row.max_element, row.modulus) == (2, 270)
+    assert st.doubling_reduction(ACAL1.max_element, ACAL1.modulus) == (0, 27)
     huge = st.shift_max(st.build_T(1), 10**11)
-    steps, modulus = st.doubling_reduction(huge)
+    steps, modulus = st.doubling_reduction(huge.max_element, huge.modulus)
     assert modulus == 9 * 3**steps and huge.max_element + 9 * (3**steps - 1) // 2 < modulus
+    # the steps are unchecked, so N may pass the checked range; a modulus of 0 is refused
+    assert st.doubling_reduction(core.INT_LIMIT, 1)[1] > core.INT_LIMIT
+    with pytest.raises(st.MalformedInputError, match="modulus 0 is not positive"):
+        st.doubling_reduction(1, 0)
 
 
 def test_to_modular_over_budget_builds_little(monkeypatch):

@@ -201,6 +201,23 @@ INTEGER_PARAMETERS = {
     "execute_and_verify.deep_cap": lambda v: stanley.execute_and_verify(
         stanley.witness_for(16), deep=True, deep_cap=v
     ),
+    "doubled_prefix.modulus": lambda v: stanley.doubled_prefix([0, 1], v),
+    "doubling_reduction.top": lambda v: stanley.doubling_reduction(v, 1),
+    "doubling_reduction.modulus": lambda v: stanley.doubling_reduction(1, v),
+    "build_T.n": stanley.build_T,
+    "build_Ttilde.n": stanley.build_Ttilde,
+    "build_Acal.n": stanley.build_Acal,
+    "build_U.n": stanley.build_U,
+    "build_Utilde.n": stanley.build_Utilde,
+    "build_Bcal.n": stanley.build_Bcal,
+    "build_At.t": stanley.build_At,
+    "build_Atk.t": lambda v: stanley.build_Atk(v, 2),
+    "build_Atk.k": lambda v: stanley.build_Atk(2, v),
+    "build_R.n": stanley.build_R,
+    "build_CDEF.n": lambda v: stanley.build_CDEF(v, "C"),
+    "TableRef.modulus": lambda v: stanley.TableRef(v, 58),
+    "TableRef.max_element": lambda v: stanley.TableRef(28, v),
+    "AppendixTables.row.max_element": lambda v: stanley.load_appendix().row(28, v),
 }
 
 
