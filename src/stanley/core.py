@@ -47,6 +47,8 @@ def check_int(value: int, what: str) -> int:
     A non-integer or negative value raises MalformedInputError; one above
     ``INT_LIMIT`` raises ResourceLimitError.
     """
+    if type(value) is int and 0 <= value <= INT_LIMIT:
+        return value  # the branches below only classify a failure
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedInputError(f"{what} {value!r} is not an integer")
     if value < 0:
@@ -112,7 +114,10 @@ def check_terms(terms: Iterable[int], what: str = "term") -> tuple[int, ...]:
     which bounds every other.  On any failure the checks rerun term by term, so
     the first bad term names the error.
     """
-    out = tuple(terms)
+    try:
+        out = tuple(terms)
+    except TypeError:
+        raise MalformedInputError(f"{what} list {terms!r} is not iterable") from None
     if not out:
         raise MalformedInputError(f"{what} list is empty")
     last = -1

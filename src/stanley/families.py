@@ -48,7 +48,7 @@ def _swap_pivot(base: ResidueSet, pivot: int) -> ResidueSet:
     if pivot not in base.elements:
         raise InvariantViolationError(f"pivot {pivot} missing from {base}")
     kept = tuple(e for e in base.elements if e != pivot)
-    return ResidueSet.of(base.modulus, kept + (2 * pivot,))
+    return ResidueSet(base.modulus, kept + (2 * pivot,))  # 2*pivot is the new maximum
 
 
 def build_Acal(n: int) -> ResidueSet:
@@ -137,7 +137,7 @@ def build_CDEF(n: int, which: str) -> ResidueSet:
         "E": ("doubleprime", MOD10_B),
         "F": ("tripleprime", MOD10_B),
     }
-    if which not in table:
+    if not isinstance(which, str) or which not in table:
         raise MalformedInputError(f"unknown family letter {which!r}")
     variant, widener = table[which]
     return product(build_R(n, variant), widener)
@@ -170,10 +170,13 @@ class FamilyId:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.name not in _FAMILY_BUILDERS:
+        if not isinstance(self.name, str) or self.name not in _FAMILY_BUILDERS:
             raise MalformedInputError(f"unknown family {self.name!r}")
         arity = _FAMILY_BUILDERS[self.name][0]
-        params = tuple(self.params)
+        try:
+            params = tuple(self.params)
+        except TypeError:
+            raise MalformedInputError(f"family parameters {self.params!r} are not iterable") from None
         object.__setattr__(self, "params", params)
         if len(params) != arity:
             raise MalformedInputError(

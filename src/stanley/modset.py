@@ -83,8 +83,11 @@ def verify(a: ResidueSet) -> VerificationReport:
 
     A violation is any ordered triple (x, y, z) of elements, not all three
     identical, with x + z == 2y (mod N).  Degenerate triples are screened
-    first: two elements sharing a residue, or sharing a doubled residue,
-    each yield a violation on their own.
+    first on the residue mask: two elements sharing a residue leave its
+    popcount below |A|; two sharing a doubled residue (even N only) are some
+    r and r + N/2, a bit of ``residues & residues >> N/2``.  Each yields a
+    violation on its own; only a tripped screen walks the elements, in
+    order, to name the first triple.
 
     The rest is word-parallel over residue masks of at most 2N bits, so it
     costs O(|A|) big-int operations of 2N bits.  Bit (-x) % N of a mask,
@@ -99,19 +102,22 @@ def verify(a: ResidueSet) -> VerificationReport:
     elements = a.elements
     violation: tuple[int, int, int] | None = None
 
-    by_residue: dict[int, int] = {}
     residues = neg_all = 0
     for e in elements:
         r = e % n
-        if r in by_residue:
-            other = by_residue[r]
-            violation = (other, other, e)  # x = y, z in the same class
-            break
-        by_residue[r] = e
         residues |= 1 << r
         neg_all |= 1 << (-r % n)
 
-    if violation is None:
+    if residues.bit_count() != len(elements):
+        by_residue: dict[int, int] = {}
+        for e in elements:
+            r = e % n
+            if r in by_residue:
+                other = by_residue[r]
+                violation = (other, other, e)  # x = y, z in the same class
+                break
+            by_residue[r] = e
+    elif n % 2 == 0 and residues & residues >> n // 2:
         by_doubled: dict[int, int] = {}
         for e in elements:
             d = (2 * e) % n
@@ -128,6 +134,7 @@ def verify(a: ResidueSet) -> VerificationReport:
         cover |= neg << s
         # Residues are distinct once the screens pass, so each hit is one x.
         if violation is None and ((neg_all << s) & residues_2n).bit_count() != 1:
+            by_residue = {e % n: e for e in elements}
             for x in elements:
                 if x == y:
                     continue

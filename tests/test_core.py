@@ -1,12 +1,13 @@
 """Greedy machinery: frozen worked examples plus oracle cross-checks."""
 
+import enum
 import math
 
 import pytest
 
 import stanley as st
 from stanley import core
-from stanley.core import INT_LIMIT, read_int
+from stanley.core import INT_LIMIT, check_int, read_int
 
 from conftest import (
     brute_character,
@@ -61,6 +62,28 @@ def test_read_int_rejects_anything_else(text):
 def test_read_int_over_range_is_a_resource_limit(text):
     with pytest.raises(st.ResourceLimitError, match="64-bit range"):
         read_int(text)
+
+
+def test_check_int_returns_in_range_ints_unchanged():
+    class Size(enum.IntEnum):
+        SEVEN = 7
+
+    assert check_int(Size.SEVEN, "size") is Size.SEVEN  # an int subclass passes
+    assert check_int(0, "size") == 0
+    assert check_int(INT_LIMIT, "size") == INT_LIMIT
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3"])
+def test_check_int_rejects_non_integers(value):
+    with pytest.raises(st.MalformedInputError, match="size .* is not an integer"):
+        check_int(value, "size")
+
+
+def test_check_int_rejects_negatives_and_values_over_range():
+    with pytest.raises(st.MalformedInputError, match="size -1 is negative"):
+        check_int(-1, "size")
+    with pytest.raises(st.ResourceLimitError, match="exceeds the checked 64-bit range"):
+        check_int(2**63, "size")
 
 
 def test_term_validation():

@@ -70,12 +70,20 @@ def test_verify_detects_uncovered():
 def test_verify_rejects_repeated_residue():
     report = st.verify(st.ResidueSet(5, (0, 5)))
     assert not report.is_near_modular
+    # the first of two collisions (0 ~ 5, then 3 ~ 8) names the triple
+    assert st.verify(st.parse_set("N=5; 0,3,5,8")).witness_violation == (0, 0, 5)
+    # a repeated residue wins over an earlier doubled collision (0 and 3 mod 6)
+    assert st.verify(st.parse_set("N=6; 0,3,6")).witness_violation == (0, 0, 6)
 
 
 def test_verify_rejects_half_modulus_collision():
     # for even N, x and x + N/2 double to the same residue
     report = st.verify(st.ResidueSet(6, (0, 3)))
     assert not report.is_near_modular
+    assert st.verify(st.parse_set("N=6; 0,1,3,4")).witness_violation == (0, 3, 0)
+    wide = st.verify(st.parse_set("N=1048576; 0,1,524289"))
+    assert wide.witness_violation == (1, 524289, 1)
+    assert wide.uncovered_count == 1048572
 
 
 def test_verify_near_but_not_modular():

@@ -226,3 +226,21 @@ INTEGER_PARAMETERS = {
 def test_integer_parameters_go_through_check_int(call, value):
     with pytest.raises(stanley.MalformedInputError, match="is not an integer"):
         call(value)
+
+
+NOT_ITERABLE = {
+    "FamilyId.params": lambda: stanley.FamilyId("T", 3),
+    "FamilyId.name": lambda: stanley.FamilyId(["T"], (3,)),
+    "build_CDEF.which": lambda: stanley.build_CDEF(1, ["C"]),
+    "ResidueSet.elements": lambda: stanley.ResidueSet(3, 5),
+    "StanleyPrefix.terms": lambda: stanley.StanleyPrefix(5),
+    "greedy_extend.prefix": lambda: stanley.greedy_extend(5, 3),
+    "detect_character.prefix": lambda: stanley.detect_character(5),
+}
+
+
+@pytest.mark.parametrize("call", NOT_ITERABLE.values(), ids=NOT_ITERABLE)
+def test_malformed_containers_raise_malformed_input(call):
+    # an int for a list, or a list for a name, is malformed input, not a raw TypeError
+    with pytest.raises(stanley.MalformedInputError):
+        call()
