@@ -228,7 +228,7 @@ def test_integer_parameters_go_through_check_int(call, value):
         call(value)
 
 
-NOT_ITERABLE = {
+MALFORMED_CONTAINERS = {
     "FamilyId.params": lambda: stanley.FamilyId("T", 3),
     "FamilyId.name": lambda: stanley.FamilyId(["T"], (3,)),
     "build_CDEF.which": lambda: stanley.build_CDEF(1, ["C"]),
@@ -239,7 +239,7 @@ NOT_ITERABLE = {
 }
 
 
-@pytest.mark.parametrize("call", NOT_ITERABLE.values(), ids=NOT_ITERABLE)
+@pytest.mark.parametrize("call", MALFORMED_CONTAINERS.values(), ids=MALFORMED_CONTAINERS)
 def test_malformed_containers_raise_malformed_input(call):
     # an int for a list, or a list for a name, is malformed input, not a raw TypeError
     with pytest.raises(stanley.MalformedInputError):
