@@ -17,7 +17,8 @@ from typing import Iterable, Iterator
 
 from .core import (check_bits, check_int, check_terms, doubled_terms, doubling_reduction,
                    read_int, set_bits, sumset)
-from .errors import FormatError, MalformedInputError, NegativeCharacterError, PreconditionError
+from .errors import (FormatError, InvariantViolationError, MalformedInputError,
+                     NegativeCharacterError, PreconditionError)
 
 
 @dataclass(frozen=True)
@@ -78,29 +79,46 @@ class VerificationReport:
     witness_violation: tuple[int, int, int] | None
 
 
+def _first_violation(elements: tuple[int, ...], n: int) -> tuple[int, int, int]:
+    """The first violating triple of a set that is not 3-free mod n: a repeated
+    residue, else a repeated doubled residue, else the least middle y with its
+    least x != y."""
+    by_residue: dict[int, int] = {}
+    for e in elements:
+        other = by_residue.setdefault(e % n, e)
+        if other != e:
+            return (other, other, e)  # x = y, z in the same class
+    by_doubled: dict[int, int] = {}
+    for e in elements:
+        other = by_doubled.setdefault(2 * e % n, e)
+        if other != e:
+            return (other, e, other)  # x = z, middle y
+    for y in elements:
+        for x in elements:
+            z = by_residue.get((2 * y - x) % n)
+            if z is not None and x != y:
+                return (x, y, z)
+    raise InvariantViolationError(f"no progression in a set the masks rejected mod {n}")
+
+
 def verify(a: ResidueSet) -> VerificationReport:
     """Full near-modular / modular verdict with a first violating triple.
 
     A violation is any ordered triple (x, y, z) of elements, not all three
-    identical, with x + z == 2y (mod N).  Degenerate triples are screened
-    first on the residue mask: two elements sharing a residue leave its
-    popcount below |A|; two sharing a doubled residue (even N only) are some
-    r and r + N/2, a bit of ``residues & residues >> N/2``.  Each yields a
-    violation on its own; only a tripped screen walks the elements, in
-    order, to name the first triple.
-
-    The rest is word-parallel over residue masks of at most 2N bits, so it
-    costs O(|A|) big-int operations of 2N bits.  Bit (-x) % N of a mask,
-    shifted left by 2y % N, lands on a bit whose residue is (2y - x) % N.
-    Walking y upward, ``cover`` collects those bits for x <= y, and y is a
-    middle term exactly when the shifted bits of every element hit the
-    residue mask, repeated over 2N bits, more than once (x = y always
-    hits).  A modulus above ``BIT_LIMIT`` raises ResourceLimitError before
-    any mask is built.
+    identical, with x + z == 2y (mod N).  The masks decide, in O(|A|) big-int
+    operations of at most 2N bits.  Bit (-x) % N of a mask, shifted left by
+    2y % N, lands on a bit whose residue is (2y - x) % N.  Walking y upward,
+    ``cover`` collects those bits for x <= y, and ``hits`` counts how many
+    shifted bits of every element land on the residue mask repeated over 2N
+    bits.  y always hits itself, so A is 3-free exactly when its residues are
+    distinct (a popcount of |A|), no two share a doubled residue (for even N,
+    some r and r + N/2: a bit of ``residues & residues >> N/2``) and ``hits``
+    is |A|.  Only a set that is not 3-free walks its elements once more, in
+    ``_first_violation``, to name the triple.  A modulus above ``BIT_LIMIT``
+    raises ResourceLimitError before any mask is built.
     """
     n = check_bits(a.modulus, "modulus")
     elements = a.elements
-    violation: tuple[int, int, int] | None = None
 
     residues = neg_all = 0
     for e in elements:
@@ -108,44 +126,18 @@ def verify(a: ResidueSet) -> VerificationReport:
         residues |= 1 << r
         neg_all |= 1 << (-r % n)
 
-    if residues.bit_count() != len(elements):
-        by_residue: dict[int, int] = {}
-        for e in elements:
-            r = e % n
-            if r in by_residue:
-                other = by_residue[r]
-                violation = (other, other, e)  # x = y, z in the same class
-                break
-            by_residue[r] = e
-    elif n % 2 == 0 and residues & residues >> n // 2:
-        by_doubled: dict[int, int] = {}
-        for e in elements:
-            d = (2 * e) % n
-            if d in by_doubled:
-                violation = (by_doubled[d], e, by_doubled[d])  # x = z, middle y
-                break
-            by_doubled[d] = e
-
     residues_2n = residues | residues << n
-    neg = cover = 0
+    neg = cover = hits = 0
     for y in elements:
         s = 2 * y % n
         neg |= 1 << (-y % n)
         cover |= neg << s
-        # Residues are distinct once the screens pass, so each hit is one x.
-        if violation is None and ((neg_all << s) & residues_2n).bit_count() != 1:
-            by_residue = {e % n: e for e in elements}
-            for x in elements:
-                if x == y:
-                    continue
-                z = by_residue.get((2 * y - x) % n)
-                if z is not None:
-                    violation = (x, y, z)
-                    break
+        hits += ((neg_all << s) & residues_2n).bit_count()
 
     free = ~(cover | cover >> n) & ((1 << n) - 1)
 
-    three_free = violation is None
+    doubled_repeat = n % 2 == 0 and residues & residues >> n // 2
+    three_free = residues.bit_count() == len(elements) == hits and not doubled_repeat
     near = three_free and not free
     return VerificationReport(
         is_three_free_mod=three_free,
@@ -153,7 +145,7 @@ def verify(a: ResidueSet) -> VerificationReport:
         uncovered_count=free.bit_count(),
         is_near_modular=near,
         is_modular=near and a.max_element < n,
-        witness_violation=violation,
+        witness_violation=None if three_free else _first_violation(elements, n),
     )
 
 

@@ -348,6 +348,10 @@ def appendix_check() -> AppendixReport:
 # ---------------------------------------------------------------------------
 # execution
 
+#: Every failed check raises, so a result passed the static checks, or all six if deep.
+STATIC_CHECKS = ("near-modular", "max-element", "modulus", "character")
+DEEP_CHECKS = STATIC_CHECKS + ("doubling-structure", "omitted-bound")
+
 
 @dataclass(frozen=True)
 class VerifiedWitness:
@@ -436,30 +440,24 @@ def execute_and_verify(
     check_int(deep_cap, "deep_cap")
     base, nodes = _resolve_base(recipe)
     witness = shift_max(base, recipe.shift_count) if recipe.shift_count else base
-    checks: list[str] = []
-
     report = verify(witness)
     if not report.is_near_modular:
         raise VerificationError(
             "near-modular", f"{format_set(witness)} violates {report.witness_violation}"
         )
-    checks.append("near-modular")
     if witness.max_element != recipe.expected_max:
         raise VerificationError(
             "max-element", f"expected {recipe.expected_max}, got {witness.max_element}"
         )
-    checks.append("max-element")
     if witness.modulus != recipe.expected_modulus:
         raise VerificationError(
             "modulus", f"expected {recipe.expected_modulus}, got {witness.modulus}"
         )
-    checks.append("modulus")
     character = character_of(witness)
     if character != recipe.target_character:
         raise VerificationError(
             "character", f"expected {recipe.target_character}, got {character}"
         )
-    checks.append("character")
 
     doubling_steps = profile = omitted = None
     steps, modulus = doubling_reduction(witness.max_element, witness.modulus) if deep else (0, 0)
@@ -474,19 +472,17 @@ def execute_and_verify(
                 f"greedy extension of {format_set(to_modular(witness)[0])} does not"
                 f" repeat with character {recipe.target_character} (got {profile})",
             )
-        checks.append("doubling-structure")
         if omitted.omega is not None and omitted.omega >= recipe.target_character:
             raise VerificationError(
                 "omitted-bound",
                 f"largest omitted value {omitted.omega} reaches the character"
                 f" {recipe.target_character}",
             )
-        checks.append("omitted-bound")
         doubling_steps = steps
 
-    return VerifiedWitness(
-        recipe, witness, character, tuple(checks), nodes, doubling_steps, profile, omitted
-    )
+    checks = STATIC_CHECKS if profile is None else DEEP_CHECKS
+    return VerifiedWitness(recipe, witness, character, checks, nodes, doubling_steps,
+                           profile, omitted)
 
 
 # ---------------------------------------------------------------------------

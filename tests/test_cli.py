@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from stanley.cli import main
+from stanley.errors import InvariantViolationError
+from stanley.modset import VerificationReport
 
 
 def run(capsys, *argv):
@@ -260,6 +262,14 @@ def test_product_collision_is_usage_error(capsys):
     assert "error: product sums collided" in err
 
 
+def test_product_of_a_file_with_two_sets_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "two.txt"
+    target.write_text("N=3; 0,1\nN=3; 0,2\n", encoding="ascii")
+    code, out, err = run(capsys, "product", str(target))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == f"error: {str(target)!r} holds 2 sets, need exactly one"
+
+
 def test_witness_verb_deep(capsys):
     code, out, _ = run(capsys, "witness", "--lambda", "63", "--deep")
     assert code == 0
@@ -318,6 +328,72 @@ def test_witness_deep_prefix_over_the_mask_budget_exits_3(capsys):
         capsys, "witness", "--lambda", "43046724", "--deep", "--deep-cap", "1000000000"
     )
     assert code == 3 and out == "" and "mask budget" in err
+
+
+def test_witness_small_case_search_exact_output(capsys):
+    # the only strategy whose output has a search-nodes line
+    code, out, _ = run(capsys, "witness", "--lambda", "7")
+    assert code == 0
+    assert out == (
+        "strategy: small-case-search\n"
+        "base: search mod 10 top 8 size 4\n"
+        "search nodes: 2\n"
+        "N=10; 0,1,7,8\n"
+        "character: 7\n"
+        "checks: near-modular max-element modulus character\n"
+        "verified: static\n"
+    )
+
+
+def reject_every_set(a):
+    """A stand-in for verify that finds no set near-modular."""
+    return VerificationReport(False, (), 0, False, False, (0, 1, 2))
+
+
+def break_an_invariant(a):
+    raise InvariantViolationError("verify broke")
+
+
+@pytest.mark.parametrize(
+    "stub,message",
+    [
+        (reject_every_set, "verification failed: near-modular: N=10; 0,1,7,8 violates (0, 1, 2)"),
+        (break_an_invariant, "internal error: verify broke"),
+    ],
+)
+def test_witness_failures_exit_1(monkeypatch, capsys, stub, message):
+    monkeypatch.setattr("stanley.witness.verify", stub)
+    code, out, err = run(capsys, "witness", "--lambda", "7")
+    assert code == 1 and out == ""
+    assert err.splitlines()[0] == message
+
+
+def test_coverage_reports_failed_rows(monkeypatch, capsys):
+    monkeypatch.setattr("stanley.witness.verify", reject_every_set)
+    code, out, _ = run(capsys, "coverage", "--max", "16", "--no-deep")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[8] == (
+        "    7  failed    small-case-search  search mod 10 top 8 size 4"
+        "            -      -    -      -"
+    )
+    assert lines[-1] == "characters 0..16: 0 verified, 6 excluded, 11 failed"
+    code, out, _ = run(capsys, "coverage", "--max", "16", "--no-deep", "--json")
+    assert code == 1
+    blob = json.loads(out)
+    assert (blob["verified"], blob["excluded"], blob["failed"]) == (0, 6, 11)
+    assert blob["entries"][7] == {
+        "base": "search mod 10 top 8 size 4",
+        "character": 7,
+        "deep_verified": False,
+        "detail": "near-modular: N=10; 0,1,7,8 violates (0, 1, 2)",
+        "doubling_levels": None,
+        "max_element": None,
+        "modulus": None,
+        "omega": None,
+        "status": "failed",
+        "strategy": "small-case-search",
+    }
 
 
 def test_witness_forbidden_is_usage_error(capsys):

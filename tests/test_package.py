@@ -244,3 +244,33 @@ def test_malformed_containers_raise_malformed_input(call):
     # an int for a list, or a list for a name, is malformed input, not a raw TypeError
     with pytest.raises(stanley.MalformedInputError):
         call()
+
+
+MALFORMED, PRECONDITION = stanley.MalformedInputError, stanley.PreconditionError
+INPUT_RANGE_ERRORS = {
+    "build_U.n": (MALFORMED, "U requires n >= 1", lambda: stanley.build_U(0)),
+    "build_Bcal.n": (MALFORMED, "Bcal requires n >= 1", lambda: stanley.build_Bcal(0)),
+    "build_At.t": (MALFORMED, "At requires t >= 1", lambda: stanley.build_At(0)),
+    "build_Atk.t": (MALFORMED, "Atk requires t >= 1", lambda: stanley.build_Atk(0, 2)),
+    "scale.c": (PRECONDITION, "scale factor must be positive",
+                lambda: stanley.scale(stanley.ResidueSet(3, (0, 1)), 0)),
+    "shift_max.a": (PRECONDITION, "cannot shift a set whose only element is 0",
+                    lambda: stanley.shift_max(stanley.ResidueSet(1, (0,)))),
+    "SearchSpec.modulus": (MALFORMED, "modulus must be at least 1",
+                           lambda: stanley.SearchSpec(0, 57, 8)),
+    "SearchSpec.cardinality": (MALFORMED, "cardinality must be at least 2",
+                               lambda: stanley.SearchSpec(10, 8, 1)),
+    "CharacterProfile.settle_level": (MALFORMED, "settle_level outside verified range",
+                                      lambda: stanley.CharacterProfile(0, 2, 1, 1)),
+    # a set line is not a ResidueSet: execute_and_verify refuses the base
+    "WitnessRecipe.base": (MALFORMED, "unsupported recipe base 'N=1; 0'",
+                           lambda: stanley.execute_and_verify(
+                               stanley.WitnessRecipe(0, "trivial-zero", "N=1; 0"))),
+}
+
+
+@pytest.mark.parametrize("error,message,call", INPUT_RANGE_ERRORS.values(), ids=INPUT_RANGE_ERRORS)
+def test_out_of_range_inputs_raise_their_error(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
