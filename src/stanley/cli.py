@@ -256,7 +256,7 @@ def _cmd_erratum_report(args: argparse.Namespace) -> int:
     for entry in tables.errata:
         print(f"mod {entry.modulus} top {entry.max_element}: {entry.resolution}")
         print(f"  note: {entry.note}")
-        print(f"  served: {format_set(ResidueSet(entry.modulus, entry.row))}")
+        print(f"  served: {format_set(tables.row(entry.modulus, entry.max_element))}")
     return 0
 
 

@@ -110,18 +110,17 @@ R_VARIANTS = ("plain", "prime", "doubleprime", "tripleprime")
 
 
 def build_R(n: int, variant: str = "plain") -> ResidueSet:
-    """Near-modular mod 3**(n+1) with max (2|7|11|16)*3**n by variant."""
+    """Near-modular mod 3**(n+1) with max (2|7|11|16)*3**n by variant.
+
+    The plain, prime and doubleprime variants are build_Atk(n + 1, k) for
+    k = 2, 7 and 11; tripleprime, k = 16, is build_At(n + 1) scaled by 8.
+    """
     check_int(n, "R parameter n")
-    base = build_At(n + 1)
-    if variant == "plain":
-        return base
-    if variant == "prime":
-        return shift_max(scale(base, 2), 1)
-    if variant == "doubleprime":
-        return shift_max(base, 3)
+    if not isinstance(variant, str) or variant not in R_VARIANTS:
+        raise MalformedInputError(f"unknown R variant {variant!r}")
     if variant == "tripleprime":
-        return scale(base, 8)
-    raise MalformedInputError(f"unknown R variant {variant!r}")
+        return scale(build_At(n + 1), 8)
+    return build_Atk(n + 1, {"plain": 2, "prime": 7, "doubleprime": 11}[variant])
 
 
 def build_CDEF(n: int, which: str) -> ResidueSet:
@@ -191,13 +190,13 @@ class FamilyId:
 
 def parse_family(text: str) -> FamilyId:
     """Parse 'Name:p1,p2,...' as printed by str(FamilyId)."""
-    name, sep, tail = text.strip().partition(":")
-    if not sep:
+    if not isinstance(text, str) or ":" not in text:
         raise MalformedInputError(f"expected 'Name:params', got {text!r}")
+    name, _, tail = text.strip().partition(":")
     params = tuple(read_int(p, "family parameter") for p in tail.split(","))
     return FamilyId(name.strip(), params)
 
 
 def build_family(family: Union[FamilyId, str]) -> ResidueSet:
-    fid = parse_family(family) if isinstance(family, str) else family
+    fid = family if isinstance(family, FamilyId) else parse_family(family)
     return _FAMILY_BUILDERS[fid.name][1](*fid.params)

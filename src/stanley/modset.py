@@ -39,7 +39,11 @@ class ResidueSet:
     @classmethod
     def of(cls, modulus: int, elements: Iterable[int]) -> "ResidueSet":
         """Build from any iterable; duplicates are still rejected."""
-        return cls(modulus, tuple(sorted(elements)))
+        try:
+            ordered = tuple(sorted(elements))
+        except TypeError:
+            raise MalformedInputError(f"element list {elements!r} cannot be sorted") from None
+        return cls(modulus, ordered)
 
     @property
     def max_element(self) -> int:
@@ -111,11 +115,11 @@ def verify(a: ResidueSet) -> VerificationReport:
     ``cover`` collects those bits for x <= y, and ``hits`` counts how many
     shifted bits of every element land on the residue mask repeated over 2N
     bits.  y always hits itself, so A is 3-free exactly when its residues are
-    distinct (a popcount of |A|), no two share a doubled residue (for even N,
-    some r and r + N/2: a bit of ``residues & residues >> N/2``) and ``hits``
-    is |A|.  Only a set that is not 3-free walks its elements once more, in
-    ``_first_violation``, to name the triple.  A modulus above ``BIT_LIMIT``
-    raises ResourceLimitError before any mask is built.
+    distinct (a popcount of |A|) and the hits number |A|.  A doubled residue
+    shared by y != y' needs no test of its own: x = y' lands on 2y - y' = y'
+    (mod N), a second hit for y.  Only a set that is not 3-free walks its
+    elements once more, in ``_first_violation``, to name the triple.  A modulus
+    above ``BIT_LIMIT`` raises ResourceLimitError before any mask is built.
     """
     n = check_bits(a.modulus, "modulus")
     elements = a.elements
@@ -135,9 +139,7 @@ def verify(a: ResidueSet) -> VerificationReport:
         hits += ((neg_all << s) & residues_2n).bit_count()
 
     free = ~(cover | cover >> n) & ((1 << n) - 1)
-
-    doubled_repeat = n % 2 == 0 and residues & residues >> n // 2
-    three_free = residues.bit_count() == len(elements) == hits and not doubled_repeat
+    three_free = residues.bit_count() == len(elements) == hits
     near = three_free and not free
     return VerificationReport(
         is_three_free_mod=three_free,
@@ -165,14 +167,14 @@ def product(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 
 
 def scale(a: ResidueSet, c: int) -> ResidueSet:
-    """Multiply every element by c; requires gcd(c, N) = 1."""
+    """Multiply every element by c; requires gcd(c, N) = 1.  Only the new top is checked."""
     check_int(c, "scale factor")
     if c < 1:
         raise PreconditionError("scale factor must be positive")
     if math.gcd(c, a.modulus) != 1:
         raise PreconditionError(f"gcd({c}, {a.modulus}) != 1")
     check_int(a.max_element * c, "scaled element")
-    return ResidueSet(a.modulus, tuple(c * e for e in a.elements))
+    return _trusted(a.modulus, tuple(c * e for e in a.elements))
 
 
 def shift_max(a: ResidueSet, multiples: int = 1) -> ResidueSet:

@@ -181,7 +181,7 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
 
 
 def _finish(elements: tuple[int, ...], spec: SearchSpec, nodes: int, token: int | None) -> SearchResult:
-    witness = ResidueSet.of(spec.modulus, elements)
+    witness = ResidueSet(spec.modulus, elements)
     if not verify(witness).is_near_modular:
         raise InvariantViolationError(f"search produced a non-witness {witness}")
     return SearchResult("found", witness, nodes, token)

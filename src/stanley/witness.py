@@ -34,7 +34,7 @@ from .errors import (
     StanleyError,
     VerificationError,
 )
-from .families import FamilyId, build_family
+from .families import UNIT, FamilyId, build_family
 from .modset import (
     ResidueSet,
     character_of,
@@ -196,7 +196,7 @@ def witness_for(target: int) -> WitnessRecipe:
         raise ForbiddenCharacterError(f"character {target} is unattainable")
 
     if target == 0:
-        return WitnessRecipe(0, "trivial-zero", ResidueSet(1, (0,)), 0, 0, 1)
+        return WitnessRecipe(0, "trivial-zero", UNIT, 0, 0, 1)
 
     if target % 2 == 0:
         # (2k-3)*3**(t-1) + 1 sweeps every even value exactly once over the

@@ -120,6 +120,21 @@ def test_R_variant_maxima():
         st.build_R(1, "quadrupleprime")
 
 
+def test_R_variants_are_Atk_members():
+    # the constructions build_R used before it called build_Atk
+    direct = {
+        "plain": (2, lambda at: at),
+        "prime": (7, lambda at: st.shift_max(st.scale(at, 2), 1)),
+        "doubleprime": (11, lambda at: st.shift_max(at, 3)),
+    }
+    for n in range(9):
+        for variant, (k, build) in direct.items():
+            r = st.build_R(n, variant)
+            assert r == st.build_Atk(n + 1, k) == build(st.build_At(n + 1))
+    with pytest.raises(st.MalformedInputError, match=r"unknown R variant \['plain'\]"):
+        st.build_R(1, ["plain"])
+
+
 def test_CDEF_geometry():
     tops = {"C": 50, "D": 55, "E": 35, "F": 40}
     chars = {"C": 70, "D": 80, "E": 40, "F": 50}

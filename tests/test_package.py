@@ -262,6 +262,15 @@ INPUT_RANGE_ERRORS = {
                                lambda: stanley.SearchSpec(10, 8, 1)),
     "CharacterProfile.settle_level": (MALFORMED, "settle_level outside verified range",
                                       lambda: stanley.CharacterProfile(0, 2, 1, 1)),
+    # a value of the wrong type is malformed input, not a raw TypeError or AttributeError
+    "ResidueSet.of.elements": (MALFORMED, "element list None cannot be sorted",
+                               lambda: stanley.ResidueSet.of(3, None)),
+    "parse_family.text": (MALFORMED, "expected 'Name:params', got 5",
+                          lambda: stanley.parse_family(5)),
+    "build_family.family": (MALFORMED, "expected 'Name:params', got 5",
+                            lambda: stanley.build_family(5)),
+    "build_R.variant": (MALFORMED, "unknown R variant ['plain']",
+                        lambda: stanley.build_R(1, ["plain"])),
     # a set line is not a ResidueSet: execute_and_verify refuses the base
     "WitnessRecipe.base": (MALFORMED, "unsupported recipe base 'N=1; 0'",
                            lambda: stanley.execute_and_verify(

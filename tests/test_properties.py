@@ -196,6 +196,28 @@ def test_verify_matches_oracle(small_corpus, data):
     assert st.verify(a) == naive_verify(a)
 
 
+@hs.composite
+def paired_even_sets(draw):
+    """Even N and distinct residues, among them some r and r + N/2, each
+    residue but 0 lifted by up to two moduli."""
+    half = draw(hs.integers(min_value=1, max_value=40))
+    r = draw(hs.integers(min_value=0, max_value=half - 1))
+    more = draw(hs.sets(hs.integers(min_value=1, max_value=2 * half - 1), max_size=6))
+    residues = sorted({0, r, r + half} | more)
+    lifts = draw(hs.lists(hs.integers(min_value=0, max_value=2),
+                          min_size=len(residues), max_size=len(residues)))
+    return st.ResidueSet.of(2 * half, {x + 2 * half * k if x else 0 for x, k in zip(residues, lifts)})
+
+
+@given(a=paired_even_sets())
+def test_verify_matches_oracle_on_a_shared_doubled_residue(a):
+    # 2r = 2(r + N/2) mod N, so x = r + N/2 is a second hit for the middle r:
+    # the hit count alone rejects the set
+    report = st.verify(a)
+    assert report == naive_verify(a)
+    assert not report.is_three_free_mod
+
+
 @given(terms=increasing, grow=hs.integers(min_value=0, max_value=6),
        more=hs.integers(min_value=0, max_value=6))
 @settings(deadline=None)
@@ -549,10 +571,10 @@ def test_product_geometry(a, b):
        k=hs.integers(min_value=1, max_value=3), n=hs.integers(min_value=0, max_value=3))
 @settings(deadline=None)
 def test_package_built_sets_equal_their_validated_copies(a, b, c, d, k, n):
-    # product, power and shift_max skip re-validation: the checked constructor
-    # rebuilds each result unchanged, and colliding sums raise the one error
+    # product, power, scale and shift_max skip re-validation: the checked
+    # constructor rebuilds each result unchanged, and colliding sums raise the one error
     sums = sorted(x + a.modulus * y for x in a for y in b)
-    built = [st.power(c, d, n)]
+    built = [st.power(c, d, n), st.scale(a, k * a.modulus + 1)]
     if len(set(sums)) < len(sums):
         with pytest.raises(st.PreconditionError) as raised:
             st.product(a, b)
