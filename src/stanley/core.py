@@ -37,8 +37,8 @@ ELEMENT_LIMIT = 1 << 24
 
 _LOG2_3 = math.log2(3.0)
 
-#: One machine word of ones: greedy reads the next gap from the low word of its mask.
-_WORD = (1 << 64) - 1
+#: Values above the last term that greedy places on small masks before folding them into the span.
+_REACH = 1 << 10
 
 
 def check_int(value: int, what: str) -> int:
@@ -228,35 +228,50 @@ def _trusted(terms: tuple[int, ...], settled: int) -> StanleyPrefix:
 
 def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
     """Extend ``seed`` greedily until it has ``target_len`` terms, each the lowest
-    value above the last that no pair covers (README, "Greedy growth").  A seed
-    with a progression raises MalformedInputError; a prefix whose span would pass
-    ``BIT_LIMIT`` raises ResourceLimitError."""
+    value above the last that no pair covers (README, "Greedy growth"): placed in
+    windows of ``_REACH`` values on the low bits of the masks, then folded into the
+    span-wide masks with one shift and one OR per term, unless nothing was cut off.
+    A seed with a progression raises MalformedInputError; a span above ``BIT_LIMIT``
+    raises ResourceLimitError, checked before the seed pass, at each gap above 64
+    and at the end."""
     terms = _terms_of(seed)
     base = terms[0]
-    new = check_int(target_len, "target_len") - len(terms)
-    check_bits(terms[-1] - base + max(new, 0), "prefix span")
+    target = check_int(target_len, "target_len")
+    check_bits(terms[-1] - base + max(target - len(terms), 0), "prefix span")
     last = terms[-1]
     rev, cover = _cover(terms)
     if cover & _reflect(rev):
         raise MalformedInputError("terms contain a 3-term arithmetic progression")
-    if new < 0:
+    if target < len(terms):
         raise MalformedInputError(f"target_len {target_len} below seed length {len(terms)}")
 
     grown = list(terms)
     ahead = cover >> (last - base + 1)  # bit i: last + 1 + i is covered
     pairs = rev >> 1  # bit last - 1 - x for each earlier term x
-    for _ in range(new):
-        low = ahead & _WORD
-        if low != _WORD:
-            gap = (low ^ (low + 1)).bit_length()  # trailing ones of ahead, plus one
-        else:  # a covered run of 64 values or more
-            gap = (ahead ^ (ahead + 1)).bit_length()
-            check_bits(last + gap - base, "prefix span")
-        last += gap
-        # the new term t covers each 2t - x, at bit t - x - 1 of the shifted ahead
-        pairs = (pairs << gap) | (1 << (gap - 1))
-        ahead = (ahead >> gap) | pairs
-        grown.append(last)
+    window = (1 << _REACH) - 1
+    while len(grown) < target:
+        # a new term t pairs up to end only with terms within _REACH below t
+        start, placed, end = last, len(grown), last + _REACH
+        near, near_pairs = ahead & window, pairs & window
+        if near == window:  # a covered run past the window: one step read off the whole mask
+            near, end = ahead, last + (ahead ^ (ahead + 1)).bit_length()
+        for _ in range(target - placed):
+            gap = (near ^ (near + 1)).bit_length()  # trailing ones of near, plus one
+            if last + gap > end:
+                break
+            if gap > 64:
+                check_bits(last + gap - base, "prefix span")
+            last += gap
+            # the new term t covers each 2t - x, at bit t - x - 1 of the shifted mask
+            near_pairs = (near_pairs << gap) | (1 << (gap - 1))
+            near = (near >> gap) | near_pairs
+            grown.append(last)
+        if ahead <= window:  # nothing was cut off; ahead holds 2 last - base, so pairs fits too
+            ahead, pairs = near, near_pairs
+            continue
+        pairs, ahead = (pairs << (last - start)) | near_pairs, ahead >> (last - start)
+        for t in grown[placed:]:
+            ahead |= pairs >> 2 * (last - t)  # 2t - x for each earlier term x
     check_bits(last - base, "prefix span")
     check_int(last, "term")
     # greedy terms are 3-free, and every value above the seed's top is decided;

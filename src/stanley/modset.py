@@ -245,6 +245,8 @@ def format_set(a: ResidueSet) -> str:
 
 def parse_set(line: str) -> ResidueSet:
     """Parse one canonical set line (whitespace-tolerant, format-strict)."""
+    if not isinstance(line, str):
+        raise MalformedInputError(f"set line {line!r} is not a string")
     body = line.strip()
     head, sep, tail = body.partition(";")
     name, eq, number = head.partition("=")
@@ -259,13 +261,16 @@ def parse_set(line: str) -> ResidueSet:
 
 
 def read_sets(lines: Iterable[str]) -> list[ResidueSet]:
-    """Parse every non-comment, non-blank line."""
+    """Parse every non-comment, non-blank line; a line that is not a string is malformed."""
+    try:
+        items = iter(lines)
+    except TypeError:
+        raise MalformedInputError(f"set lines {lines!r} are not iterable") from None
     out = []
-    for line in lines:
-        body = line.strip()
-        if not body or body.startswith("#"):
+    for line in items:
+        if isinstance(line, str) and line.strip()[:1] in ("", "#"):
             continue
-        out.append(parse_set(body))
+        out.append(parse_set(line))
     return out
 
 

@@ -111,8 +111,8 @@ def test_settled_is_derived_not_passed():
 def test_greedy_from_zero():
     assert st.greedy_extend([0], 8).terms == (0, 1, 3, 4, 9, 10, 12, 13)
     # Odlyzko & Stanley: S(0) is the integers with no digit 2 in base 3.  Its
-    # covered runs reach thousands of values, far past the one word the gap is
-    # read from first.
+    # covered runs reach thousands of values, far past the 1024-value window
+    # the gap is read from first.
     for k in range(12):
         expected = tuple(int(bin(n)[2:], 3) for n in range(2**k))
         assert st.greedy_extend([0], 2**k).terms == expected

@@ -291,6 +291,19 @@ def test_read_sets_skips_comments_and_blanks():
     assert [a.modulus for a in sets] == [3, 9]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: st.parse_set(5),
+    lambda: st.read_sets(5),
+    lambda: st.read_sets([5]),
+    lambda: st.read_sets(["N=3; 0,1", None]),
+], ids=["parse_set(5)", "read_sets(5)", "read_sets([5])", "read_sets([..., None])"])
+def test_set_readers_reject_what_is_not_text(call):
+    # a line that is not a string, or lines that cannot be iterated, are
+    # malformed input, not a raw AttributeError or TypeError
+    with pytest.raises(st.MalformedInputError):
+        call()
+
+
 def test_parse_long_number_is_a_resource_limit():
     # longer than 2^63 - 1 has digits: over the checked range, like 2^63 itself
     for line in ("N=1; 0," + "1" * 5000, "N=" + "9" * 20 + "; 0", "N=1; 0,9223372036854775808"):

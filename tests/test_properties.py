@@ -3,7 +3,8 @@
 The product law is exercised part by part: the result keeps 0, keeps the
 no-progression property, and keeps full coverage.  Transforms must preserve
 the near-modular verdict, and the greedy generator must be prefix-stable.
-The shift-OR sequence core, the residue-mask ``verify`` and the search's
+The shift-OR sequence core, on seeds within one greedy window and spread
+past it, the residue-mask ``verify`` and the search's
 rotated placement masks must agree with the pair-by-pair oracles in
 ``conftest`` on dense and sparse inputs, with and without 0, valid or not;
 the search returns the status, witness, node count and resume token of a
@@ -29,11 +30,13 @@ the same answer for the same text.
 
 import math
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as hs
 
 import stanley as st
+from stanley import core
 from stanley.cli import _parse_terms
 from stanley.core import INT_LIMIT, _doubled_profile, _reflect, check_terms, set_bits
 from stanley.families import FAMILY_NAMES
@@ -236,6 +239,35 @@ def test_greedy_matches_table_oracle(seed, grow):
     assume(brute_3_free(seed))
     target = len(seed) + grow
     assert st.greedy_extend(seed, target).terms == naive_greedy_table(seed, target)
+
+
+# greedy seeds spread past the 1024 values greedy places before a fold, so
+# growth folds from its first window on
+spread_seeds = hs.builds(
+    lambda xs, top: tuple(sorted({*xs, top})),
+    hs.lists(hs.integers(min_value=0, max_value=1500), min_size=1, max_size=7),
+    hs.integers(min_value=1100, max_value=4000),
+)
+
+
+@given(
+    seed=spread_seeds,
+    grow=hs.integers(min_value=100, max_value=400),
+    cut=hs.floats(0, 1),
+    reach=hs.sampled_from((8, 100, 1 << 10)),
+)
+@settings(deadline=None, max_examples=60)
+def test_greedy_matches_table_oracle_across_folds(seed, grow, cut, reach):
+    # a narrower window only folds more often: the terms are the same
+    assume(brute_3_free(seed))
+    target = len(seed) + grow
+    with mock.patch.object(core, "_REACH", reach):
+        once = st.greedy_extend(seed, target)
+        assert once.terms == naive_greedy_table(seed, target)
+        assert once.settled == seed[-1]
+        # growth stopped mid-window and restarted lands on the same prefix
+        step = st.greedy_extend(seed, len(seed) + int(cut * grow))
+        assert st.greedy_extend(step, target) == once
 
 
 @given(seed=seeds, grow=hs.integers(min_value=0, max_value=40))
