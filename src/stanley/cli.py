@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("character", help="detect the repeat structure of a greedy sequence")
     p.add_argument("--seed", default="0", help="comma-separated starting terms")
-    p.add_argument("--count", type=read_int, default=None, help="terms to examine (default 4x seed)")
+    p.add_argument("--count", type=read_int, default=None, help="terms to examine (default max(16, 4x seed))")
     p.add_argument("--omitted", action="store_true", help="also list omitted values")
     p.set_defaults(func=_cmd_character)
 

@@ -29,9 +29,9 @@ class SearchSpec:
     The space is every ``cardinality``-element set holding 0 and
     ``max_element``, whose other members (the middles) lie strictly between
     them.  ``budget`` bounds the number of candidate placements examined.
-    The search's masks are ``modulus`` bits wide and its doubled ones
-    2 * ``modulus`` (4 * ``modulus`` for the halving mask of an even modulus),
-    so a modulus above ``BIT_LIMIT`` raises ResourceLimitError.
+    The search's masks are ``modulus`` bits wide (up to 4 * ``modulus``) and
+    each of its ``cardinality`` frames holds some, so ``modulus * cardinality``
+    above ``BIT_LIMIT`` raises ResourceLimitError before any is built.
     """
 
     modulus: int
@@ -44,9 +44,9 @@ class SearchSpec:
             check_int(getattr(self, what), what)
         if self.modulus < 1:
             raise MalformedInputError("modulus must be at least 1")
-        check_bits(self.modulus, "modulus")
         if self.cardinality < 2:
             raise MalformedInputError("cardinality must be at least 2")
+        check_bits(self.modulus * self.cardinality, "search masks")
         if self.max_element < self.cardinality - 1:
             raise MalformedInputError("max_element too small for the cardinality")
         if self.budget < 1:

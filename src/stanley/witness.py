@@ -68,9 +68,6 @@ _BANDS = {
     30: tuple(x for x in range(46, 75) if x != 60),
 }
 
-#: modulus -> {top % N: top}: the band row a table recipe shifts up from
-_BAND_BY_RESIDUE = {n: {top % n: top for top in tops} for n, tops in _BANDS.items()}
-
 
 @dataclass(frozen=True)
 class TableRef:
@@ -167,10 +164,11 @@ _MOD60_FAMILIES = {1: ("C", 7, 50), 2: ("D", 8, 55), 4: ("E", 4, 35), 5: ("F", 5
 
 def _table_recipe(target: int, table_modulus: int) -> WitnessRecipe:
     # top = (target-1)/2 + N/2 makes 2*top+1-N == target; the bundled rows
-    # cover one full residue band of tops, so shifting down by whole moduli
-    # always lands on a row (top is never 0 or N/2 mod N for targets routed here).
+    # hold one top per residue from the band's first, so shifting down by whole
+    # moduli lands on a row (top is never 0 or N/2 mod N for targets routed here).
     top = (target - 1) // 2 + table_modulus // 2
-    base_top = _BAND_BY_RESIDUE[table_modulus][top % table_modulus]
+    low = _BANDS[table_modulus][0]
+    base_top = low + (top - low) % table_modulus
     return WitnessRecipe(
         target,
         f"mod{table_modulus}-table",
@@ -349,6 +347,7 @@ def appendix_check() -> AppendixReport:
 # execution
 
 #: Every failed check raises, so a result passed the static checks, or all six if deep.
+#: "character" holds once max-element and modulus pass: the recipe fixes 2*max+1-M.
 STATIC_CHECKS = ("near-modular", "max-element", "modulus", "character")
 DEEP_CHECKS = STATIC_CHECKS + ("doubling-structure", "omitted-bound")
 
@@ -424,18 +423,18 @@ def execute_and_verify(
 ) -> VerifiedWitness:
     """Build the recipe's set and refuse to hand it over unchecked.
 
-    Static checks always run: near-modularity, the expected top element and
-    modulus, and the character itself.  With ``deep``, ``doubling_reduction`` of
-    the top and modulus M of the witness W gives the s steps to its fully modular
-    form A = W + M*B_s mod N = M*3^s; an N above ``deep_cap`` skips the deep phase
-    instead of thrashing.  Otherwise ``doubled_prefix`` proves from W alone,
-    working out s and building A itself and never regrowing it, that greedy growth
-    from A yields P = A + {0, N, 3N, 4N}; it also reads P's character profile (its
-    two constructed levels at least) and omitted set off A.  The profile's
-    character and the omitted-value bound are then checked against the target.
-    The result keeps s, and builds A again only when ``modular_form`` is read.
-    Any failed check raises VerificationError; a rejected certificate names the
-    first term where greedy growth leaves P.
+    Static checks always run: near-modularity and the expected top element and
+    modulus, which settle the character 2*max+1-M (the recipe pins it to the
+    target).  With ``deep``, ``doubling_reduction`` of the top and modulus M of
+    the witness W gives the s steps to its fully modular form A = W + M*B_s mod
+    N = M*3^s; an N above ``deep_cap`` skips the deep phase instead of thrashing.
+    Otherwise ``doubled_prefix`` proves from W alone, never regrowing A, that
+    greedy growth from A yields P = A + {0, N, 3N, 4N}, and reads P's character
+    profile (two levels at least) and omitted set off A.  Doubling keeps
+    2*max+1-N equal to W's character, so only the omitted-value bound is checked
+    against the target.  The result keeps s and builds A again only when
+    ``modular_form`` is read.  Any failed check raises VerificationError; a
+    rejected certificate names the first term where greedy growth leaves P.
     """
     check_int(deep_cap, "deep_cap")
     base, nodes = _resolve_base(recipe)
@@ -453,11 +452,6 @@ def execute_and_verify(
         raise VerificationError(
             "modulus", f"expected {recipe.expected_modulus}, got {witness.modulus}"
         )
-    character = character_of(witness)
-    if character != recipe.target_character:
-        raise VerificationError(
-            "character", f"expected {recipe.target_character}, got {character}"
-        )
 
     doubling_steps = profile = omitted = None
     steps, modulus = doubling_reduction(witness.max_element, witness.modulus) if deep else (0, 0)
@@ -466,7 +460,7 @@ def execute_and_verify(
         if certified is None:
             raise VerificationError("doubling-structure", _departure(to_modular(witness)[0]))
         profile, omitted = certified
-        if profile is None or profile.character != recipe.target_character:
+        if profile is None:
             raise VerificationError(
                 "doubling-structure",
                 f"greedy extension of {format_set(to_modular(witness)[0])} does not"
@@ -481,8 +475,8 @@ def execute_and_verify(
         doubling_steps = steps
 
     checks = STATIC_CHECKS if profile is None else DEEP_CHECKS
-    return VerifiedWitness(recipe, witness, character, checks, nodes, doubling_steps,
-                           profile, omitted)
+    return VerifiedWitness(recipe, witness, recipe.target_character, checks, nodes,
+                           doubling_steps, profile, omitted)
 
 
 # ---------------------------------------------------------------------------

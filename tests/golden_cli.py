@@ -78,6 +78,8 @@ CASES: list[tuple[tuple[str, ...], int, str]] = [
      "13e733e45deffc84e37ead7a0c4db4ad1833721530e7b07099ff775ec1118f35"),
     (("witness", "--lambda", "59050", "--deep"), 0,
      "538ce88afeac450d9fcc82d5bfea7bc0e442ab26d85bc947fe32ecca6f81bd88"),
+    (("witness", "--lambda", "9223372036854775807", "--deep"), 0,
+     "0b93b335ee40090e1f8bcecf04c196f7f82ae6783648df3b0d7fdddca19d48ee"),
     (("appendix-check",), 0,
      "ab68c16e1472343442516829f3cd6f25d35a9fef79ff5c8d8079a9dd5798eaa5"),
     (("erratum-report",), 0,
@@ -90,6 +92,8 @@ CASES: list[tuple[tuple[str, ...], int, str]] = [
      "091c1ffa0f9168dff31be1814747c54c119715a3d7a6a08eb2c7e5f0316eb468"),
     (("search", "--mod", "28", "--max", "57", "--size", "8", "--budget", "50", "--resume", "11"), 3,
      "6db2ead3bce9d6e6de083b86fd0b4a9c6e01fab4f82d4f61f26028728edde285"),
+    (("search", "--mod", "10", "--max", "1000000000", "--size", "100000000"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("generate", "--count", "64", "--diagnostic"), 0,
      "f1ae7f580674079f16007b4b76e914b91aab09578e3c015c1cdcba81c96907f7"),
     (("character", "--seed", "0,1,6,7,10,15,16,18", "--count", "64", "--omitted"), 0,

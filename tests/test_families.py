@@ -3,12 +3,12 @@
 import pytest
 
 import stanley as st
-from stanley.families import BLOCK, MOD10_A, MOD10_B, R_VARIANTS, UNIT
+from stanley.families import BLOCK, DOUBLING_BLOCK, MOD10_A, MOD10_B, R_VARIANTS, SEED_02, UNIT
 
 
 def test_elementary_blocks():
     assert BLOCK == st.ResidueSet(9, (0, 1, 6, 7))
-    for block in (MOD10_A, MOD10_B, BLOCK):
+    for block in (DOUBLING_BLOCK, SEED_02, MOD10_A, MOD10_B, BLOCK):
         assert st.verify(block).is_near_modular
 
 

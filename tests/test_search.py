@@ -199,7 +199,8 @@ def test_budget_validation():
 
 
 def test_spec_integers_are_checked():
-    # the search's doubled masks are 2 * modulus bits wide, and the modulus has the bit budget
+    # each of the search's cardinality frames holds masks of modulus bits and more,
+    # so modulus * cardinality has the bit budget
     # a bool budget, such as a stale positional zero flag, is not an integer
     for args in ((28.5, 57, 8), (28, 57.0, 8), (28, 57, 8.0), (28, 57, True), (28, 57, 8, True)):
         with pytest.raises(st.MalformedInputError):
@@ -212,7 +213,9 @@ def test_spec_integers_are_checked():
         st.SearchSpec(10**15, 57, 8)
     with pytest.raises(st.ResourceLimitError):
         st.SearchSpec(28, 1 << 63, 8)
-    assert st.SearchSpec(BIT_LIMIT, 57, 8).modulus == BIT_LIMIT
+    assert st.SearchSpec(BIT_LIMIT // 8, 57, 8).modulus == BIT_LIMIT // 8
+    with pytest.raises(st.ResourceLimitError):
+        st.SearchSpec(BIT_LIMIT // 8 + 1, 57, 8)
 
 
 def test_naive_greedy_matches_fast():

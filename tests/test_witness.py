@@ -229,6 +229,35 @@ def test_every_table_row_is_reached_and_shifts_to_the_expected_top():
     assert len(reached) == 28 + 12
 
 
+def test_table_recipe_starts_from_the_band_row_of_its_residue():
+    # the arithmetic low + (top - low) % N picks the one band row per residue
+    for modulus in (28, 30):
+        by_residue = {top % modulus: top for top in witness._BANDS[modulus]}
+        assert len(by_residue) == modulus - 2
+        for base_top in by_residue.values():
+            for shifts in range(4):
+                top = base_top + shifts * modulus
+                recipe = witness._table_recipe(2 * top + 1 - modulus, modulus)
+                assert recipe.base.max_element == by_residue[top % modulus] == base_top
+                assert (recipe.shift_count, recipe.expected_max) == (shifts, top)
+
+
+def test_deep_character_is_the_witness_character_for_every_strategy():
+    # execute_and_verify takes the character from the recipe and compares neither
+    # the witness's nor the profile's with it; both must still equal the target
+    strategies = set()
+    for lam in range(0, 3001, 7):
+        if lam in st.FORBIDDEN_CHARACTERS:
+            continue
+        result = st.execute_and_verify(st.witness_for(lam), deep=True)
+        strategies.add(result.recipe.strategy)
+        assert result.profile.character == st.character_of(result.witness) == lam
+        assert result.character == lam
+        assert result.checks == ("near-modular", "max-element", "modulus", "character",
+                                 "doubling-structure", "omitted-bound")
+    assert strategies == set(witness.STRATEGIES)
+
+
 def test_execute_smallest_even():
     result = st.execute_and_verify(st.witness_for(2), deep=True)
     assert result.witness == st.ResidueSet(3, (0, 2))
