@@ -16,8 +16,7 @@ from functools import reduce
 from typing import Sequence
 
 from . import __version__
-from .core import (detect_character, doubling_reduction, greedy_extend, growth_diagnostic,
-                   omitted_set, read_int)
+from .core import detect_character, greedy_extend, growth_diagnostic, omitted_set, read_int
 from .errors import (
     MalformedInputError,
     PreconditionError,
@@ -41,7 +40,6 @@ from .modset import (
 )
 from .search import DEFAULT_NODE_BUDGET, SearchSpec, search_near_modular
 from .witness import (
-    DEFAULT_DEEP_CAP,
     appendix_check,
     coverage_report,
     describe_base,
@@ -120,34 +118,34 @@ def _cmd_character(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not args.sources:
         raise MalformedInputError("no sets given (pass literals, paths or '-')")
+    # every source is read and verified first, so a later failure leaves stdout empty
+    checked = [(rs, verify(rs)) for source in args.sources for rs in _load_sets(source)]
     failures = 0
-    for source in args.sources:
-        for rs in _load_sets(source):
-            report = verify(rs)
-            if report.is_modular:
-                verdict = "modular"
-            elif report.is_near_modular:
-                verdict = "near-modular"
-            else:
-                verdict = "FAIL"
-            line = f"{format_set(rs)}  => {verdict}"
-            if report.is_near_modular and 2 * rs.max_element + 1 >= rs.modulus:
-                line += f", character {character_of(rs)}"
-            failed = not report.is_near_modular
-            if args.modular and report.is_near_modular and not report.is_modular:
-                failed = True
-                line += ", not modular"
-            if not report.is_near_modular:
-                if report.witness_violation is not None:
-                    line += f", progression {report.witness_violation}"
-                shown, count = report.uncovered_residues, report.uncovered_count
-                if shown:
-                    line += ", uncovered " + ",".join(str(r) for r in shown)
-                    if len(shown) < count:
-                        line += f" (first {len(shown)} of {count})"
-            if failed:
-                failures += 1
-            print(line)
+    for rs, report in checked:
+        if report.is_modular:
+            verdict = "modular"
+        elif report.is_near_modular:
+            verdict = "near-modular"
+        else:
+            verdict = "FAIL"
+        line = f"{format_set(rs)}  => {verdict}"
+        if report.is_near_modular and 2 * rs.max_element + 1 >= rs.modulus:
+            line += f", character {character_of(rs)}"
+        failed = not report.is_near_modular
+        if args.modular and report.is_near_modular and not report.is_modular:
+            failed = True
+            line += ", not modular"
+        if not report.is_near_modular:
+            if report.witness_violation is not None:
+                line += f", progression {report.witness_violation}"
+            shown, count = report.uncovered_residues, report.uncovered_count
+            if shown:
+                line += ", uncovered " + ",".join(str(r) for r in shown)
+                if len(shown) < count:
+                    line += f" (first {len(shown)} of {count})"
+        if failed:
+            failures += 1
+        print(line)
     return 1 if failures else 0
 
 
@@ -160,9 +158,10 @@ def _cmd_product(args: argparse.Namespace) -> int:
     if args.to_modular:
         acc, steps = to_modular(acc)
         print(f"doubling steps: {steps}", file=sys.stderr)
+    character = character_of(acc) if args.character else None  # a negative one prints nothing
     print(format_set(acc))
-    if args.character:
-        print(f"character: {character_of(acc)}")
+    if character is not None:
+        print(f"character: {character}")
     return 0
 
 
@@ -182,7 +181,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     recipe = witness_for(args.target)
-    result = execute_and_verify(recipe, deep=args.deep, deep_cap=args.deep_cap)
+    result = execute_and_verify(recipe, deep=args.deep)
     print(f"strategy: {recipe.strategy}")
     print(f"base: {describe_base(recipe.base)}")
     if recipe.shift_count:
@@ -199,17 +198,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         omega = "none" if result.omitted.omega is None else str(result.omitted.omega)
         print(f"largest omitted value: {omega}")
         print("verified: deep")
-    elif args.deep:  # a deep run returns unproved only when deep_cap skipped the phase
-        modulus = doubling_reduction(result.witness.max_element, result.witness.modulus)[1]
-        skipped = f"modulus {modulus} above deep_cap {args.deep_cap}"
-        print(f"verified: static-only (deep phase skipped: {skipped})")
     else:
         print("verified: static")
     return 0
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    report = coverage_report(args.max, deep=not args.no_deep, deep_cap=args.deep_cap)
+    report = coverage_report(args.max, deep=not args.no_deep)
     if args.json:
         json.dump(report.to_json_dict(), sys.stdout, indent=2, sort_keys=True)
         print()
@@ -302,12 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="construct and verify a witness for one character")
     p.add_argument("--lambda", dest="target", type=read_int, required=True, help="target character")
     p.add_argument("--deep", action="store_true", help="also verify the greedy extension")
-    p.add_argument("--deep-cap", type=read_int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("coverage", help="verify witnesses for every character up to a bound")
     p.add_argument("--max", type=read_int, required=True, help="largest character to cover")
-    p.add_argument("--deep-cap", type=read_int, default=DEFAULT_DEEP_CAP, help="skip deep phase above this modulus")
     p.add_argument("--no-deep", action="store_true", help="static checks only")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_coverage)

@@ -58,8 +58,6 @@ STRATEGIES = (
     "small-case-search",
 )
 
-DEFAULT_DEEP_CAP = 100_000
-
 #: modulus -> the top elements of the rows of ``data/mod<N>.txt``, in file
 #: order: one row per top residue, skipping the residue of N/2 and of 0.
 #: Recipes, loading and row lookup all read the bundled tables from here.
@@ -415,28 +413,22 @@ def _departure(form: ResidueSet) -> str:
     raise InvariantViolationError(f"certificate rejected the greedy prefix of {format_set(form)}")
 
 
-def execute_and_verify(
-    recipe: WitnessRecipe,
-    *,
-    deep: bool = False,
-    deep_cap: int = DEFAULT_DEEP_CAP,
-) -> VerifiedWitness:
+def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> VerifiedWitness:
     """Build the recipe's set and refuse to hand it over unchecked.
 
     Static checks always run: near-modularity and the expected top element and
     modulus, which settle the character 2*max+1-M (the recipe pins it to the
     target).  With ``deep``, ``doubling_reduction`` of the top and modulus M of
     the witness W gives the s steps to its fully modular form A = W + M*B_s mod
-    N = M*3^s; an N above ``deep_cap`` skips the deep phase instead of thrashing.
-    Otherwise ``doubled_prefix`` proves from W alone, never regrowing A, that
+    N = M*3^s, and ``doubled_prefix`` proves from W alone, never regrowing A, that
     greedy growth from A yields P = A + {0, N, 3N, 4N}, and reads P's character
     profile (two levels at least) and omitted set off A.  Doubling keeps
     2*max+1-N equal to W's character, so only the omitted-value bound is checked
     against the target.  The result keeps s and builds A again only when
     ``modular_form`` is read.  Any failed check raises VerificationError; a
-    rejected certificate names the first term where greedy growth leaves P.
+    rejected certificate names the first term where greedy growth leaves P, and
+    a prefix past the mask budget raises ResourceLimitError.
     """
-    check_int(deep_cap, "deep_cap")
     base, nodes = _resolve_base(recipe)
     witness = shift_max(base, recipe.shift_count) if recipe.shift_count else base
     report = verify(witness)
@@ -453,30 +445,27 @@ def execute_and_verify(
             "modulus", f"expected {recipe.expected_modulus}, got {witness.modulus}"
         )
 
-    doubling_steps = profile = omitted = None
-    steps, modulus = doubling_reduction(witness.max_element, witness.modulus) if deep else (0, 0)
-    if deep and modulus <= deep_cap:
-        certified = doubled_prefix(witness.elements, witness.modulus)
-        if certified is None:
-            raise VerificationError("doubling-structure", _departure(to_modular(witness)[0]))
-        profile, omitted = certified
-        if profile is None:
-            raise VerificationError(
-                "doubling-structure",
-                f"greedy extension of {format_set(to_modular(witness)[0])} does not"
-                f" repeat with character {recipe.target_character} (got {profile})",
-            )
-        if omitted.omega is not None and omitted.omega >= recipe.target_character:
-            raise VerificationError(
-                "omitted-bound",
-                f"largest omitted value {omitted.omega} reaches the character"
-                f" {recipe.target_character}",
-            )
-        doubling_steps = steps
-
-    checks = STATIC_CHECKS if profile is None else DEEP_CHECKS
-    return VerifiedWitness(recipe, witness, recipe.target_character, checks, nodes,
-                           doubling_steps, profile, omitted)
+    if not deep:
+        return VerifiedWitness(recipe, witness, recipe.target_character, STATIC_CHECKS, nodes)
+    certified = doubled_prefix(witness.elements, witness.modulus)
+    if certified is None:
+        raise VerificationError("doubling-structure", _departure(to_modular(witness)[0]))
+    profile, omitted = certified
+    if profile is None:
+        raise VerificationError(
+            "doubling-structure",
+            f"greedy extension of {format_set(to_modular(witness)[0])} does not"
+            f" repeat with character {recipe.target_character} (got {profile})",
+        )
+    if omitted.omega is not None and omitted.omega >= recipe.target_character:
+        raise VerificationError(
+            "omitted-bound",
+            f"largest omitted value {omitted.omega} reaches the character"
+            f" {recipe.target_character}",
+        )
+    steps = doubling_reduction(witness.max_element, witness.modulus)[0]
+    return VerifiedWitness(recipe, witness, recipe.target_character, DEEP_CHECKS, nodes,
+                           steps, profile, omitted)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +488,7 @@ class CoverageEntry:
     """One character's row in a coverage sweep."""
 
     character: int
-    status: str  # "verified" | "static-only" (deep_cap skipped deep) | "excluded" | "failed"
+    status: str  # "verified" | "excluded" | "failed"
     strategy: str | None = None
     base: str | None = None
     max_element: int | None = None
@@ -510,12 +499,12 @@ class CoverageEntry:
     detail: str | None = None
 
 
-def _coverage_entry(target: int, deep: bool, deep_cap: int) -> CoverageEntry:
+def _coverage_entry(target: int, deep: bool) -> CoverageEntry:
     if target in FORBIDDEN_CHARACTERS:
         return CoverageEntry(target, "excluded")
     recipe = witness_for(target)
     try:
-        result = execute_and_verify(recipe, deep=deep, deep_cap=deep_cap)
+        result = execute_and_verify(recipe, deep=deep)
     except StanleyError as exc:
         return CoverageEntry(
             target,
@@ -526,7 +515,7 @@ def _coverage_entry(target: int, deep: bool, deep_cap: int) -> CoverageEntry:
         )
     return CoverageEntry(
         target,
-        "static-only" if deep and not result.deep_verified else "verified",
+        "verified",
         recipe.strategy,
         describe_base(recipe.base),
         result.witness.max_element,
@@ -542,7 +531,6 @@ class CoverageReport:
     """Outcome of sweeping every character in 0..lambda_max."""
 
     lambda_max: int
-    deep_cap: int
     entries: tuple[CoverageEntry, ...]
 
     def count(self, status: str) -> int:
@@ -553,17 +541,14 @@ class CoverageReport:
         return self.count("failed") == 0
 
     def summary_line(self) -> str:
-        shallow = self.count("static-only")
         return (
             f"characters 0..{self.lambda_max}: {self.count('verified')} verified,"
-            + (f" {shallow} static-only," if shallow else "")
-            + f" {self.count('excluded')} excluded, {self.count('failed')} failed"
+            f" {self.count('excluded')} excluded, {self.count('failed')} failed"
         )
 
     def to_text_lines(self) -> list[str]:
-        width = max(len(e.status) for e in self.entries)  # 8, or 11 with static-only rows
         lines = [
-            f"{'char':>5}  {'status':<{width}}  {'strategy':<17}  "
+            f"{'char':>5}  {'status':<8}  {'strategy':<17}  "
             f"{'base':<30}  {'max':>7}  {'mod':>5}  {'lvl':>3}  {'omega':>5}"
         ]
         for e in self.entries:
@@ -575,35 +560,26 @@ class CoverageReport:
             top = "-" if e.max_element is None else str(e.max_element)
             modulus = "-" if e.modulus is None else str(e.modulus)
             lines.append(
-                f"{e.character:>5}  {e.status:<{width}}  {e.strategy:<17}  "
+                f"{e.character:>5}  {e.status:<8}  {e.strategy:<17}  "
                 f"{e.base:<30}  {top:>7}  {modulus:>5}  {levels:>3}  {omega:>5}"
             )
         lines.append(self.summary_line())
         return lines
 
     def to_json_dict(self) -> dict:
-        shallow = self.count("static-only")
         return {
             "lambda_max": self.lambda_max,
-            "deep_cap": self.deep_cap,
             "verified": self.count("verified"),
-            **({"static-only": shallow} if shallow else {}),
             "excluded": self.count("excluded"),
             "failed": self.count("failed"),
             "entries": [asdict(e) for e in self.entries],
         }
 
 
-def coverage_report(
-    lambda_max: int,
-    *,
-    deep: bool = True,
-    deep_cap: int = DEFAULT_DEEP_CAP,
-) -> CoverageReport:
+def coverage_report(lambda_max: int, *, deep: bool = True) -> CoverageReport:
     """Sweep characters 0..lambda_max in order, in this process, and verify a
     witness for each admissible one."""
     if check_int(lambda_max, "lambda_max") < 16:
         raise PreconditionError("lambda_max must be at least 16")
-    check_int(deep_cap, "deep_cap")  # else every entry would fail on it
-    entries = tuple(_coverage_entry(c, deep, deep_cap) for c in range(lambda_max + 1))
-    return CoverageReport(lambda_max, deep_cap, entries)
+    entries = tuple(_coverage_entry(c, deep) for c in range(lambda_max + 1))
+    return CoverageReport(lambda_max, entries)

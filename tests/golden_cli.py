@@ -27,9 +27,9 @@ CASES: list[tuple[tuple[str, ...], int, str]] = [
     (("coverage", "--max", "2000"), 0,
      "7b902fd2495c26ea996485cb40ea441b7d34f93835f7493ecdebde999069bec2"),
     (("coverage", "--max", "2000", "--json"), 0,
-     "667755b5e4014e4dc93df563f017d8f192f3f946de2746e44109671501c4aaaa"),
+     "efa3df30e7c87e0a049138493cb042a1b025eef630474f158338710ce5367b25"),
     (("coverage", "--max", "10000", "--json"), 0,
-     "91a3649106e24288d6d952e590bd6a23b2d499e4abddfa054d3c9a915d533f1a"),
+     "118bc81d99a47e0c98025bebaa204df86371fe5f6c1a64acce4b27f80913b970"),
     (("coverage", "--max", "40000", "--no-deep"), 0,
      "4633f858459b9b39d54981eb66eb6846c9ba60288621650cf4633c38dc9cfe61"),
     (("verify", "N=3; 0,1"), 0,
@@ -52,6 +52,8 @@ CASES: list[tuple[tuple[str, ...], int, str]] = [
      "4cd381f96a8d486577ca68c8178b8c244b4cf0216bdd6242fde61ab65c1d886d"),
     (("verify", "N=16777216; 0,1"), 1,
      "da2e9b76961269d0a9e030e51823393fcd693b05a7d32d0e9104bb569e0f04ec"),
+    (("verify", "N=9; 0,1,6,7", "-1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("family", "--list"), 0,
      "5b64ff6f24e5cc2b8444802cff523292cad4d27f44c1e5e793cfe7f5a858a03a"),
     (("family", "C:3", "--character"), 0,
@@ -77,9 +79,11 @@ CASES: list[tuple[tuple[str, ...], int, str]] = [
     (("witness", "--lambda", "4861", "--deep"), 0,
      "13e733e45deffc84e37ead7a0c4db4ad1833721530e7b07099ff775ec1118f35"),
     (("witness", "--lambda", "59050", "--deep"), 0,
-     "538ce88afeac450d9fcc82d5bfea7bc0e442ab26d85bc947fe32ecca6f81bd88"),
-    (("witness", "--lambda", "9223372036854775807", "--deep"), 0,
-     "0b93b335ee40090e1f8bcecf04c196f7f82ae6783648df3b0d7fdddca19d48ee"),
+     "4179ac9aaac100ee2df3092feafc6ef1ba2ab5df5c9d71ac403de8336881ed1d"),
+    (("witness", "--lambda", "100001", "--deep"), 0,
+     "8307293d57ce6077042d4e19a1f1b5361e45ae72fa5d8a7bf6bdf424eead9e10"),
+    (("witness", "--lambda", "9223372036854775807", "--deep"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("appendix-check",), 0,
      "ab68c16e1472343442516829f3cd6f25d35a9fef79ff5c8d8079a9dd5798eaa5"),
     (("erratum-report",), 0,

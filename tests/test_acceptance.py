@@ -96,14 +96,13 @@ def test_criterion_4_pipeline_equivalence(capsys, corpus):
 
 def test_criterion_5_flagship_coverage(capsys):
     with criterion(capsys, 5, 600.0, "coverage 0..200 deep-verifies every admissible character"):
-        report = st.coverage_report(200, deep=True, deep_cap=100_000)
+        report = st.coverage_report(200, deep=True)
         assert report.count("failed") == 0
         excluded = [e.character for e in report.entries if e.status == "excluded"]
         assert excluded == [1, 3, 5, 9, 11, 15]
         verified = [e for e in report.entries if e.status == "verified"]
         assert len(verified) == 195
         assert report.all_admissible_verified
-        # the cap admits every witness in range, so nothing stays shallow
         assert all(e.deep_verified for e in verified)
         assert all(e.modulus <= 100_000 for e in verified)
         # arithmetic stand-in for the unbounded statement: the dispatcher

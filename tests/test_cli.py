@@ -1,5 +1,6 @@
 """Exact CLI behavior: outputs, exit codes, and stream separation."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 from stanley.cli import main
 from stanley.errors import InvariantViolationError
@@ -307,26 +309,19 @@ def test_witness_deep_is_pinned_past_five_doubling_steps(capsys, lam, strategy, 
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-def test_witness_deep_says_when_deep_cap_skips_the_deep_phase(capsys):
-    # Atk:11,2 is already modular, mod 3**11 = 177147, above the default cap
+def test_witness_deep_verifies_a_modulus_above_100000(capsys):
+    # Atk:11,2 is already modular, mod 3**11 = 177147; --deep proves it with no cap
     code, out, _ = run(capsys, "witness", "--lambda", "59050", "--deep")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[-2] == "checks: near-modular max-element modulus character"
-    assert lines[-1] == (
-        "verified: static-only (deep phase skipped: modulus 177147 above deep_cap 100000)"
-    )
-    code, out, _ = run(capsys, "witness", "--lambda", "59050", "--deep", "--deep-cap", "177147")
     assert code == 0 and out.splitlines()[-1] == "verified: deep"
     code, out, _ = run(capsys, "witness", "--lambda", "59050")
     assert code == 0 and out.splitlines()[-1] == "verified: static"
+    code, out, _ = run(capsys, "witness", "--lambda", "59050", "--deep", "--deep-cap", "5")
+    assert code == 2 and out == ""
 
 
 def test_witness_deep_prefix_over_the_mask_budget_exits_3(capsys):
     # Atk:1,21523363 reduces to mod 3**17, where max A + 4N passes the bit budget
-    code, out, err = run(
-        capsys, "witness", "--lambda", "43046724", "--deep", "--deep-cap", "1000000000"
-    )
+    code, out, err = run(capsys, "witness", "--lambda", "43046724", "--deep")
     assert code == 3 and out == "" and "mask budget" in err
 
 
@@ -428,7 +423,7 @@ def test_coverage_json_to_1000_is_pinned(capsys):
     code, out, _ = run(capsys, "coverage", "--max", "1000", "--json")
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-    assert digest == "d8ada52ac9c72e77d4d29377423303195ae1d54380b499e518088cd55e6af8b5"
+    assert digest == "d5ce470240596ca7093bc84bd1355fda423c0844f9bf3ea73822b075391e7359"
 
 
 def test_coverage_is_deterministic(capsys):
@@ -593,3 +588,49 @@ def test_timing_goes_to_stderr(capsys):
     _, out, err = run(capsys, "family", "Acal:0")
     assert "elapsed" in err
     assert "elapsed" not in out
+
+
+#: Per verb, tokens that keep every run to a few milliseconds: small counts and
+#: characters, moduli past the mask budget that are refused before any work, and
+#: bad values.  ``search`` always gets ``--budget 50``.
+CLI_TOKENS = {
+    "generate": ("--count", "--seed", "--diagnostic", "8", "16", "0,2", "-1", "x"),
+    "character": ("--count", "--seed", "--omitted", "16", "0,4", "0", "-1", "x"),
+    "verify": ("--modular", "N=9; 0,1,6,7", "N=8; 0,1,3", "N=300000000; 0,1", "-1", "N=x"),
+    "product": ("N=3; 0,1", "N=9; 0,1,6,7", "N=300000000; 0,1", "--scale", "--shift-max",
+                "--to-modular", "--character", "2", "-1"),
+    "family": ("--list", "--character", "Acal:1", "Atk:3,7", "C:3", "Nope:1", "-1"),
+    "witness": ("--lambda", "--deep", "0", "7", "16", "63", "3", "-1", "9223372036854775807", "x"),
+    "coverage": ("--max", "--no-deep", "--json", "16", "20", "-1", "x"),
+    "search": ("--mod", "--max", "--size", "--resume", "28", "57", "8", "3", "-1", "300000000"),
+    "appendix-check": ("-1",),
+    "erratum-report": ("-1",),
+    "nope": ("-1",),
+}
+
+
+@hs.composite
+def cli_argv(draw):
+    verb = draw(hs.sampled_from(sorted(CLI_TOKENS)))
+    argv = [verb] + draw(hs.lists(hs.sampled_from(CLI_TOKENS[verb]), max_size=6))
+    return argv + ["--budget", "50"] if verb == "search" else argv
+
+
+@given(argv=cli_argv())
+@example(argv=["verify", "N=9; 0,1,6,7", "-1"])  # a later source unreadable: exit 2
+@example(argv=["verify", "N=9; 0,1,6,7", "N=300000000; 0,1"])  # a later one too wide: exit 3
+@example(argv=["witness", "--lambda", "9223372036854775807", "--deep"])  # past the mask budget
+@example(argv=["product", "N=300000000; 0,1", "--character"])  # a negative character: exit 2
+@settings(deadline=None)
+def test_cli_exits_with_a_documented_code(argv):
+    # only SystemExit may escape main; a usage or resource exit prints no data,
+    # apart from the progress lines of a search stopped by its node budget
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error, --help or --version
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code == 2 or (code == 3 and argv[0] != "search"):
+        assert out.getvalue() == ""

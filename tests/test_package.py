@@ -196,11 +196,7 @@ INTEGER_PARAMETERS = {
         stanley.SearchSpec(28, 57, 8), resume=v
     ),
     "coverage_report.lambda_max": stanley.coverage_report,
-    "coverage_report.deep_cap": lambda v: stanley.coverage_report(16, deep_cap=v),
     "witness_for.target": stanley.witness_for,
-    "execute_and_verify.deep_cap": lambda v: stanley.execute_and_verify(
-        stanley.witness_for(16), deep=True, deep_cap=v
-    ),
     "doubled_prefix.modulus": lambda v: stanley.doubled_prefix([0, 1], v),
     "doubling_reduction.top": lambda v: stanley.doubling_reduction(v, 1),
     "doubling_reduction.modulus": lambda v: stanley.doubling_reduction(1, v),

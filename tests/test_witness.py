@@ -299,12 +299,17 @@ def test_execute_search_strategy():
     assert result.profile.character == 7
 
 
-def test_execute_respects_deep_cap():
-    result = st.execute_and_verify(st.witness_for(63), deep=True, deep_cap=50)
-    assert not result.deep_verified
-    assert result.profile is None
-    assert "doubling-structure" not in result.checks
-    assert result.checks == ("near-modular", "max-element", "modulus", "character")
+def test_deep_verifies_fully_modular_forms_above_100000():
+    # one row of each of four strategies whose N passes 10**5; about 0.1 s together
+    cases = {59050: "even-ladder", 65611: "mod28-table", 72901: "mod60-family",
+             100001: "mod30-table"}
+    for lam, strategy in cases.items():
+        result = st.execute_and_verify(st.witness_for(lam), deep=True)
+        assert result.recipe.strategy == strategy
+        top, modulus = result.witness.max_element, result.witness.modulus
+        assert st.doubling_reduction(top, modulus)[1] > 10**5
+        assert result.deep_verified and result.checks == witness.DEEP_CHECKS
+        assert result.omitted.omega < lam
 
 
 #: Atk:1,21523363 mod 3 reduces to 131072 elements mod 3**17, so max A + 4N passes BIT_LIMIT
@@ -313,9 +318,8 @@ OVER_BUDGET_CHARACTER = 43046724
 
 def test_deep_prefix_over_the_mask_budget_raises_before_building_it():
     recipe = st.witness_for(OVER_BUDGET_CHARACTER)
-    assert not st.execute_and_verify(recipe, deep=True).deep_verified  # default deep_cap
     with pytest.raises(st.ResourceLimitError, match="mask budget"):
-        st.execute_and_verify(recipe, deep=True, deep_cap=10**9)
+        st.execute_and_verify(recipe, deep=True)
 
 
 @pytest.mark.parametrize("lam", [600, 1999])
@@ -420,25 +424,12 @@ def test_coverage_precondition():
         st.coverage_report(10)
 
 
-def test_coverage_says_static_only_when_deep_cap_skips_the_deep_phase():
-    # deep was asked for, so a row whose deep phase deep_cap skipped is not "verified"
-    report = st.coverage_report(100, deep_cap=50)
-    shallow = [e for e in report.entries if e.status == "static-only"]
-    assert len(shallow) == 72 and report.count("verified") == 23
-    assert not any(e.deep_verified for e in shallow)
-    assert all(e.deep_verified for e in report.entries if e.status == "verified")
-    assert report.all_admissible_verified  # the exit code does not change
-    lines = report.to_text_lines()
-    assert lines[-1] == "characters 0..100: 23 verified, 72 static-only, 6 excluded, 0 failed"
-    row = next(line for line in lines if line.startswith("   63  "))
-    assert row.split()[:2] == ["63", "static-only"] and row.split()[-2:] == ["-", "-"]
-    assert lines[0].index("strategy") == row.index("mod30-table")  # the columns stay aligned
-    blob = report.to_json_dict()
-    assert (blob["verified"], blob["static-only"], blob["excluded"]) == (23, 72, 6)
-    assert blob["entries"][63]["status"] == "static-only"
-    # a static sweep asked for no deep phase, so its rows stay "verified"
+def test_static_coverage_rows_are_verified():
+    # a static sweep asked for no deep phase, so its rows are "verified" without one
     static = st.coverage_report(100, deep=False)
-    assert static.count("verified") == 95 and "static-only" not in static.to_json_dict()
+    assert static.count("verified") == 95
+    assert not any(e.deep_verified for e in static.entries)
+    assert set(static.to_json_dict()) == {"lambda_max", "verified", "excluded", "failed", "entries"}
     assert static.summary_line() == "characters 0..100: 95 verified, 6 excluded, 0 failed"
 
 
