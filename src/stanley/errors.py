@@ -38,10 +38,6 @@ class ResourceLimitError(StanleyError):
 class BudgetExceededError(ResourceLimitError):
     """Search node budget ran out before a definitive answer."""
 
-    def __init__(self, message: str, nodes_scanned: int) -> None:
-        super().__init__(message)
-        self.nodes_scanned = nodes_scanned
-
 
 class VerificationError(StanleyError):
     """A witness failed one of its verification checks."""

@@ -21,7 +21,6 @@ from .core import (
     check_int,
     doubled_prefix,
     doubling_reduction,
-    greedy_extend,
 )
 from .errors import (
     BudgetExceededError,
@@ -389,8 +388,8 @@ def _resolve_base(recipe: WitnessRecipe) -> tuple[ResidueSet, int]:
         result = search_near_modular(base)
         if result.status == "budget_exceeded":
             raise BudgetExceededError(
-                f"search for character {recipe.target_character} ran out of budget",
-                result.nodes,
+                f"search for character {recipe.target_character} ran out of budget"
+                f" after {result.nodes} nodes"
             )
         if result.status != "found" or result.witness is None:
             raise VerificationError(
@@ -398,19 +397,6 @@ def _resolve_base(recipe: WitnessRecipe) -> tuple[ResidueSet, int]:
             )
         return result.witness, result.nodes
     raise MalformedInputError(f"unsupported recipe base {base!r}")
-
-
-def _departure(form: ResidueSet) -> str:
-    """Where the greedy extension of a modular form first leaves A + {0, N, 3N, 4N}."""
-    grown = greedy_extend(form.elements, 4 * len(form)).terms
-    predicted = [x + k * form.modulus for k in (0, 1, 3, 4) for x in form.elements]
-    for i, (got, want) in enumerate(zip(grown, predicted)):
-        if got != want:
-            return (
-                f"greedy extension of {format_set(form)} leaves A+{{0,N,3N,4N}}"
-                f" at term {i}: {got}, not {want}"
-            )
-    raise InvariantViolationError(f"certificate rejected the greedy prefix of {format_set(form)}")
 
 
 def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> VerifiedWitness:
@@ -426,7 +412,7 @@ def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> Verified
     2*max+1-N equal to W's character, so only the omitted-value bound is checked
     against the target.  The result keeps s and builds A again only when
     ``modular_form`` is read.  Any failed check raises VerificationError; a
-    rejected certificate names the first term where greedy growth leaves P, and
+    rejected certificate names A and grows no greedy term to explain itself, and
     a prefix past the mask budget raises ResourceLimitError.
     """
     base, nodes = _resolve_base(recipe)
@@ -449,13 +435,16 @@ def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> Verified
         return VerifiedWitness(recipe, witness, recipe.target_character, STATIC_CHECKS, nodes)
     certified = doubled_prefix(witness.elements, witness.modulus)
     if certified is None:
-        raise VerificationError("doubling-structure", _departure(to_modular(witness)[0]))
+        raise VerificationError(
+            "doubling-structure",
+            f"greedy extension of {format_set(to_modular(witness)[0])} leaves A+{{0,N,3N,4N}}",
+        )
     profile, omitted = certified
     if profile is None:
         raise VerificationError(
             "doubling-structure",
             f"greedy extension of {format_set(to_modular(witness)[0])} does not"
-            f" repeat with character {recipe.target_character} (got {profile})",
+            f" repeat with character {recipe.target_character}",
         )
     if omitted.omega is not None and omitted.omega >= recipe.target_character:
         raise VerificationError(

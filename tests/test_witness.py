@@ -1,11 +1,12 @@
 """Recipe dispatch, bundled tables, and the execute/verify pipeline."""
 
 import dataclasses
+import importlib.resources
 
 import pytest
 
 import stanley as st
-from stanley import core, modset, witness
+from stanley import cli, core, modset, witness
 from stanley.witness import SMALL_CASE_PARAMS, _split_pow3
 
 
@@ -173,8 +174,13 @@ def test_appendix_check_proves_every_row_deep(monkeypatch):
         return certified
 
     monkeypatch.setattr(witness, "doubled_prefix", rejects_the_flagged_row)
-    with pytest.raises(st.VerificationError, match="doubling-structure"):
+    with pytest.raises(st.VerificationError) as err:
         st.appendix_check()
+    assert str(err.value) == (
+        "doubling-structure: greedy extension of N=252; 0,11,13,18,24,28,29,39,41,44,46,"
+        "52,57,61,72,84,89,95,97,102,108,112,113,123,125,128,130,136,141,145,156,173"
+        " does not repeat with character 95"
+    )
 
 
 @pytest.fixture
@@ -206,6 +212,31 @@ def test_table_that_leaves_its_band_fails_to_load(monkeypatch, fresh_appendix):
     with pytest.raises(st.VerificationError, match="mod 30 table tops") as caught:
         st.load_appendix()
     assert caught.value.check == "appendix"
+
+
+def _serve_tables(monkeypatch, tmp_path, edit):
+    """Serve the bundled tables from ``tmp_path``, mod28.txt passed through ``edit``."""
+    (tmp_path / "data").mkdir()
+    for name in ("mod28.txt", "mod30.txt"):
+        text = (importlib.resources.files("stanley") / "data" / name).read_text("ascii")
+        (tmp_path / "data" / name).write_text(edit(text) if name == "mod28.txt" else text)
+    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+
+
+def test_table_row_with_another_modulus_fails_to_load(monkeypatch, tmp_path, fresh_appendix):
+    _serve_tables(monkeypatch, tmp_path, lambda text: text.replace(
+        "N=28; 0,5,11,13,16,18,24,57", "N=29; 0,5,11,13,16,18,24,57"))
+    with pytest.raises(st.FormatError, match="^mod28.txt: expected modulus 28, got 29$"):
+        st.load_appendix()
+
+
+def test_blank_line_ends_an_erratum_note(monkeypatch, tmp_path, fresh_appendix):
+    # a blank line between the flag comment and its row leaves the row unflagged
+    _serve_tables(monkeypatch, tmp_path, lambda text: text.replace(
+        "loading the table fails.\n", "loading the table fails.\n\n"))
+    tables = st.load_appendix()
+    assert tables.errata == ()
+    assert tables.row(28, 61).elements == (0, 11, 13, 18, 24, 29, 44, 61)
 
 
 def test_every_table_row_is_reached_and_shifts_to_the_expected_top():
@@ -331,7 +362,7 @@ def test_accepted_certificate_regrows_nothing(monkeypatch, lam):
         raise AssertionError("detect_character was called")
 
     # the profile is read off the certificate, so P is never built or scanned
-    monkeypatch.setattr(witness, "greedy_extend", no_regrowth)
+    monkeypatch.setattr(core, "greedy_extend", no_regrowth)
     monkeypatch.setattr(core, "detect_character", no_rescan)
     monkeypatch.setattr(witness, "detect_character", no_rescan, raising=False)
     result = st.execute_and_verify(st.witness_for(lam), deep=True)
@@ -340,18 +371,59 @@ def test_accepted_certificate_regrows_nothing(monkeypatch, lam):
     assert result.checks[-2:] == ("doubling-structure", "omitted-bound")
 
 
-def test_rejected_certificate_names_the_first_departing_term(monkeypatch):
+def test_rejected_certificate_names_the_form_without_regrowing(monkeypatch):
     # no verified witness fails the certificate, so let through a set that is
     # not near-modular: N=5; 0,1,3 (character 2) is already modular, and its
     # greedy extension takes 4 where A + {0, N, 3N, 4N} predicts 5
+    def no_regrowth(*args, **kwargs):
+        raise AssertionError("greedy_extend was called")
+
     real_verify = witness.verify
     monkeypatch.setattr(
         witness, "verify", lambda a: dataclasses.replace(real_verify(a), is_near_modular=True)
     )
+    monkeypatch.setattr(core, "greedy_extend", no_regrowth)
+    monkeypatch.setattr(witness, "greedy_extend", no_regrowth, raising=False)
     recipe = st.WitnessRecipe(2, "even-ladder", st.ResidueSet(5, (0, 1, 3)), 0, 3, 5)
-    with pytest.raises(st.VerificationError, match="at term 3: 4, not 5") as err:
+    with pytest.raises(st.VerificationError) as err:
         st.execute_and_verify(recipe, deep=True)
     assert err.value.check == "doubling-structure"
+    assert str(err.value) == (
+        "doubling-structure: greedy extension of N=5; 0,1,3 leaves A+{0,N,3N,4N}"
+    )
+
+
+def _omitted_at(monkeypatch, omega):
+    """Let the certificate report an omitted value ``omega`` beside the real ones."""
+    real = witness.doubled_prefix
+
+    def with_omitted(seed, modulus):
+        profile, omitted = real(seed, modulus)
+        return profile, core.OmittedSet(omitted.mask | 1 << omega, omitted.scan_bound)
+
+    monkeypatch.setattr(witness, "doubled_prefix", with_omitted)
+
+
+def test_omitted_value_at_the_character_fails_the_bound(monkeypatch):
+    _omitted_at(monkeypatch, 63)
+    with pytest.raises(st.VerificationError) as err:
+        st.execute_and_verify(st.witness_for(63), deep=True)
+    assert err.value.check == "omitted-bound"
+    assert str(err.value) == (
+        "omitted-bound: largest omitted value 63 reaches the character 63"
+    )
+
+
+def test_omitted_value_below_the_character_passes_the_bound(monkeypatch):
+    _omitted_at(monkeypatch, 62)
+    result = st.execute_and_verify(st.witness_for(63), deep=True)
+    assert result.checks == witness.DEEP_CHECKS and result.omitted.omega == 62
+
+
+def test_witness_cli_exits_1_on_a_failed_bound(monkeypatch, capsys):
+    _omitted_at(monkeypatch, 63)
+    assert cli.main(["witness", "--lambda", "63", "--deep"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("lam", [1500, 1999, 20000])
@@ -397,7 +469,8 @@ def test_execute_search_budget_surfaces():
     starved = st.WitnessRecipe(
         7, "small-case-search", st.SearchSpec(10, 8, 4, budget=1), 0, 8, 10
     )
-    with pytest.raises(st.BudgetExceededError):
+    with pytest.raises(st.BudgetExceededError,
+                       match="^search for character 7 ran out of budget after 2 nodes$"):
         st.execute_and_verify(starved)
 
 
