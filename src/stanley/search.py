@@ -180,13 +180,6 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
     return visit, progress
 
 
-def _finish(elements: tuple[int, ...], spec: SearchSpec, nodes: int, token: int | None) -> SearchResult:
-    witness = ResidueSet(spec.modulus, elements)
-    if not verify(witness).is_near_modular:
-        raise InvariantViolationError(f"search produced a non-witness {witness}")
-    return SearchResult("found", witness, nodes, token)
-
-
 def search_near_modular(spec: SearchSpec, *, resume: int | None = None) -> SearchResult:
     """First near-modular witness in colex order over the middle elements.
 
@@ -211,6 +204,9 @@ def search_near_modular(spec: SearchSpec, *, resume: int | None = None) -> Searc
     chosen, nodes, partition = progress()
     if nodes > spec.budget:
         return SearchResult("budget_exceeded", None, nodes, partition)
-    if found:
-        return _finish(tuple(sorted(chosen)), spec, nodes, partition)
-    return SearchResult("exhausted", None, nodes, None)
+    if not found:
+        return SearchResult("exhausted", None, nodes, None)
+    witness = ResidueSet(n, tuple(sorted(chosen)))
+    if not verify(witness).is_near_modular:
+        raise InvariantViolationError(f"search produced a non-witness {witness}")
+    return SearchResult("found", witness, nodes, partition)

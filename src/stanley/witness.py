@@ -433,18 +433,12 @@ def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> Verified
 
     if not deep:
         return VerifiedWitness(recipe, witness, recipe.target_character, STATIC_CHECKS, nodes)
-    certified = doubled_prefix(witness.elements, witness.modulus)
-    if certified is None:
-        raise VerificationError(
-            "doubling-structure",
-            f"greedy extension of {format_set(to_modular(witness)[0])} leaves A+{{0,N,3N,4N}}",
-        )
-    profile, omitted = certified
+    profile, omitted = doubled_prefix(witness.elements, witness.modulus) or (None, None)
     if profile is None:
+        tail = ("leaves A+{0,N,3N,4N}" if omitted is None
+                else f"does not repeat with character {recipe.target_character}")
         raise VerificationError(
-            "doubling-structure",
-            f"greedy extension of {format_set(to_modular(witness)[0])} does not"
-            f" repeat with character {recipe.target_character}",
+            "doubling-structure", f"greedy extension of {format_set(to_modular(witness)[0])} {tail}"
         )
     if omitted.omega is not None and omitted.omega >= recipe.target_character:
         raise VerificationError(

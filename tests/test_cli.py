@@ -15,6 +15,8 @@ from stanley.cli import main
 from stanley.errors import InvariantViolationError
 from stanley.modset import VerificationReport
 
+from golden_cli import CASES, run as run_golden
+
 
 def run(capsys, *argv):
     try:
@@ -588,6 +590,19 @@ def test_timing_goes_to_stderr(capsys):
     _, out, err = run(capsys, "family", "Acal:0")
     assert "elapsed" in err
     assert "elapsed" not in out
+
+
+#: The golden cases tier-1 skips: the two long coverage sweeps, which take most
+#: of the golden file's time.  ``tests/golden_cli.py`` still checks them.
+SLOW_GOLDEN = {("coverage", "--max", "10000", "--json"), ("coverage", "--max", "40000", "--no-deep")}
+
+
+def test_cheap_golden_cases_match_their_recorded_hashes():
+    cases = [case for case in CASES if case[0] not in SLOW_GOLDEN]
+    assert len(cases) == len(CASES) - len(SLOW_GOLDEN)
+    assert {argv: run_golden(argv) for argv, _, _ in cases} == {
+        argv: (code, digest) for argv, code, digest in cases
+    }
 
 
 #: Per verb, tokens that keep every run to a few milliseconds: small counts and

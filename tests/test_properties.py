@@ -29,6 +29,7 @@ the same answer for the same text.
 """
 
 import math
+from enum import IntEnum
 from itertools import accumulate
 from unittest import mock
 
@@ -357,8 +358,14 @@ def term_tuples(draw):
     return tuple(values)
 
 
+class Rung(IntEnum):  # an int subclass: check_int accepts it, check_terms' type pass does not
+    ONE = 1
+    THREE = 3
+
+
 @given(terms=term_tuples(), what=hs.sampled_from(("term", "element")))
 @example(terms=(0, True, 2), what="term")  # a bool in increasing position
+@example(terms=(0, Rung.ONE, Rung.THREE), what="term")  # accepted by the per-element rerun
 @example(terms=(3, INT_LIMIT + 1, 2 * INT_LIMIT + 2), what="term")  # the first term over names it
 def test_check_terms_matches_the_per_element_oracle(terms, what):
     try:

@@ -230,13 +230,15 @@ def test_table_row_with_another_modulus_fails_to_load(monkeypatch, tmp_path, fre
         st.load_appendix()
 
 
-def test_blank_line_ends_an_erratum_note(monkeypatch, tmp_path, fresh_appendix):
+def test_blank_line_ends_an_erratum_note(monkeypatch, tmp_path, capsys, fresh_appendix):
     # a blank line between the flag comment and its row leaves the row unflagged
     _serve_tables(monkeypatch, tmp_path, lambda text: text.replace(
         "loading the table fails.\n", "loading the table fails.\n\n"))
     tables = st.load_appendix()
     assert tables.errata == ()
     assert tables.row(28, 61).elements == (0, 11, 13, 18, 24, 29, 44, 61)
+    assert cli.main(["erratum-report"]) == 0
+    assert capsys.readouterr().out == "no errata\n"
 
 
 def test_every_table_row_is_reached_and_shifts_to_the_expected_top():
