@@ -68,10 +68,6 @@ class SearchResult:
     resume_token: int | None
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _row(n: int, value: int) -> tuple[int, int, int, int, int, int]:
     """Shift counts that place ``value`` mod ``n``; they depend on value mod 2n only.
 
@@ -107,8 +103,8 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
     witness.  At the last depth, ``len(need) - 1``, it returns the masks after
     the value; before it, it visits the values the next element may take and
     returns the first witness's last masks.  Each middle visited is a node;
-    node ``budget + 1`` raises _BudgetHit.  ``progress()`` reads the elements
-    placed, the node count and the partition being scanned.
+    node ``budget + 1`` and every frame above it return None.  ``progress()``
+    reads the elements placed, the node count and the partition being scanned.
     """
     n2 = 2 * n
     full = (1 << n) - 1
@@ -123,6 +119,10 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
 
     def visit(value: int, depth: int, blocked: int, cov: int, neg: int, dbl: int, halves: int):
         nonlocal nodes, partition, repunit, reach
+        if depth > 1:  # a middle: partitions at depth 2, the rest below
+            nodes += 1
+            if nodes > budget:
+                return None
         key = value % n2
         row = rows.get(key)
         if row is None:
@@ -149,11 +149,8 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
             while window:
                 bit = window & -window
                 window ^= bit
-                nodes += 1
-                if nodes > budget:
-                    raise _BudgetHit
                 got = visit(bit.bit_length() - 1, depth, blocked, cov, neg, dbl, halves)
-                if got:
+                if got or nodes > budget:
                     return got
         elif depth == 2:  # a start that blocks every residue leaves no partition to walk
             for outer in _partitions(free, n, first, top) if free else ():
@@ -161,11 +158,8 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
                 while reach < outer:
                     repunit |= repunit << reach
                     reach *= 2
-                nodes += 1
-                if nodes > budget:
-                    raise _BudgetHit
                 got = visit(outer, 2, blocked, cov, neg, dbl, halves)
-                if got:
+                if got or nodes > budget:
                     return got
         elif free >> top % n & 1:
             got = visit(top, 1, blocked, cov, neg, dbl, halves)
@@ -197,10 +191,7 @@ def search_near_modular(spec: SearchSpec, *, resume: int | None = None) -> Searc
     pairs = s * (s + 1) // 2
     need = [0, 0][: s - 1] + [n - pairs + (d + 1) * (d + 2) // 2 for d in range(min(2, s - 1), s)]
     visit, progress = _searcher(n, t, need, max(spec.first_partition, resume or 0), spec.budget)
-    try:
-        found = visit(0, 0, 0, 0, 0, 0, 0)
-    except _BudgetHit:
-        found = None
+    found = visit(0, 0, 0, 0, 0, 0, 0)
     chosen, nodes, partition = progress()
     if nodes > spec.budget:
         return SearchResult("budget_exceeded", None, nodes, partition)

@@ -1,9 +1,10 @@
 """Package structure: modules share only public names, every exported name has
 a user besides the tests, one reader owns ``int``, one helper owns each limit,
 every module runs in one process and ``import stanley`` loads no process pool,
-and no module reads the environment."""
+only ``errors.py`` defines exceptions, and no module reads the environment."""
 
 import ast
+import builtins
 import re
 import subprocess
 import sys
@@ -162,6 +163,23 @@ def test_no_module_starts_a_process_pool():
     assert offenders == []
 
 
+def test_only_errors_defines_exceptions():
+    # exceptions are for errors: a walk stops by return, not by a private exception
+    exceptions = {
+        name for source in (builtins, stanley.errors)
+        for name, value in vars(source).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    offenders = [
+        f"{path.name}:{node.lineno}: class {node.name}"
+        for path in MODULES if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and exceptions.intersection(name for base in node.bases for name in _names_read(base))
+    ]
+    assert offenders == []
+
+
 def test_import_loads_no_process_pool():
     src = str(Path(stanley.__file__).parents[1])
     probe = (
@@ -214,6 +232,29 @@ INTEGER_PARAMETERS = {
     "TableRef.modulus": lambda v: stanley.TableRef(v, 58),
     "TableRef.max_element": lambda v: stanley.TableRef(28, v),
     "AppendixTables.row.max_element": lambda v: stanley.load_appendix().row(28, v),
+    "AppendixTables.row.modulus": lambda v: stanley.load_appendix().row(v, 58),
+    "scale.c": lambda v: stanley.scale(stanley.ResidueSet(3, (0, 1)), v),
+    "shift_max.multiples": lambda v: stanley.shift_max(stanley.ResidueSet(3, (0, 1)), v),
+    "power.n": lambda v: stanley.power(
+        stanley.ResidueSet(1, (0,)), stanley.ResidueSet(1, (0,)), v
+    ),
+    "ResidueSet.modulus": lambda v: stanley.ResidueSet(v, (0, 1)),
+    "ResidueSet.elements": lambda v: stanley.ResidueSet(3, (0, v)),
+    "WitnessRecipe.target_character": lambda v: stanley.WitnessRecipe(
+        v, "trivial-zero", stanley.ResidueSet(1, (0,)), 0, 0, 1
+    ),
+    "WitnessRecipe.expected_max": lambda v: stanley.WitnessRecipe(
+        0, "trivial-zero", stanley.ResidueSet(1, (0,)), 0, v, 1
+    ),
+    "WitnessRecipe.expected_modulus": lambda v: stanley.WitnessRecipe(
+        0, "trivial-zero", stanley.ResidueSet(1, (0,)), 0, 0, v
+    ),
+    "CharacterProfile.settle_level": lambda v: stanley.CharacterProfile(0, v, 1, 0),
+    "CharacterProfile.repeat_factor": lambda v: stanley.CharacterProfile(0, 0, v, 0),
+    "CharacterProfile.verified_up_to_level": lambda v: stanley.CharacterProfile(0, 0, 1, v),
+    "FamilyId.params": lambda v: stanley.FamilyId("T", (v,)),
+    "StanleyPrefix.terms": lambda v: stanley.StanleyPrefix((0, v)),
+    "doubled_prefix.seed": lambda v: stanley.doubled_prefix([0, v], 1),
 }
 
 

@@ -140,16 +140,6 @@ def edited(a, edit, k):
     return st.ResidueSet.of(a.modulus, elements)
 
 
-def brute_3_free(terms):
-    n = len(terms)
-    return not any(
-        terms[i] + terms[k] == 2 * terms[j]
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-    )
-
-
 def brute_mod_3_free(a):
     for x in a.elements:
         for y in a.elements:
@@ -171,7 +161,7 @@ def brute_mod_covers_all(a):
 @given(terms=any_terms)
 def test_three_free_matches_brute(terms):
     # StanleyPrefix accepts exactly the progression-free term lists
-    if brute_3_free(terms):
+    if naive_is_3_free(terms):
         assert st.StanleyPrefix(terms).terms == terms
     else:
         with pytest.raises(st.MalformedInputError, match="progression"):
@@ -226,7 +216,7 @@ def test_verify_matches_oracle_on_a_shared_doubled_residue(a):
        more=hs.integers(min_value=0, max_value=6))
 @settings(deadline=None)
 def test_greedy_is_prefix_stable(terms, grow, more):
-    assume(brute_3_free(terms))
+    assume(naive_is_3_free(terms))
     shorter = st.greedy_extend(terms, len(terms) + grow)
     longer = st.greedy_extend(terms, len(terms) + grow + more)
     assert longer.terms[: len(shorter)] == shorter.terms
@@ -237,7 +227,7 @@ def test_greedy_is_prefix_stable(terms, grow, more):
 @given(seed=seeds, grow=hs.integers(min_value=0, max_value=40))
 @settings(deadline=None)
 def test_greedy_matches_table_oracle(seed, grow):
-    assume(brute_3_free(seed))
+    assume(naive_is_3_free(seed))
     target = len(seed) + grow
     assert st.greedy_extend(seed, target).terms == naive_greedy_table(seed, target)
 
@@ -260,7 +250,7 @@ spread_seeds = hs.builds(
 @settings(deadline=None, max_examples=60)
 def test_greedy_matches_table_oracle_across_folds(seed, grow, cut, reach):
     # a narrower window only folds more often: the terms are the same
-    assume(brute_3_free(seed))
+    assume(naive_is_3_free(seed))
     target = len(seed) + grow
     with mock.patch.object(core, "_REACH", reach):
         once = st.greedy_extend(seed, target)
@@ -274,7 +264,7 @@ def test_greedy_matches_table_oracle_across_folds(seed, grow, cut, reach):
 @given(seed=seeds, grow=hs.integers(min_value=0, max_value=40))
 @settings(deadline=None)
 def test_greedy_result_revalidates(seed, grow):
-    assume(brute_3_free(seed))
+    assume(naive_is_3_free(seed))
     prefix = st.greedy_extend(seed, len(seed) + grow)
     rebuilt = st.StanleyPrefix(prefix.terms)
     assert rebuilt == prefix
@@ -294,7 +284,7 @@ def test_omitted_matches_oracle_on_greedy_prefixes(seed, grow, cut, first):
     # a greedy prefix scans only below its seed's top; bounds around that top,
     # and a prefix grown in two steps, must match the oracle and the whole scan
     # of the same terms as a plain list
-    assume(brute_3_free(seed))
+    assume(naive_is_3_free(seed))
     target = len(seed) + grow
     once = st.greedy_extend(seed, target)
     chained = st.greedy_extend(st.greedy_extend(seed, len(seed) + int(first * grow)), target)
@@ -320,7 +310,7 @@ def naive_settles(terms, settled) -> bool:
 @given(seed=seeds, grow=hs.integers(min_value=0, max_value=40), first=hs.floats(0, 1))
 @settings(deadline=None)
 def test_greedy_prefix_is_settled_above_its_seed(seed, grow, first):
-    assume(brute_3_free(seed))
+    assume(naive_is_3_free(seed))
     step = st.greedy_extend(seed, len(seed) + int(first * grow))
     for prefix in (st.greedy_extend(seed, len(seed) + grow), st.greedy_extend(step, len(seed) + grow)):
         assert prefix.settled == seed[-1]
@@ -387,7 +377,7 @@ def test_check_terms_matches_the_per_element_oracle(terms, what):
 @settings(deadline=None)
 def test_detect_character_matches_oracle(seed, grow, at, bump):
     # bump > 0 tampers: every term from index at * len on moves up by bump
-    assume(brute_3_free(seed))
+    assume(naive_is_3_free(seed))
     terms = list(st.greedy_extend(seed, max(4, len(seed) + grow)).terms)
     start = int(at * (len(terms) - 1))
     terms[start:] = [t + bump for t in terms[start:]]
@@ -423,7 +413,7 @@ certificate_cases = hs.one_of(
 @settings(deadline=None)
 def test_certificate_accepts_exactly_the_greedy_prefix(case):
     seed, modulus = case
-    assume(brute_3_free(seed))
+    assume(naive_is_3_free(seed))
     grown = st.greedy_extend(seed, 4 * len(seed))
     assert grown.terms == naive_greedy_table(seed, 4 * len(seed))
     certified = st.doubled_prefix(seed, modulus)
