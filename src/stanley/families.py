@@ -38,16 +38,10 @@ def build_Ttilde(n: int) -> ResidueSet:
     return product(build_T(n), DOUBLING_BLOCK)
 
 
-def _swap_pivot(base: ResidueSet, pivot: int) -> ResidueSet:
-    """Replace ``pivot``, always M*1 of a product with {0,1} mod 3, by ``2*pivot``."""
-    kept = tuple(e for e in base.elements if e != pivot)
-    return ResidueSet(base.modulus, kept + (2 * pivot,))  # 2*pivot is the new maximum
-
-
 def build_Acal(n: int) -> ResidueSet:
     """Modular set mod 3**(2n+1) with 2*4**n elements and max 2*9**n."""
     check_int(n, "Acal parameter n")
-    return _swap_pivot(build_Ttilde(n), 3 ** (2 * n))
+    return build_At(2 * n + 1)
 
 
 def build_U(n: int) -> ResidueSet:
@@ -66,17 +60,16 @@ def build_Bcal(n: int) -> ResidueSet:
     """Modular set mod 3**(2n) with 4**n elements and max 2*3**(2n-1)."""
     if check_int(n, "Bcal parameter n") < 1:
         raise MalformedInputError("Bcal requires n >= 1")
-    return _swap_pivot(build_Utilde(n), 3 ** (2 * n - 1))
+    return build_At(2 * n)
 
 
 def build_At(t: int) -> ResidueSet:
-    """The Acal/Bcal ladder by modulus exponent: modular mod 3**t,
-    2**t elements, max 2*3**(t-1)."""
+    """Modular mod 3**t: Ttilde or Utilde by parity of t, pivot 3**(t-1) replaced by 2*3**(t-1)."""
     if check_int(t, "At parameter t") < 1:
         raise MalformedInputError("At requires t >= 1")
-    if t % 2:
-        return build_Acal((t - 1) // 2)
-    return build_Bcal(t // 2)
+    wide = build_Ttilde((t - 1) // 2) if t % 2 else build_Utilde(t // 2)
+    pivot = 3 ** (t - 1)
+    return ResidueSet(wide.modulus, tuple(e for e in wide.elements if e != pivot) + (2 * pivot,))
 
 
 def build_Atk(t: int, k: int) -> ResidueSet:

@@ -195,6 +195,23 @@ def naive_to_modular(a: st.ResidueSet) -> tuple[st.ResidueSet, int]:
     return a, steps
 
 
+def naive_ladder(t: int) -> st.ResidueSet:
+    """A_t mod 3**t written out digit by digit, with no family or product helper.
+
+    A units digit of 0 (odd t) or 0 or 2 (even t); (t - 1) // 2 base-9 digits
+    from {0, 1, 6, 7} at place values 9**i (odd t) or 3 * 9**i (even t); a top
+    digit of 0 or 1 at 3**(t-1), where the element 3**(t-1) itself becomes
+    2 * 3**(t-1).
+    """
+    place = 1 if t % 2 else 3
+    values = [0] if t % 2 else [0, 2]
+    for i in range((t - 1) // 2):
+        values = [v + d * place * 9**i for v in values for d in (0, 1, 6, 7)]
+    top = 3 ** (t - 1)
+    values = [v + d * top for v in values for d in (0, 1)]
+    return st.ResidueSet(3**t, tuple(sorted(2 * top if v == top else v for v in values)))
+
+
 def naive_place(n: int, placed, value) -> tuple[int, int]:
     """The search's ``blocked`` and ``cov`` masks mod ``n`` once ``value`` joins
     ``placed``, rebuilt pair by pair over the whole list.

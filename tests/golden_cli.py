@@ -66,6 +66,12 @@ CASES: list[tuple[tuple[str, ...], int, str]] = [
      "0e9e9fa1781225de0b74d74234f894cf411817b4312cc6d70e144d82b22b11e4"),
     (("family", "Atk:3,7", "--character"), 0,
      "52163057673012ff699e1bd5ebcfe274358fffd06719f815fa7714a531050757"),
+    (("family", "Acal:3", "--character"), 0,
+     "c0ad031e87455ee62bee29394584768b8eec239092fcc5481d95b76a12d693b3"),
+    (("family", "Bcal:3", "--character"), 0,
+     "31a0533ec17c4cea8dbb2f969f0a6694e397b9bb9418fb21450428e216a26669"),
+    (("family", "At:8", "--character"), 0,
+     "76bfd4b10458f3a068aaa11ee85848c264e01ae842bf2fa8fe7e7bc6a1874d5f"),
     (("witness", "--lambda", "0", "--deep"), 0,
      "a9bb3f9f57aad6f3669b250384cfdea22c53632d51d7be8c269ff95b4ad6b497"),
     (("witness", "--lambda", "4", "--deep"), 0,

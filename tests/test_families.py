@@ -5,6 +5,8 @@ import pytest
 import stanley as st
 from stanley.families import BLOCK, DOUBLING_BLOCK, MOD10_A, MOD10_B, R_VARIANTS, SEED_02, UNIT
 
+from conftest import naive_ladder
+
 
 def test_elementary_blocks():
     assert BLOCK == st.ResidueSet(9, (0, 1, 6, 7))
@@ -75,6 +77,15 @@ def test_At_ladder():
         assert len(a) == 2**t
         assert a.max_element == 2 * 3 ** (t - 1)
         assert st.character_of(a) == 3 ** (t - 1) + 1
+    for t in range(1, 11):
+        assert st.build_At(t) == naive_ladder(t)
+    for n in range(5):
+        assert st.build_Acal(n) == st.build_At(2 * n + 1)
+    for n in range(1, 6):
+        assert st.build_Bcal(n) == st.build_At(2 * n)
+    for build in (st.build_Acal, st.build_Bcal):
+        with pytest.raises(st.ResourceLimitError):
+            build(2**62)
 
 
 def test_At_alternates_between_swap_families():

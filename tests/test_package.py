@@ -1,10 +1,12 @@
 """Package structure: modules share only public names, every exported name has
 a user besides the tests, one reader owns ``int``, one helper owns each limit,
 every module runs in one process and ``import stanley`` loads no process pool,
-only ``errors.py`` defines exceptions, and no module reads the environment."""
+only ``errors.py`` defines exceptions, no module reads the environment, and
+the README's examples run."""
 
 import ast
 import builtins
+import doctest
 import re
 import subprocess
 import sys
@@ -64,6 +66,18 @@ def test_every_exported_name_has_a_user():
         if not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert unused == []
+
+
+def test_readme_examples_run():
+    # each ```python block runs as its own doctest; parsing the blocks keeps a
+    # closing fence from being read as expected output
+    text = README.read_text()
+    runner = doctest.DocTestRunner()
+    for i, block in enumerate(re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)):
+        runner.run(doctest.DocTestParser().get_doctest(block, {}, f"README block {i}", str(README), 0))
+    failed, attempted = runner.summarize(verbose=False)
+    assert failed == 0
+    assert attempted >= len(re.findall(r"^>>> ", text, re.M)) > 0
 
 
 def _inside(path, tree, functions, module="core.py"):
