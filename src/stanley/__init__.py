@@ -12,7 +12,6 @@ from .core import (
     omitted_set,
 )
 from .errors import (
-    BudgetExceededError,
     ForbiddenCharacterError,
     FormatError,
     InvariantViolationError,

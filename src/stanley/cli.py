@@ -186,8 +186,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     print(f"base: {describe_base(recipe.base)}")
     if recipe.shift_count:
         print(f"shifts: {recipe.shift_count}")
-    if result.search_nodes:
-        print(f"search nodes: {result.search_nodes}")
     print(format_set(result.witness))
     print(f"character: {result.character}")
     print("checks: " + " ".join(result.checks))

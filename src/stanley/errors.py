@@ -35,10 +35,6 @@ class ResourceLimitError(StanleyError):
     """A configured limit (integer width, mask budget, element or node budget) was hit."""
 
 
-class BudgetExceededError(ResourceLimitError):
-    """Search node budget ran out before a definitive answer."""
-
-
 class VerificationError(StanleyError):
     """A witness failed one of its verification checks."""
 

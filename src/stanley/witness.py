@@ -23,7 +23,6 @@ from .core import (
     doubling_reduction,
 )
 from .errors import (
-    BudgetExceededError,
     ForbiddenCharacterError,
     FormatError,
     InvariantViolationError,
@@ -43,7 +42,6 @@ from .modset import (
     to_modular,
     verify,
 )
-from .search import SearchSpec, search_near_modular
 
 #: No sequence with the doubling structure attains these six characters.
 FORBIDDEN_CHARACTERS = frozenset({1, 3, 5, 9, 11, 15})
@@ -80,7 +78,7 @@ class TableRef:
             raise MalformedInputError(f"no bundled table mod {self.modulus}")
 
 
-BaseSpec = Union[FamilyId, TableRef, SearchSpec, ResidueSet]
+BaseSpec = Union[FamilyId, TableRef, ResidueSet]
 
 
 @dataclass(frozen=True)
@@ -112,36 +110,35 @@ class WitnessRecipe:
             )
 
 
-#: character -> (modulus, cardinality) for the odd values below the table
-#: bands.  Frozen output of the bundled search itself (cardinality 4 then 8,
-#: even moduli ascending), kept literal so dispatch stays deterministic; the
-#: executor re-runs the search and re-verifies the hit every time.
-SMALL_CASE_PARAMS: dict[int, tuple[int, int]] = {
-    7: (10, 4),
-    13: (30, 8),
-    17: (28, 8),
-    19: (10, 4),
-    21: (30, 8),
-    23: (10, 4),
-    25: (32, 8),
-    27: (10, 4),
-    29: (30, 8),
-    31: (28, 8),
-    33: (30, 8),
-    35: (10, 4),
-    37: (28, 8),
-    39: (10, 4),
-    41: (30, 8),
-    43: (10, 4),
-    45: (30, 8),
-    47: (10, 4),
-    49: (28, 8),
-    51: (28, 8),
-    53: (30, 8),
-    55: (10, 4),
-    57: (30, 8),
-    59: (10, 4),
-    61: (28, 8),
+#: character -> witness for the odd values below the table bands.  Each row is
+#: the first hit of `search_near_modular` over even moduli N ascending, size 4
+#: then 8, top (N + character - 1)/2; tier-1 re-derives every row by that rule.
+SMALL_CASE_BASES: dict[int, ResidueSet] = {
+    7: ResidueSet(10, (0, 1, 7, 8)),
+    13: ResidueSet(30, (0, 1, 3, 4, 10, 13, 14, 21)),
+    17: ResidueSet(28, (0, 4, 5, 9, 15, 17, 20, 22)),
+    19: ResidueSet(10, (0, 3, 11, 14)),
+    21: ResidueSet(30, (0, 1, 3, 4, 21, 22, 24, 25)),
+    23: ResidueSet(10, (0, 7, 9, 16)),
+    25: ResidueSet(32, (0, 2, 3, 5, 23, 25, 26, 28)),
+    27: ResidueSet(10, (0, 1, 7, 18)),
+    29: ResidueSet(30, (0, 7, 9, 16, 17, 20, 26, 29)),
+    31: ResidueSet(28, (0, 5, 11, 13, 16, 18, 24, 29)),
+    33: ResidueSet(30, (0, 3, 7, 10, 21, 24, 28, 31)),
+    35: ResidueSet(10, (0, 9, 13, 22)),
+    37: ResidueSet(28, (0, 1, 3, 19, 20, 22, 23, 32)),
+    39: ResidueSet(10, (0, 3, 11, 24)),
+    41: ResidueSet(30, (0, 3, 11, 14, 21, 24, 32, 35)),
+    43: ResidueSet(10, (0, 7, 9, 26)),
+    45: ResidueSet(30, (0, 3, 13, 16, 21, 24, 34, 37)),
+    47: ResidueSet(10, (0, 1, 7, 28)),
+    49: ResidueSet(28, (0, 1, 9, 12, 13, 31, 32, 38)),
+    51: ResidueSet(28, (0, 5, 13, 16, 18, 24, 29, 39)),
+    53: ResidueSet(30, (0, 3, 20, 21, 23, 24, 34, 41)),
+    55: ResidueSet(10, (0, 9, 13, 32)),
+    57: ResidueSet(30, (0, 3, 9, 12, 20, 22, 29, 43)),
+    59: ResidueSet(10, (0, 3, 11, 34)),
+    61: ResidueSet(28, (0, 5, 11, 13, 18, 24, 29, 44)),
 }
 
 
@@ -225,20 +222,14 @@ def witness_for(target: int) -> WitnessRecipe:
             # 10*3**n + 1 and 20*3**n + 1 never collide with the two top
             # residues the mod-28 table is missing.
             return _table_recipe(target, 28)
-        # targets 31 and 61 fall through to the small-case search
+        # targets 31 and 61 fall through to the bundled small-case rows
     elif target >= 63:
         return _table_recipe(target, 30)
 
-    if target in SMALL_CASE_PARAMS:
-        modulus, cardinality = SMALL_CASE_PARAMS[target]
-        top = (modulus + target - 1) // 2
+    if target in SMALL_CASE_BASES:
+        base = SMALL_CASE_BASES[target]
         return WitnessRecipe(
-            target,
-            "small-case-search",
-            SearchSpec(modulus, top, cardinality),
-            0,
-            top,
-            modulus,
+            target, "small-case-search", base, 0, base.max_element, base.modulus
         )
 
     raise InvariantViolationError(f"dispatch gap at character {target}")
@@ -355,6 +346,8 @@ class VerifiedWitness:
 
     A deep run keeps the witness's doubling steps s, not its fully modular form
     A = W + M*B_s: ``modular_form`` builds A from the witness on each read.
+    No recipe runs a search, so ``search_nodes`` stays 0; it is kept because the
+    benchmark's sweeps still sum it as a counter.
     """
 
     recipe: WitnessRecipe
@@ -376,26 +369,13 @@ class VerifiedWitness:
         return None if self.doubling_steps is None else to_modular(self.witness)[0]
 
 
-def _resolve_base(recipe: WitnessRecipe) -> tuple[ResidueSet, int]:
-    base = recipe.base
+def _resolve_base(base: BaseSpec) -> ResidueSet:
     if isinstance(base, ResidueSet):
-        return base, 0
+        return base
     if isinstance(base, FamilyId):
-        return build_family(base), 0
+        return build_family(base)
     if isinstance(base, TableRef):
-        return load_appendix().row(base.modulus, base.max_element), 0
-    if isinstance(base, SearchSpec):
-        result = search_near_modular(base)
-        if result.status == "budget_exceeded":
-            raise BudgetExceededError(
-                f"search for character {recipe.target_character} ran out of budget"
-                f" after {result.nodes} nodes"
-            )
-        if result.status != "found" or result.witness is None:
-            raise VerificationError(
-                "search", f"space exhausted for character {recipe.target_character}"
-            )
-        return result.witness, result.nodes
+        return load_appendix().row(base.modulus, base.max_element)
     raise MalformedInputError(f"unsupported recipe base {base!r}")
 
 
@@ -415,7 +395,7 @@ def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> Verified
     rejected certificate names A and grows no greedy term to explain itself, and
     a prefix past the mask budget raises ResourceLimitError.
     """
-    base, nodes = _resolve_base(recipe)
+    base = _resolve_base(recipe.base)
     witness = shift_max(base, recipe.shift_count) if recipe.shift_count else base
     report = verify(witness)
     if not report.is_near_modular:
@@ -432,7 +412,7 @@ def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> Verified
         )
 
     if not deep:
-        return VerifiedWitness(recipe, witness, recipe.target_character, STATIC_CHECKS, nodes)
+        return VerifiedWitness(recipe, witness, recipe.target_character, STATIC_CHECKS)
     profile, omitted = doubled_prefix(witness.elements, witness.modulus) or (None, None)
     if profile is None:
         tail = ("leaves A+{0,N,3N,4N}" if omitted is None
@@ -447,8 +427,8 @@ def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> Verified
             f" {recipe.target_character}",
         )
     steps = doubling_reduction(witness.max_element, witness.modulus)[0]
-    return VerifiedWitness(recipe, witness, recipe.target_character, DEEP_CHECKS, nodes,
-                           steps, profile, omitted)
+    return VerifiedWitness(recipe, witness, recipe.target_character, DEEP_CHECKS,
+                           doubling_steps=steps, profile=profile, omitted=omitted)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +441,6 @@ def describe_base(base: BaseSpec) -> str:
         return str(base)
     if isinstance(base, TableRef):
         return f"table mod {base.modulus} top {base.max_element}"
-    if isinstance(base, SearchSpec):
-        return f"search mod {base.modulus} top {base.max_element} size {base.cardinality}"
     return format_set(base)
 
 

@@ -25,13 +25,13 @@ from stanley.cli import main  # noqa: E402
 #: (argv, exit code, sha256 of stdout)
 CASES: list[tuple[tuple[str, ...], int, str]] = [
     (("coverage", "--max", "2000"), 0,
-     "7b902fd2495c26ea996485cb40ea441b7d34f93835f7493ecdebde999069bec2"),
+     "0de1e4379b119fe0b786138b4c178035e2ea788ba640f141a7f5ffe03244e948"),
     (("coverage", "--max", "2000", "--json"), 0,
-     "efa3df30e7c87e0a049138493cb042a1b025eef630474f158338710ce5367b25"),
+     "90867e6cc6ca06e2ebd49eaff0a8277bc94cb8d949bf56c3f36f3e768318ceb0"),
     (("coverage", "--max", "10000", "--json"), 0,
-     "118bc81d99a47e0c98025bebaa204df86371fe5f6c1a64acce4b27f80913b970"),
+     "ee72ff4a304dd2eb31c035383b46bf48e8563a55d62d09fff1305f6c7eb73057"),
     (("coverage", "--max", "40000", "--no-deep"), 0,
-     "4633f858459b9b39d54981eb66eb6846c9ba60288621650cf4633c38dc9cfe61"),
+     "b0ea3babdf4a59561c5f73f94c623e2e8f434637c1d57064556fe4b1c89a0ac3"),
     (("verify", "N=3; 0,1"), 0,
      "ff7243600251f2bf7e6cca9b427fe56cf44e31297fee0cb28870eb950492f605"),
     (("verify", "N=9; 0,1,6,7"), 0,
@@ -77,7 +77,7 @@ CASES: list[tuple[tuple[str, ...], int, str]] = [
     (("witness", "--lambda", "4", "--deep"), 0,
      "d7426d87261e584be0ec5f0f363fe7f06663b1a366589ad85b83ef452b88753c"),
     (("witness", "--lambda", "7", "--deep"), 0,
-     "d9e20604081d2f79e0453dd618aa8f26dcd52bb492152d37d5cbbe005f52c6fd"),
+     "c551ebfdd71ad78058b746c896165f11306d5f299d21dd9f9d4ca2bf76c26606"),
     (("witness", "--lambda", "63", "--deep"), 0,
      "c66b86d42b015ae9232c109f022ac74708345e0bb1947afe5d6116708a3c9f53"),
     (("witness", "--lambda", "121", "--deep"), 0,

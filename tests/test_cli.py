@@ -328,13 +328,12 @@ def test_witness_deep_prefix_over_the_mask_budget_exits_3(capsys):
 
 
 def test_witness_small_case_search_exact_output(capsys):
-    # the only strategy whose output has a search-nodes line
+    # a bundled small-case row prints its own set as the base
     code, out, _ = run(capsys, "witness", "--lambda", "7")
     assert code == 0
     assert out == (
         "strategy: small-case-search\n"
-        "base: search mod 10 top 8 size 4\n"
-        "search nodes: 2\n"
+        "base: N=10; 0,1,7,8\n"
         "N=10; 0,1,7,8\n"
         "character: 7\n"
         "checks: near-modular max-element modulus character\n"
@@ -371,8 +370,8 @@ def test_coverage_reports_failed_rows(monkeypatch, capsys):
     assert code == 1
     lines = out.splitlines()
     assert lines[8] == (
-        "    7  failed    small-case-search  search mod 10 top 8 size 4"
-        "            -      -    -      -"
+        "    7  failed    small-case-search  N=10; 0,1,7,8"
+        "                         -      -    -      -"
     )
     assert lines[-1] == "characters 0..16: 0 verified, 6 excluded, 11 failed"
     code, out, _ = run(capsys, "coverage", "--max", "16", "--no-deep", "--json")
@@ -380,7 +379,7 @@ def test_coverage_reports_failed_rows(monkeypatch, capsys):
     blob = json.loads(out)
     assert (blob["verified"], blob["excluded"], blob["failed"]) == (0, 6, 11)
     assert blob["entries"][7] == {
-        "base": "search mod 10 top 8 size 4",
+        "base": "N=10; 0,1,7,8",
         "character": 7,
         "deep_verified": False,
         "detail": "near-modular: N=10; 0,1,7,8 violates (0, 1, 2)",
@@ -417,7 +416,7 @@ def test_coverage_to_1000_is_pinned(capsys):
     code, out, _ = run(capsys, "coverage", "--max", "1000")
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-    assert digest == "634856330de75179f49809c069fbd1eed7cbc3494eeaf6dde67416807cd5db06"
+    assert digest == "16d99cd2ae0dd7876dfa14bc7ff259a919effcab59443dde9b9eebf410a3f6ea"
 
 
 def test_coverage_json_to_1000_is_pinned(capsys):
@@ -425,7 +424,7 @@ def test_coverage_json_to_1000_is_pinned(capsys):
     code, out, _ = run(capsys, "coverage", "--max", "1000", "--json")
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-    assert digest == "d5ce470240596ca7093bc84bd1355fda423c0844f9bf3ea73822b075391e7359"
+    assert digest == "eb0fb88a986975dfed5223d69167b6309cba0ebda14b128ea4d1fd025fb356fa"
 
 
 def test_coverage_is_deterministic(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import stanley as st
 from stanley.core import BIT_LIMIT
-from stanley.witness import SMALL_CASE_PARAMS
+from stanley.witness import SMALL_CASE_BASES
 
 from conftest import brute_character, naive_greedy
 
@@ -117,43 +117,85 @@ def test_odd_modulus_node_counts_are_pinned(spec, status, nodes, token, witness)
     assert (got.witness and st.format_set(got.witness)) == witness
 
 
-#: (nodes, resume_token, witness) of each small-case search witness_for dispatches
+#: (nodes, resume_token) of the search that first finds each bundled small-case row
 SMALL_CASE_SEARCHES = {
-    7: (2, 7, "N=10; 0,1,7,8"),
-    13: (76, 14, "N=30; 0,1,3,4,10,13,14,21"),
-    17: (200, 20, "N=28; 0,4,5,9,15,17,20,22"),
-    19: (4, 11, "N=10; 0,3,11,14"),
-    21: (401, 24, "N=30; 0,1,3,4,21,22,24,25"),
-    23: (3, 9, "N=10; 0,7,9,16"),
-    25: (1027, 26, "N=32; 0,2,3,5,23,25,26,28"),
-    27: (2, 7, "N=10; 0,1,7,18"),
-    29: (1232, 26, "N=30; 0,7,9,16,17,20,26,29"),
-    31: (666, 24, "N=28; 0,5,11,13,16,18,24,29"),
-    33: (1860, 28, "N=30; 0,3,7,10,21,24,28,31"),
-    35: (5, 13, "N=10; 0,9,13,22"),
-    37: (417, 23, "N=28; 0,1,3,19,20,22,23,32"),
-    39: (4, 11, "N=10; 0,3,11,24"),
-    41: (1333, 32, "N=30; 0,3,11,14,21,24,32,35"),
-    43: (3, 9, "N=10; 0,7,9,26"),
-    45: (2478, 34, "N=30; 0,3,13,16,21,24,34,37"),
-    47: (2, 7, "N=10; 0,1,7,28"),
-    49: (1233, 32, "N=28; 0,1,9,12,13,31,32,38"),
-    51: (891, 29, "N=28; 0,5,13,16,18,24,29,39"),
-    53: (2776, 34, "N=30; 0,3,20,21,23,24,34,41"),
-    55: (5, 13, "N=10; 0,9,13,32"),
-    57: (1348, 29, "N=30; 0,3,9,12,20,22,29,43"),
-    59: (4, 11, "N=10; 0,3,11,34"),
-    61: (867, 29, "N=28; 0,5,11,13,18,24,29,44"),
+    7: (2, 7),
+    13: (76, 14),
+    17: (200, 20),
+    19: (4, 11),
+    21: (401, 24),
+    23: (3, 9),
+    25: (1027, 26),
+    27: (2, 7),
+    29: (1232, 26),
+    31: (666, 24),
+    33: (1860, 28),
+    35: (5, 13),
+    37: (417, 23),
+    39: (4, 11),
+    41: (1333, 32),
+    43: (3, 9),
+    45: (2478, 34),
+    47: (2, 7),
+    49: (1233, 32),
+    51: (891, 29),
+    53: (2776, 34),
+    55: (5, 13),
+    57: (1348, 29),
+    59: (4, 11),
+    61: (867, 29),
 }
 
 
-def test_small_case_searches_are_pinned():
-    assert sorted(SMALL_CASE_SEARCHES) == sorted(SMALL_CASE_PARAMS)
-    for character, (modulus, cardinality) in SMALL_CASE_PARAMS.items():
+def first_small_case_hit(character: int) -> st.SearchResult:
+    """The rule SMALL_CASE_BASES states: even N ascending, size 4 then 8."""
+    for modulus in range(2, 201, 2):
         top = (modulus + character - 1) // 2
-        got = st.search_near_modular(st.SearchSpec(modulus, top, cardinality))
+        for cardinality in (4, 8):
+            if top >= cardinality - 1:
+                got = st.search_near_modular(st.SearchSpec(modulus, top, cardinality))
+                if got.status == "found":
+                    return got
+    raise AssertionError(f"no hit for character {character}")
+
+
+def test_small_case_searches_are_pinned():
+    # about 0.1 s: every bundled row is the rule's first hit, with its search pinned
+    assert sorted(SMALL_CASE_SEARCHES) == sorted(SMALL_CASE_BASES)
+    for character, row in SMALL_CASE_BASES.items():
+        got = first_small_case_hit(character)
+        assert got.witness == row
+        assert (got.nodes, got.resume_token) == SMALL_CASE_SEARCHES[character]
+
+
+#: excluded character -> search nodes of its bounded census
+FORBIDDEN_CENSUS_NODES = {1: 0, 3: 21651, 5: 21958, 9: 22890, 11: 23300, 15: 24909}
+
+
+def census_nodes(character: int) -> int:
+    """Nodes of every search with top (N + character - 1)/2 at sizes 2, 4, 8
+    and 16, over even N up to 2000, 400, 120 and 40; each must come back
+    exhausted."""
+    nodes = 0
+    for cardinality, max_modulus in ((2, 2000), (4, 400), (8, 120), (16, 40)):
+        for modulus in range(2, max_modulus + 1, 2):
+            top = (modulus + character - 1) // 2
+            if top >= cardinality - 1:
+                got = st.search_near_modular(st.SearchSpec(modulus, top, cardinality))
+                assert got.status == "exhausted", (character, modulus, cardinality)
+                nodes += got.nodes
+    return nodes
+
+
+def test_forbidden_characters_bounded_census():
+    # about 0.3 s of bounded evidence, not a proof, for the six exclusions
+    assert sorted(FORBIDDEN_CENSUS_NODES) == sorted(st.FORBIDDEN_CHARACTERS)
+    for character, nodes in FORBIDDEN_CENSUS_NODES.items():
+        assert census_nodes(character) == nodes
+    # control: the same walk finds character 7 at once
+    for modulus, cardinality in ((10, 4), (30, 8)):
+        got = st.search_near_modular(st.SearchSpec(modulus, (modulus + 6) // 2, cardinality))
         assert got.status == "found"
-        assert (got.nodes, got.resume_token, st.format_set(got.witness)) == SMALL_CASE_SEARCHES[character]
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 
 import stanley as st
 from stanley import cli, core, modset, witness
-from stanley.witness import SMALL_CASE_PARAMS, _split_pow3
+from stanley.witness import SMALL_CASE_BASES, _split_pow3
 
 
 def test_forbidden_characters_rejected():
@@ -64,11 +64,12 @@ def test_dispatch_mod60_family():
 
 
 def test_dispatch_small_cases():
-    for lam in (7, 31, 61):
+    for lam, row in SMALL_CASE_BASES.items():
         recipe = st.witness_for(lam)
         assert recipe.strategy == "small-case-search"
-        assert isinstance(recipe.base, st.SearchSpec)
-    assert sorted(SMALL_CASE_PARAMS) == [
+        assert recipe.base == row
+        assert recipe.shift_count == 0
+    assert sorted(SMALL_CASE_BASES) == [
         v for v in range(7, 62, 2) if v not in (9, 11, 15)
     ]
 
@@ -325,10 +326,14 @@ def test_repr_of_a_wide_omitted_mask():
     assert f"OmittedSet(omega={result.omitted.omega}, count=" in repr(result)
 
 
-def test_execute_search_strategy():
+def test_execute_search_strategy(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a bundled small-case row ran a search")
+
+    monkeypatch.setattr("stanley.search.search_near_modular", no_search)
     result = st.execute_and_verify(st.witness_for(7), deep=True)
     assert result.witness == st.ResidueSet(10, (0, 1, 7, 8))
-    assert result.search_nodes > 0
+    assert result.search_nodes == 0
     assert result.profile.character == 7
 
 
@@ -465,24 +470,6 @@ def test_execute_rejects_non_witness():
     with pytest.raises(st.VerificationError) as err:
         st.execute_and_verify(recipe)
     assert err.value.check == "near-modular"
-
-
-def test_execute_search_budget_surfaces():
-    starved = st.WitnessRecipe(
-        7, "small-case-search", st.SearchSpec(10, 8, 4, budget=1), 0, 8, 10
-    )
-    with pytest.raises(st.BudgetExceededError,
-                       match="^search for character 7 ran out of budget after 2 nodes$"):
-        st.execute_and_verify(starved)
-
-
-def test_execute_search_exhausted_surfaces():
-    barren = st.WitnessRecipe(
-        0, "small-case-search", st.SearchSpec(9, 4, 3), 0, 4, 9
-    )
-    with pytest.raises(st.VerificationError) as err:
-        st.execute_and_verify(barren)
-    assert err.value.check == "search"
 
 
 def test_coverage_matches_documented_small_sweep():
