@@ -8,7 +8,6 @@ from .core import (
     doubled_prefix,
     doubling_reduction,
     greedy_extend,
-    growth_diagnostic,
     omitted_set,
 )
 from .errors import (
@@ -30,7 +29,6 @@ from .families import (
     build_Atk,
     build_Bcal,
     build_CDEF,
-    build_R,
     build_T,
     build_Ttilde,
     build_U,

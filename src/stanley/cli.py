@@ -16,7 +16,7 @@ from functools import reduce
 from typing import Sequence
 
 from . import __version__
-from .core import detect_character, greedy_extend, growth_diagnostic, omitted_set, read_int
+from .core import detect_character, greedy_extend, omitted_set, read_int
 from .errors import (
     MalformedInputError,
     PreconditionError,
@@ -44,7 +44,6 @@ from .witness import (
     coverage_report,
     describe_base,
     execute_and_verify,
-    load_appendix,
     witness_for,
 )
 
@@ -56,11 +55,12 @@ def _parse_terms(text: str) -> list[int]:
 def _load_sets(source: str) -> list[ResidueSet]:
     """A literal 'N=...; ...' string (a ';', and only N before the first '='),
     a file path, or '-' for stdin."""
-    if source == "-":
-        return read_sets(sys.stdin.read().splitlines())
     if ";" in source and source.partition("=")[0].strip() == "N":
         return [parse_set(source)]
-    return load_set_file(source)
+    sets = read_sets(sys.stdin.read().splitlines()) if source == "-" else load_set_file(source)
+    if not sets:
+        raise MalformedInputError(f"{source!r} holds no sets")
+    return sets
 
 
 def _load_one(source: str) -> ResidueSet:
@@ -78,16 +78,7 @@ def _warn_seed(seed: Sequence[int]) -> None:
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _parse_terms(args.seed)
     _warn_seed(seed)
-    prefix = greedy_extend(seed, args.count)
-    # a prefix too short for the growth window raises before anything is printed
-    ratios = growth_diagnostic(prefix) if args.diagnostic else None
-    print(",".join(str(t) for t in prefix.terms))
-    if ratios is not None:
-        lo = len(prefix) // 2
-        print(f"{'n':>8}  {'term':>14}  {'term/n^log2(3)':>16}")
-        for i in range(0, len(ratios), max(1, len(ratios) // 8)):
-            print(f"{lo + i:>8}  {prefix.terms[lo + i]:>14}  {ratios[i]:>16.6f}")
-        print(f"window [{lo},{len(prefix)}): ratio min {min(ratios):.6f} max {max(ratios):.6f}")
+    print(",".join(str(t) for t in greedy_extend(seed, args.count).terms))
     return 0
 
 
@@ -238,18 +229,10 @@ def _cmd_appendix_check(args: argparse.Namespace) -> int:
     print(f"mod 28: {report.rows_mod28} rows ok")
     print(f"mod 30: {report.rows_mod30} rows ok")
     print(f"errata: {len(report.errata)}")
-    return 0
-
-
-def _cmd_erratum_report(args: argparse.Namespace) -> int:
-    tables = load_appendix()
-    if not tables.errata:
-        print("no errata")
-        return 0
-    for entry in tables.errata:
+    for entry in report.errata:
         print(f"mod {entry.modulus} top {entry.max_element}: {entry.resolution}")
         print(f"  note: {entry.note}")
-        print(f"  served: {format_set(tables.row(entry.modulus, entry.max_element))}")
+        print(f"  served: {format_set(ResidueSet(entry.modulus, entry.row))}")
     return 0
 
 
@@ -264,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="greedily extend a seed")
     p.add_argument("--seed", default="0", help="comma-separated starting terms")
     p.add_argument("--count", type=read_int, required=True, help="total terms to produce")
-    p.add_argument("--diagnostic", action="store_true", help="append a growth table")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("character", help="detect the repeat structure of a greedy sequence")
@@ -311,11 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", type=read_int, default=None, help="token from an earlier budget stop")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("appendix-check", help="audit the bundled witness tables")
+    p = sub.add_parser("appendix-check", help="audit the bundled witness tables and list their errata")
     p.set_defaults(func=_cmd_appendix_check)
-
-    p = sub.add_parser("erratum-report", help="list bundled-table rows that needed repair")
-    p.set_defaults(func=_cmd_erratum_report)
 
     return parser
 

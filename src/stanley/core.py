@@ -9,7 +9,6 @@ that governs it.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from bisect import bisect_left
@@ -34,8 +33,6 @@ BIT_LIMIT = 1 << 28
 
 #: Most elements a residue-set product may hold; ``check_count`` raises beyond it before building.
 ELEMENT_LIMIT = 1 << 24
-
-_LOG2_3 = math.log2(3.0)
 
 #: Values above the last term that greedy places on small masks before folding them into the span.
 _REACH = 1 << 10
@@ -487,11 +484,3 @@ def doubled_prefix(
     if cover & fwd or gaps & ~decided:
         return None
     return _doubled_profile(terms, n), _omitted(decided, base, top, end)
-
-
-def growth_diagnostic(prefix: SeedLike) -> tuple[float, ...]:
-    """The ratios a_n / n**log2(3) for n over the prefix's second half, ascending in n."""
-    terms = _terms_of(prefix)
-    if len(terms) < 8:
-        raise PrefixTooShortError("need at least 8 terms for a growth window")
-    return tuple([terms[n] / n ** _LOG2_3 for n in range(len(terms) // 2, len(terms))])

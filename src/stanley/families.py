@@ -92,40 +92,19 @@ def build_Atk(t: int, k: int) -> ResidueSet:
     return shift_max(base, steps) if steps else base
 
 
-R_VARIANTS = ("plain", "prime", "doubleprime", "tripleprime")
-
-
-def build_R(n: int, variant: str = "plain") -> ResidueSet:
-    """Near-modular mod 3**(n+1) with max (2|7|11|16)*3**n by variant.
-
-    The plain, prime and doubleprime variants are build_Atk(n + 1, k) for
-    k = 2, 7 and 11; tripleprime, k = 16, is build_At(n + 1) scaled by 8.
-    """
-    check_int(n, "R parameter n")
-    if not isinstance(variant, str) or variant not in R_VARIANTS:
-        raise MalformedInputError(f"unknown R variant {variant!r}")
-    if variant == "tripleprime":
-        return scale(build_At(n + 1), 8)
-    return build_Atk(n + 1, {"plain": 2, "prime": 7, "doubleprime": 11}[variant])
-
-
 def build_CDEF(n: int, which: str) -> ResidueSet:
     """Near-modular mod 10*3**(n+1) with max (50|55|35|40)*3**n.
 
-    C and D widen the plain and prime R variants by {0,7,9,16} mod 10;
-    E and F widen the doubleprime and tripleprime variants by {0,1,7,8}.
+    C and D widen A_(n+1,k) for k = 2 and 7 by {0,7,9,16} mod 10; E widens
+    k = 11 and F widens A_(n+1) scaled by 8 (max 16*3**n) by {0,1,7,8}.
     """
     check_int(n, "C/D/E/F parameter n")
-    table = {
-        "C": ("plain", MOD10_A),
-        "D": ("prime", MOD10_A),
-        "E": ("doubleprime", MOD10_B),
-        "F": ("tripleprime", MOD10_B),
-    }
-    if not isinstance(which, str) or which not in table:
+    if not isinstance(which, str) or which not in ("C", "D", "E", "F"):
         raise MalformedInputError(f"unknown family letter {which!r}")
-    variant, widener = table[which]
-    return product(build_R(n, variant), widener)
+    if which == "F":
+        return product(scale(build_At(n + 1), 8), MOD10_B)
+    k, widener = {"C": (2, MOD10_A), "D": (7, MOD10_A), "E": (11, MOD10_B)}[which]
+    return product(build_Atk(n + 1, k), widener)
 
 
 #: name -> (parameter count, builder)

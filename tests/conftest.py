@@ -10,7 +10,6 @@ import pytest
 
 import stanley as st
 from stanley.core import check_int
-from stanley.families import R_VARIANTS
 from stanley.modset import UNCOVERED_SHOWN
 
 
@@ -424,9 +423,9 @@ def family_names() -> list[str]:
 def build_corpus() -> list[st.ResidueSet]:
     """Every named family member at desk scale plus all bundled table rows."""
     sets = [st.build_family(name) for name in family_names()]
+    # the factors C..F widen: A_(n+1,k) for k = 2, 7 and 11, then A_(n+1) scaled by 8
     for n in (0, 1, 2):
-        for variant in R_VARIANTS:
-            sets.append(st.build_R(n, variant))
+        sets += [st.build_Atk(n + 1, k) for k in (2, 7, 11)] + [st.scale(st.build_At(n + 1), 8)]
     tables = st.load_appendix()
     sets += list(tables.mod28) + list(tables.mod30)
     return sets

@@ -55,18 +55,6 @@ def test_generate_exact(capsys):
     assert out == "0,1,3,4,9,10,12,13\n"
 
 
-def test_generate_diagnostic_table(capsys):
-    code, out, _ = run(capsys, "generate", "--count", "16", "--diagnostic")
-    assert code == 0
-    assert "ratio min" in out and "1.000000" in out
-
-
-def test_generate_diagnostic_too_short_prints_nothing(capsys):
-    # the growth window needs 8 terms; the failure comes before the terms are printed
-    code, out, err = run(capsys, "generate", "--count", "7", "--diagnostic")
-    assert code == 2 and out == "" and "at least 8 terms" in err
-
-
 def test_generate_warns_on_nonzero_seed(capsys):
     code, out, err = run(capsys, "generate", "--seed", "4,5", "--count", "4")
     assert code == 0
@@ -227,6 +215,19 @@ def test_verify_modular_strictness(capsys):
 def test_verify_needs_a_source(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "no sets" in err
+
+
+def test_verify_source_with_no_sets_is_usage_error(tmp_path, monkeypatch, capsys):
+    # nothing was checked, so this is no success; a later empty source fails the whole run
+    target = tmp_path / "comment.txt"
+    target.write_text("# only a comment\n", encoding="ascii")
+    code, out, err = run(capsys, "verify", "N=9; 0,1,6,7", str(target))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == f"error: {str(target)!r} holds no sets"
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == "error: '-' holds no sets"
 
 
 def test_family_verify_round_trip(tmp_path, capsys):
@@ -574,15 +575,14 @@ def test_numbers_are_plain_ascii_decimals(capsys, argv):
 def test_appendix_check_verb(capsys):
     code, out, _ = run(capsys, "appendix-check")
     assert code == 0
-    assert out == "mod 28: 26 rows ok\nmod 30: 28 rows ok\nerrata: 1\n"
-
-
-def test_erratum_report_verb(capsys):
-    code, out, _ = run(capsys, "erratum-report")
-    assert code == 0
-    assert "mod 28 top 61: natural-reading-verified" in out
-    assert '"011,13,18,24,29,44,61"' in out
-    assert "served: N=28; 0,11,13,18,24,29,44,61" in out
+    assert out == (
+        "mod 28: 26 rows ok\nmod 30: 28 rows ok\nerrata: 1\n"
+        "mod 28 top 61: natural-reading-verified\n"
+        '  note: upstream listing reads "011,13,18,24,29,44,61" (seven tokens, ambiguous'
+        " leading digits); the natural reading below is served only if it verifies,"
+        " otherwise loading the table fails.\n"
+        "  served: N=28; 0,11,13,18,24,29,44,61\n"
+    )
 
 
 def test_timing_goes_to_stderr(capsys):

@@ -1,7 +1,6 @@
 """Greedy machinery: frozen worked examples plus oracle cross-checks."""
 
 import enum
-import math
 
 import pytest
 
@@ -390,22 +389,3 @@ def test_doubled_prefix_mask_budget(monkeypatch):
     monkeypatch.setattr(core, "BIT_LIMIT", 13)
     with pytest.raises(st.ResourceLimitError, match="mask budget"):
         st.doubled_prefix([0, 2], 3)
-
-
-def test_growth_diagnostic_window():
-    ratios = st.growth_diagnostic(st.greedy_extend([0], 256))
-    assert len(ratios) == 128
-    low, high = min(ratios), max(ratios)
-    assert 0.5 < low <= high < 1.5
-    assert high == pytest.approx(1.0)
-
-
-def test_growth_diagnostic_shortest_allowed():
-    ratios = st.growth_diagnostic(st.greedy_extend([0], 8))
-    assert max(ratios) == pytest.approx(1.0)  # a_4 = 9 = 4**log2(3)
-    assert min(ratios) == pytest.approx(13 / 7 ** math.log2(3))
-
-
-def test_growth_diagnostic_rejects_short_input():
-    with pytest.raises(st.PrefixTooShortError):
-        st.growth_diagnostic([0, 1, 3, 4])

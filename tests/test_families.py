@@ -3,7 +3,7 @@
 import pytest
 
 import stanley as st
-from stanley.families import BLOCK, DOUBLING_BLOCK, MOD10_A, MOD10_B, R_VARIANTS, SEED_02, UNIT
+from stanley.families import BLOCK, DOUBLING_BLOCK, MOD10_A, MOD10_B, SEED_02, UNIT
 
 from conftest import naive_ladder
 
@@ -119,31 +119,22 @@ def test_Atk_rejects_bad_k():
         st.build_Atk(2, 6)
 
 
-def test_R_variant_maxima():
-    tops = {"plain": 2, "prime": 7, "doubleprime": 11, "tripleprime": 16}
-    for n in (0, 1, 2):
-        for variant in R_VARIANTS:
-            r = st.build_R(n, variant)
-            assert r.modulus == 3 ** (n + 1)
-            assert r.max_element == tops[variant] * 3**n
-            assert st.verify(r).is_near_modular
-    with pytest.raises(st.MalformedInputError):
-        st.build_R(1, "quadrupleprime")
-
-
-def test_R_variants_are_Atk_members():
-    # the constructions build_R used before it called build_Atk
+def test_CDEF_widen_the_direct_constructions():
+    # each letter's factor built from A_(n+1) without build_Atk: k = 2, 7, 11, then scale 8
     direct = {
-        "plain": (2, lambda at: at),
-        "prime": (7, lambda at: st.shift_max(st.scale(at, 2), 1)),
-        "doubleprime": (11, lambda at: st.shift_max(at, 3)),
+        "C": (2, lambda at: at, MOD10_A),
+        "D": (7, lambda at: st.shift_max(st.scale(at, 2), 1), MOD10_A),
+        "E": (11, lambda at: st.shift_max(at, 3), MOD10_B),
+        "F": (16, lambda at: st.scale(at, 8), MOD10_B),
     }
     for n in range(9):
-        for variant, (k, build) in direct.items():
-            r = st.build_R(n, variant)
-            assert r == st.build_Atk(n + 1, k) == build(st.build_At(n + 1))
-    with pytest.raises(st.MalformedInputError, match=r"unknown R variant \['plain'\]"):
-        st.build_R(1, ["plain"])
+        at = st.build_At(n + 1)
+        for letter, (top, build, widener) in direct.items():
+            factor = build(at)
+            assert factor.max_element == top * 3**n
+            assert st.build_CDEF(n, letter) == st.product(factor, widener)
+    with pytest.raises(st.MalformedInputError, match="unknown family letter 'G'"):
+        st.build_CDEF(1, "G")
 
 
 def test_CDEF_geometry():

@@ -241,7 +241,6 @@ INTEGER_PARAMETERS = {
     "build_At.t": stanley.build_At,
     "build_Atk.t": lambda v: stanley.build_Atk(v, 2),
     "build_Atk.k": lambda v: stanley.build_Atk(2, v),
-    "build_R.n": stanley.build_R,
     "build_CDEF.n": lambda v: stanley.build_CDEF(v, "C"),
     "TableRef.modulus": lambda v: stanley.TableRef(v, 58),
     "TableRef.max_element": lambda v: stanley.TableRef(28, v),
@@ -320,8 +319,6 @@ INPUT_RANGE_ERRORS = {
                           lambda: stanley.parse_family(5)),
     "build_family.family": (MALFORMED, "expected 'Name:params', got 5",
                             lambda: stanley.build_family(5)),
-    "build_R.variant": (MALFORMED, "unknown R variant ['plain']",
-                        lambda: stanley.build_R(1, ["plain"])),
     # a set line is not a ResidueSet: execute_and_verify refuses the base
     "WitnessRecipe.base": (MALFORMED, "unsupported recipe base 'N=1; 0'",
                            lambda: stanley.execute_and_verify(

@@ -172,18 +172,25 @@ def test_small_case_searches_are_pinned():
 FORBIDDEN_CENSUS_NODES = {1: 0, 3: 21651, 5: 21958, 9: 22890, 11: 23300, 15: 24909}
 
 
-def census_nodes(character: int) -> int:
-    """Nodes of every search with top (N + character - 1)/2 at sizes 2, 4, 8
-    and 16, over even N up to 2000, 400, 120 and 40; each must come back
-    exhausted."""
+#: size -> largest even modulus of the tier-1 census; ``tests/census.py`` runs further
+CENSUS_BOUNDS = {2: 2000, 4: 400, 8: 120, 16: 40}
+
+
+def census_walk(character: int, cardinality: int, max_modulus: int):
+    """(N, result) of the search of this size with top (N + character - 1)/2,
+    for each even N up to max_modulus whose top has room for the size."""
+    for modulus in range(2, max_modulus + 1, 2):
+        top = (modulus + character - 1) // 2
+        if top >= cardinality - 1:
+            yield modulus, st.search_near_modular(st.SearchSpec(modulus, top, cardinality))
+
+
+def census_nodes(character: int, cardinality: int, max_modulus: int) -> int:
+    """Nodes of the census walk; each search must come back exhausted."""
     nodes = 0
-    for cardinality, max_modulus in ((2, 2000), (4, 400), (8, 120), (16, 40)):
-        for modulus in range(2, max_modulus + 1, 2):
-            top = (modulus + character - 1) // 2
-            if top >= cardinality - 1:
-                got = st.search_near_modular(st.SearchSpec(modulus, top, cardinality))
-                assert got.status == "exhausted", (character, modulus, cardinality)
-                nodes += got.nodes
+    for modulus, got in census_walk(character, cardinality, max_modulus):
+        assert got.status == "exhausted", (character, modulus, cardinality)
+        nodes += got.nodes
     return nodes
 
 
@@ -191,7 +198,7 @@ def test_forbidden_characters_bounded_census():
     # about 0.3 s of bounded evidence, not a proof, for the six exclusions
     assert sorted(FORBIDDEN_CENSUS_NODES) == sorted(st.FORBIDDEN_CHARACTERS)
     for character, nodes in FORBIDDEN_CENSUS_NODES.items():
-        assert census_nodes(character) == nodes
+        assert sum(census_nodes(character, *bound) for bound in CENSUS_BOUNDS.items()) == nodes
     # control: the same walk finds character 7 at once
     for modulus, cardinality in ((10, 4), (30, 8)):
         got = st.search_near_modular(st.SearchSpec(modulus, (modulus + 6) // 2, cardinality))
