@@ -119,20 +119,43 @@ def test_Atk_rejects_bad_k():
         st.build_Atk(2, 6)
 
 
-def test_CDEF_widen_the_direct_constructions():
-    # each letter's factor built from A_(n+1) without build_Atk: k = 2, 7, 11, then scale 8
+def _r_sets(n):
+    # the factors C..F widen, by letter: A_(n+1,k) for k = 2, 7 and 11, then A_(n+1) scaled by 8
+    return {
+        "C": st.build_Atk(n + 1, 2),
+        "D": st.build_Atk(n + 1, 7),
+        "E": st.build_Atk(n + 1, 11),
+        "F": st.scale(st.build_At(n + 1), 8),
+    }
+
+
+def test_R_variant_maxima():
+    tops = {"C": 2, "D": 7, "E": 11, "F": 16}
+    for n in (0, 1, 2):
+        for letter, r in _r_sets(n).items():
+            assert r.modulus == 3 ** (n + 1)
+            assert r.max_element == tops[letter] * 3**n
+            assert st.verify(r).is_near_modular
+
+
+def test_R_variants_are_Atk_members():
+    # each factor built from A_(n+1) without build_Atk
     direct = {
-        "C": (2, lambda at: at, MOD10_A),
-        "D": (7, lambda at: st.shift_max(st.scale(at, 2), 1), MOD10_A),
-        "E": (11, lambda at: st.shift_max(at, 3), MOD10_B),
-        "F": (16, lambda at: st.scale(at, 8), MOD10_B),
+        "C": lambda at: at,
+        "D": lambda at: st.shift_max(st.scale(at, 2), 1),
+        "E": lambda at: st.shift_max(at, 3),
     }
     for n in range(9):
-        at = st.build_At(n + 1)
-        for letter, (top, build, widener) in direct.items():
-            factor = build(at)
-            assert factor.max_element == top * 3**n
-            assert st.build_CDEF(n, letter) == st.product(factor, widener)
+        at, r = st.build_At(n + 1), _r_sets(n)
+        for letter, build in direct.items():
+            assert r[letter] == build(at)
+
+
+def test_CDEF_widen_the_direct_constructions():
+    widener = {"C": MOD10_A, "D": MOD10_A, "E": MOD10_B, "F": MOD10_B}
+    for n in range(9):
+        for letter, r in _r_sets(n).items():
+            assert st.build_CDEF(n, letter) == st.product(r, widener[letter])
     with pytest.raises(st.MalformedInputError, match="unknown family letter 'G'"):
         st.build_CDEF(1, "G")
 
