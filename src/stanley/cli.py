@@ -204,23 +204,16 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    spec = SearchSpec(args.mod, args.max, args.size, args.budget)
-    result = search_near_modular(spec, resume=args.resume)
+    result = search_near_modular(SearchSpec(args.mod, args.max, args.size, args.budget))
     print(f"nodes: {result.nodes}")
     if result.status == "found":
         print(format_set(result.witness))
         print(f"character: {character_of(result.witness)}")
         return 0
     if result.status == "exhausted":
-        # a token above the first partition skipped the partitions below it
-        if args.resume is not None and args.resume > spec.first_partition:
-            print(f"exhausted: no witness from partition {args.resume} on")
-        else:
-            print("exhausted: no witness in this space")
+        print("exhausted: no witness in this space")
         return 1
     print("budget exceeded")
-    if result.resume_token is not None:
-        print(f"resume: {result.resume_token}")
     return 3
 
 
@@ -290,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=read_int, required=True, help="required top element")
     p.add_argument("--size", type=read_int, required=True, help="cardinality")
     p.add_argument("--budget", type=read_int, default=DEFAULT_NODE_BUDGET, help=f"node budget (default {DEFAULT_NODE_BUDGET})")
-    p.add_argument("--resume", type=read_int, default=None, help="token from an earlier budget stop")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("appendix-check", help="audit the bundled witness tables and list their errata")

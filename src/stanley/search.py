@@ -52,11 +52,6 @@ class SearchSpec:
         if self.budget < 1:
             raise MalformedInputError("budget must be positive")
 
-    @property
-    def first_partition(self) -> int:
-        """The least largest middle element, where a scan without ``resume`` starts."""
-        return self.cardinality - 2
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -65,7 +60,6 @@ class SearchResult:
     status: str  # "found" | "exhausted" | "budget_exceeded"
     witness: ResidueSet | None
     nodes: int
-    resume_token: int | None
 
 
 def _row(n: int, value: int) -> tuple[int, int, int, int, int, int]:
@@ -93,7 +87,7 @@ def _partitions(free: int, n: int, first: int, top: int) -> Iterator[int]:
             yield outer
 
 
-def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tuple[Callable, Callable]:
+def _searcher(n: int, top: int, need: list[int], budget: int) -> tuple[Callable, Callable]:
     """The node visitor of one search and a reader of its progress (README, "Search").
 
     ``visit(value, depth, blocked, cov, neg, dbl, halves)`` places ``value`` as
@@ -104,7 +98,7 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
     the value; before it, it visits the values the next element may take and
     returns the first witness's last masks.  Each middle visited is a node;
     node ``budget + 1`` and every frame above it return None.  ``progress()``
-    reads the elements placed, the node count and the partition being scanned.
+    reads the elements placed and the node count.
     """
     n2 = 2 * n
     full = (1 << n) - 1
@@ -114,11 +108,10 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
     rows: dict[int, tuple[int, ...]] = {}  # _row by value mod 2n, for the values reached
     chosen: list[int] = []
     nodes = 0
-    partition = None
     repunit, reach = 1, n  # one bit every n places, below reach
 
     def visit(value: int, depth: int, blocked: int, cov: int, neg: int, dbl: int, halves: int):
-        nonlocal nodes, partition, repunit, reach
+        nonlocal nodes, repunit, reach
         if depth > 1:  # a middle: partitions at depth 2, the rest below
             nodes += 1
             if nodes > budget:
@@ -153,8 +146,7 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
                 if got or nodes > budget:
                     return got
         elif depth == 2:  # a start that blocks every residue leaves no partition to walk
-            for outer in _partitions(free, n, first, top) if free else ():
-                partition = outer
+            for outer in _partitions(free, n, last - 1, top) if free else ():
                 while reach < outer:
                     repunit |= repunit << reach
                     reach *= 2
@@ -168,36 +160,33 @@ def _searcher(n: int, top: int, need: list[int], first: int, budget: int) -> tup
         chosen.pop()
         return None
 
-    def progress() -> tuple[list[int], int, int | None]:
-        return chosen, nodes, partition
+    def progress() -> tuple[list[int], int]:
+        return chosen, nodes
 
     return visit, progress
 
 
-def search_near_modular(spec: SearchSpec, *, resume: int | None = None) -> SearchResult:
+def search_near_modular(spec: SearchSpec) -> SearchResult:
     """First near-modular witness in colex order over the middle elements.
 
     The space splits into partitions by the largest middle element, scanned
-    in ascending order; each may spend what the earlier ones left of the
-    budget.  ``resume`` is the token of an earlier budget stop, a partition
-    below ``max_element``; one at or above it raises MalformedInputError.
+    in ascending order from ``cardinality - 2``; each may spend what the
+    earlier ones left of the budget.
     """
     n, t, s = spec.modulus, spec.max_element, spec.cardinality
-    if resume is not None and check_int(resume, "resume") >= t:
-        raise MalformedInputError(f"resume {resume} is not below max_element {t}")
     # Element d places (d + 1)(d + 2)/2 of the s(s + 1)/2 pairs; cov must reach n
     # even if every pair to come is new.  The fixed pair 0, t is not pruned, only
     # checked when it is the whole set.
     pairs = s * (s + 1) // 2
     need = [0, 0][: s - 1] + [n - pairs + (d + 1) * (d + 2) // 2 for d in range(min(2, s - 1), s)]
-    visit, progress = _searcher(n, t, need, max(spec.first_partition, resume or 0), spec.budget)
+    visit, progress = _searcher(n, t, need, spec.budget)
     found = visit(0, 0, 0, 0, 0, 0, 0)
-    chosen, nodes, partition = progress()
+    chosen, nodes = progress()
     if nodes > spec.budget:
-        return SearchResult("budget_exceeded", None, nodes, partition)
+        return SearchResult("budget_exceeded", None, nodes)
     if not found:
-        return SearchResult("exhausted", None, nodes, None)
+        return SearchResult("exhausted", None, nodes)
     witness = ResidueSet(n, tuple(sorted(chosen)))
     if not verify(witness).is_near_modular:
         raise InvariantViolationError(f"search produced a non-witness {witness}")
-    return SearchResult("found", witness, nodes, partition)
+    return SearchResult("found", witness, nodes)

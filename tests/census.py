@@ -70,7 +70,7 @@ def check() -> int:
         report(found == want, f"control: character 7 size {cardinality} found at N={found} (recorded {want})")
     hits = {character: first_small_case_hit(character) for character in SMALL_CASE_BASES}
     report(sorted(hits) == sorted(SMALL_CASE_SEARCHES) and all(
-        (got.witness, got.nodes, got.resume_token) == (SMALL_CASE_BASES[c], *SMALL_CASE_SEARCHES[c])
+        (got.witness, got.nodes) == (SMALL_CASE_BASES[c], SMALL_CASE_SEARCHES[c])
         for c, got in hits.items()
     ), f"{len(hits)} small-case rows re-derived by their rule")
     failures = results.count(False)

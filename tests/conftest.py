@@ -239,10 +239,10 @@ class _BudgetSpent(Exception):
     pass
 
 
-def naive_search(spec: st.SearchSpec, resume: int | None = None):
-    """``search_near_modular`` as a plain colex walk: (status, witness, nodes, token).
+def naive_search(spec: st.SearchSpec):
+    """``search_near_modular`` as a plain colex walk: (status, witness, nodes).
 
-    Partitions (the largest middle) ascend from ``resume`` or the first; inside
+    Partitions (the largest middle) ascend from the first; inside
     one the middles descend, each tried from the least that leaves room for
     the rest.  Every candidate off the residues ``naive_place`` blocks is a
     node and is kept when its ``naive_place`` coverage can still reach n with
@@ -251,10 +251,10 @@ def naive_search(spec: st.SearchSpec, resume: int | None = None):
     n, top, size, budget = spec.modulus, spec.max_element, spec.cardinality, spec.budget
     pairs = size * (size + 1) // 2
     if naive_place(n, [], 0)[0] >> top % n & 1:
-        return "exhausted", None, 0, None
+        return "exhausted", None, 0
     if size == 2:
         covered = naive_place(n, [0], top)[1] == (1 << n) - 1
-        return ("found", st.ResidueSet.of(n, (0, top)), 0, None) if covered else ("exhausted", None, 0, None)
+        return ("found", st.ResidueSet.of(n, (0, top)), 0) if covered else ("exhausted", None, 0)
     nodes = 0
 
     def walk(placed, candidates):
@@ -276,14 +276,14 @@ def naive_search(spec: st.SearchSpec, resume: int | None = None):
                 return got
         return None
 
-    for outer in range(max(size - 2, resume or 0), top):
+    for outer in range(size - 2, top):
         try:
             got = walk([0, top], [outer])
         except _BudgetSpent:
-            return "budget_exceeded", None, nodes, outer
+            return "budget_exceeded", None, nodes
         if got:
-            return "found", st.ResidueSet.of(n, got), nodes, outer
-    return "exhausted", None, nodes, None
+            return "found", st.ResidueSet.of(n, got), nodes
+    return "exhausted", None, nodes
 
 
 def naive_admissible(n: int, placed) -> int:

@@ -99,9 +99,9 @@ CASES: list[tuple[tuple[str, ...], int, str]] = [
     (("search", "--mod", "12", "--max", "11", "--size", "4"), 1,
      "961430e94cc093bc5e876338cb095d3fb3cb346b24fd36a62dce9410d7d43b0d"),
     (("search", "--mod", "28", "--max", "57", "--size", "8", "--budget", "50"), 3,
-     "091c1ffa0f9168dff31be1814747c54c119715a3d7a6a08eb2c7e5f0316eb468"),
-    (("search", "--mod", "28", "--max", "57", "--size", "8", "--budget", "50", "--resume", "11"), 3,
-     "6db2ead3bce9d6e6de083b86fd0b4a9c6e01fab4f82d4f61f26028728edde285"),
+     "46ee81018b8420335cec2ea9919639547c52c5d065b61d549f489e35ebee2144"),
+    (("search", "--mod", "28", "--max", "57", "--size", "8", "--budget", "50", "--resume", "11"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("search", "--mod", "10", "--max", "1000000000", "--size", "100000000"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("generate", "--count", "64", "--diagnostic"), 2,

@@ -447,7 +447,7 @@ def test_search_verb_found(capsys):
     "argv,code,lines",
     [
         (("search", "--mod", "28", "--max", "57", "--size", "8", "--budget", "300"), 3,
-         ["nodes: 301", "budget exceeded", "resume: 20"]),
+         ["nodes: 301", "budget exceeded"]),
         # search always pins 0; the old --no-zero flag is a usage error
         (("search", "--mod", "28", "--max", "57", "--size", "8", "--no-zero"), 2, []),
         (("search", "--mod", "30", "--max", "46", "--size", "8"), 0, ["nodes: 680"]),
@@ -463,32 +463,6 @@ def test_search_node_counts_are_pinned(capsys, argv, code, lines):
     got, out, _ = run(capsys, *argv)
     assert got == code
     assert out.splitlines()[: len(lines) or None] == lines  # [] pins an empty stdout
-
-
-def test_search_resume_past_the_space_is_usage_error(capsys):
-    # every token a budget stop prints is a partition below --max
-    code, out, err = run(
-        capsys, "search", "--mod", "28", "--max", "57", "--size", "8", "--resume", "100"
-    )
-    assert code == 2 and out == "" and "resume 100" in err
-
-
-@pytest.mark.parametrize(
-    "argv,lines",
-    [
-        # partitions 6..54 hold witnesses; a token above 6 scanned only its tail
-        (("--mod", "28", "--max", "57", "--size", "8", "--resume", "55"),
-         ["nodes: 0", "exhausted: no witness from partition 55 on"]),
-        (("--mod", "32", "--max", "27", "--size", "8", "--resume", "7"),
-         ["nodes: 1103", "exhausted: no witness from partition 7 on"]),
-        # tokens at or below the first partition scan the whole space
-        (("--mod", "32", "--max", "27", "--size", "8", "--resume", "6"),
-         ["nodes: 1104", "exhausted: no witness in this space"]),
-    ],
-)
-def test_search_resumed_exhaustion_names_the_partition(capsys, argv, lines):
-    code, out, _ = run(capsys, "search", *argv)
-    assert code == 1 and out.splitlines() == lines
 
 
 def test_search_modulus_budget(capsys):
@@ -540,19 +514,6 @@ def test_search_verb_exhausted(capsys):
     code, out, _ = run(capsys, "search", "--mod", "9", "--max", "4", "--size", "3")
     assert code == 1
     assert "exhausted" in out
-
-
-def test_search_budget_stop_then_resume(capsys):
-    code, out, _ = run(capsys, "search", "--mod", "28", "--max", "57", "--size", "8", "--budget", "50")
-    assert code == 3
-    assert "budget exceeded" in out
-    resume = next(int(l.split()[-1]) for l in out.splitlines() if l.startswith("resume:"))
-    code, out, _ = run(
-        capsys,
-        "search", "--mod", "28", "--max", "57", "--size", "8", "--resume", str(resume),
-    )
-    assert code == 0
-    assert "N=28; 0,5,11,13,16,18,24,57" in out
 
 
 @pytest.mark.parametrize(

@@ -224,9 +224,6 @@ INTEGER_PARAMETERS = {
     ),
     "greedy_extend.target_len": lambda v: stanley.greedy_extend([0], v),
     "omitted_set.bound": lambda v: stanley.omitted_set([0, 1, 3, 4], v),
-    "search_near_modular.resume": lambda v: stanley.search_near_modular(
-        stanley.SearchSpec(28, 57, 8), resume=v
-    ),
     "coverage_report.lambda_max": stanley.coverage_report,
     "witness_for.target": stanley.witness_for,
     "doubled_prefix.modulus": lambda v: stanley.doubled_prefix([0, 1], v),

@@ -7,7 +7,7 @@ The shift-OR sequence core, on seeds within one greedy window and spread
 past it, the residue-mask ``verify`` and the search's
 rotated placement masks must agree with the pair-by-pair oracles in
 ``conftest`` on dense and sparse inputs, with and without 0, valid or not;
-the search returns the status, witness, node count and resume token of a
+the search returns the status, witness and node count of a
 plain colex walk over those oracles; and ``detect_character`` must match
 the level-by-level scan on greedy and tampered prefixes.  ``check_terms``
 returns or raises what its per-element oracle does, and every value of a
@@ -642,7 +642,7 @@ def test_blocked_mask_matches_two_mask_rule(n, placed):
 def test_placement_rotations_match_the_pair_loop(n, placed):
     # with one coverage bound of 0 every visit is the last: it places its value
     # on the masks given and returns the masks after it
-    visit, _progress = _searcher(n, placed[-1] + 1, [0], 0, 1)
+    visit, _progress = _searcher(n, placed[-1] + 1, [0], 1)
     masks = (0,) * 5
     for i, value in enumerate(placed):
         masks = visit(value, 0, *masks)
@@ -653,16 +653,15 @@ def test_placement_rotations_match_the_pair_loop(n, placed):
 @settings(deadline=None)
 def test_search_matches_the_plain_walk(data):
     # both moduli parities, spaces from fixed-only to four middles, budgets that
-    # stop inside a partition, and resumed scans
+    # stop inside a partition
     n = data.draw(hs.integers(min_value=1, max_value=24), label="n")
     size = data.draw(hs.integers(min_value=2, max_value=6), label="size")
     top = data.draw(hs.integers(min_value=size - 1, max_value=max(2 * n, size - 1)), label="top")
     # small budgets half the time: most of these spaces take under a hundred nodes
     budget = data.draw(hs.integers(1, 50) | hs.integers(1, 3000), label="budget")
-    resume = data.draw(hs.none() | hs.integers(min_value=0, max_value=top - 1), label="resume")
     spec = st.SearchSpec(n, top, size, budget)
-    got = st.search_near_modular(spec, resume=resume)
-    assert (got.status, got.witness, got.nodes, got.resume_token) == naive_search(spec, resume)
+    got = st.search_near_modular(spec)
+    assert (got.status, got.witness, got.nodes) == naive_search(spec)
 
 
 # near-miss numbers: non-ASCII digits, signs, separators, leading zeros, long runs

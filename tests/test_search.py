@@ -1,4 +1,4 @@
-"""Search engine vs. unpruned enumeration, budget/resume plumbing and pinned node counts."""
+"""Search engine vs. unpruned enumeration, budget stops and pinned node counts."""
 
 import random
 import tracemalloc
@@ -74,76 +74,55 @@ def test_fixed_only_space():
     assert st.search_near_modular(st.SearchSpec(4, 3, 2)).status == "exhausted"
 
 
-def test_budget_and_resume():
-    full = st.search_near_modular(st.SearchSpec(28, 57, 8))
+def test_budget_stop():
     cut = st.search_near_modular(st.SearchSpec(28, 57, 8, budget=300))
     assert cut.status == "budget_exceeded"
     assert cut.witness is None
     assert cut.nodes <= 301
-    assert cut.resume_token is not None
-    resumed = st.search_near_modular(
-        st.SearchSpec(28, 57, 8), resume=cut.resume_token
-    )
-    assert resumed.status == "found"
-    assert resumed.witness == full.witness
-    assert resumed.nodes <= full.nodes
-
-
-def test_resume_past_the_space_raises():
-    # a budget stop's token is a partition below max_element; one past it
-    # would otherwise report an empty scan as exhausted
-    spec = st.SearchSpec(28, 57, 8)
-    with pytest.raises(st.MalformedInputError, match="resume 57"):
-        st.search_near_modular(spec, resume=57)
-    # the last partition: its only middle value 56 shares 0's residue
-    assert st.search_near_modular(spec, resume=56).status == "exhausted"
-    assert st.search_near_modular(spec, resume=54).resume_token == 54
-    # tokens below the first partition are clamped to it
-    assert st.search_near_modular(spec, resume=0) == st.search_near_modular(spec)
 
 
 @pytest.mark.parametrize(
-    "spec,status,nodes,token,witness",
+    "spec,status,nodes,witness",
     [
-        (st.SearchSpec(31, 45, 8), "found", 11233, 42, "N=31; 0,3,10,13,32,35,42,45"),
-        (st.SearchSpec(25, 40, 7), "exhausted", 2548, None, None),
-        (st.SearchSpec(33, 50, 8, budget=1000), "budget_exceeded", 1001, 22, None),
+        (st.SearchSpec(31, 45, 8), "found", 11233, "N=31; 0,3,10,13,32,35,42,45"),
+        (st.SearchSpec(25, 40, 7), "exhausted", 2548, None),
+        (st.SearchSpec(33, 50, 8, budget=1000), "budget_exceeded", 1001, None),
     ],
 )
-def test_odd_modulus_node_counts_are_pinned(spec, status, nodes, token, witness):
+def test_odd_modulus_node_counts_are_pinned(spec, status, nodes, witness):
     # odd moduli halve by 2^-1 mod N; the even, per-parity branch is pinned in test_cli
     got = st.search_near_modular(spec)
-    assert (got.status, got.nodes, got.resume_token) == (status, nodes, token)
+    assert (got.status, got.nodes) == (status, nodes)
     assert (got.witness and st.format_set(got.witness)) == witness
 
 
-#: (nodes, resume_token) of the search that first finds each bundled small-case row
+#: nodes of the search that first finds each bundled small-case row
 SMALL_CASE_SEARCHES = {
-    7: (2, 7),
-    13: (76, 14),
-    17: (200, 20),
-    19: (4, 11),
-    21: (401, 24),
-    23: (3, 9),
-    25: (1027, 26),
-    27: (2, 7),
-    29: (1232, 26),
-    31: (666, 24),
-    33: (1860, 28),
-    35: (5, 13),
-    37: (417, 23),
-    39: (4, 11),
-    41: (1333, 32),
-    43: (3, 9),
-    45: (2478, 34),
-    47: (2, 7),
-    49: (1233, 32),
-    51: (891, 29),
-    53: (2776, 34),
-    55: (5, 13),
-    57: (1348, 29),
-    59: (4, 11),
-    61: (867, 29),
+    7: 2,
+    13: 76,
+    17: 200,
+    19: 4,
+    21: 401,
+    23: 3,
+    25: 1027,
+    27: 2,
+    29: 1232,
+    31: 666,
+    33: 1860,
+    35: 5,
+    37: 417,
+    39: 4,
+    41: 1333,
+    43: 3,
+    45: 2478,
+    47: 2,
+    49: 1233,
+    51: 891,
+    53: 2776,
+    55: 5,
+    57: 1348,
+    59: 4,
+    61: 867,
 }
 
 
@@ -165,7 +144,7 @@ def test_small_case_searches_are_pinned():
     for character, row in SMALL_CASE_BASES.items():
         got = first_small_case_hit(character)
         assert got.witness == row
-        assert (got.nodes, got.resume_token) == SMALL_CASE_SEARCHES[character]
+        assert got.nodes == SMALL_CASE_SEARCHES[character]
 
 
 #: excluded character -> search nodes of its bounded census
@@ -235,9 +214,8 @@ def test_blocked_start_is_exhausted_before_any_partition(monkeypatch):
         raise AssertionError("a partition was scanned")
 
     monkeypatch.setattr("stanley.search._partitions", no_scan)
-    for resume in (None, 50_000):
-        got = st.search_near_modular(st.SearchSpec(3, 10**5, 3), resume=resume)
-        assert got == st.SearchResult("exhausted", None, 0, None)
+    got = st.search_near_modular(st.SearchSpec(3, 10**5, 3))
+    assert got == st.SearchResult("exhausted", None, 0)
 
 
 def test_budget_validation():
