@@ -34,6 +34,7 @@ from .families import (
     build_U,
     build_Utilde,
     build_family,
+    family_leaves,
     parse_family,
 )
 from .modset import (

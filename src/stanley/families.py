@@ -1,9 +1,11 @@
 """Builders for the named product-construction families.
 
-Everything here is assembled from four elementary near-modular blocks with
-``product``, ``scale`` and ``shift_max``; the letter names (T, Acal, At,
-C..F, ...) are the stable addressing scheme used by the CLI and the
-witness recipes.
+Every member is assembled from near-modular leaves with ``product``,
+``scale`` and ``shift_max`` alone: the elementary blocks, and the ladder
+A_t, a leaf of its own because its pivot edit is no such law.
+``family_leaves`` names a member's leaves.  The letter names (T, Acal, At,
+C..F, ...) are the stable addressing scheme used by the CLI and the witness
+recipes.
 """
 
 from __future__ import annotations
@@ -44,11 +46,16 @@ def build_Acal(n: int) -> ResidueSet:
     return build_At(2 * n + 1)
 
 
-def build_U(n: int) -> ResidueSet:
-    """{0,2} stacked under n-1 copies of the T block; modulus 3**(2n-1)."""
+def _u_blocks(n: int) -> int:
+    """The n - 1 copies of the T block in U_n; n must be at least 1."""
     if check_int(n, "U parameter n") < 1:
         raise MalformedInputError("U requires n >= 1")
-    return power(SEED_02, BLOCK, n - 1)
+    return n - 1
+
+
+def build_U(n: int) -> ResidueSet:
+    """{0,2} stacked under n-1 copies of the T block; modulus 3**(2n-1)."""
+    return power(SEED_02, BLOCK, _u_blocks(n))
 
 
 def build_Utilde(n: int) -> ResidueSet:
@@ -63,13 +70,28 @@ def build_Bcal(n: int) -> ResidueSet:
     return build_At(2 * n)
 
 
+#: ``build_At`` keeps the ladders with t <= 17, under 2**18 elements in all: 3**17
+#: is the last modulus within the 2**28-bit mask budget, so no larger one can be verified.
+_MEMO_T = 17
+_LADDERS: dict[int, ResidueSet] = {}
+
+
 def build_At(t: int) -> ResidueSet:
-    """Modular mod 3**t: Ttilde or Utilde by parity of t, pivot 3**(t-1) replaced by 2*3**(t-1)."""
+    """Modular mod 3**t: Ttilde or Utilde by parity of t, pivot 3**(t-1) replaced by 2*3**(t-1).
+
+    ``t`` is checked on every call; then a ladder with t <= 17 (modulus within
+    the mask budget) is built once per process and the same object returned after.
+    """
     if check_int(t, "At parameter t") < 1:
         raise MalformedInputError("At requires t >= 1")
-    wide = build_Ttilde((t - 1) // 2) if t % 2 else build_Utilde(t // 2)
-    pivot = 3 ** (t - 1)
-    return ResidueSet(wide.modulus, tuple(e for e in wide.elements if e != pivot) + (2 * pivot,))
+    ladder = _LADDERS.get(t)
+    if ladder is None:
+        wide = build_Ttilde((t - 1) // 2) if t % 2 else build_Utilde(t // 2)
+        pivot = 3 ** (t - 1)
+        ladder = ResidueSet(wide.modulus, tuple(e for e in wide.elements if e != pivot) + (2 * pivot,))
+        if t <= _MEMO_T:
+            _LADDERS[t] = ladder
+    return ladder
 
 
 def build_Atk(t: int, k: int) -> ResidueSet:
@@ -107,20 +129,22 @@ def build_CDEF(n: int, which: str) -> ResidueSet:
     return product(build_Atk(n + 1, k), widener)
 
 
-#: name -> (parameter count, builder)
+#: name -> (parameter count, builder, leaves).  The builder assembles a member
+#: from its leaves by ``product``, ``scale`` (gcd 1) and ``shift_max`` alone;
+#: ``leaves`` lists each leaf with the number of times the member uses it.
 _FAMILY_BUILDERS = {
-    "T": (1, build_T),
-    "Ttilde": (1, build_Ttilde),
-    "Acal": (1, build_Acal),
-    "U": (1, build_U),
-    "Utilde": (1, build_Utilde),
-    "Bcal": (1, build_Bcal),
-    "At": (1, build_At),
-    "Atk": (2, build_Atk),
-    "C": (1, lambda n: build_CDEF(n, "C")),
-    "D": (1, lambda n: build_CDEF(n, "D")),
-    "E": (1, lambda n: build_CDEF(n, "E")),
-    "F": (1, lambda n: build_CDEF(n, "F")),
+    "T": (1, build_T, lambda n: ((UNIT, 1), (DOUBLING_BLOCK, n), (SEED_02, n))),
+    "Ttilde": (1, build_Ttilde, lambda n: ((UNIT, 1), (DOUBLING_BLOCK, n + 1), (SEED_02, n))),
+    "Acal": (1, build_Acal, lambda n: ((build_Acal(n), 1),)),
+    "U": (1, build_U, lambda n: ((SEED_02, n), (DOUBLING_BLOCK, _u_blocks(n)))),
+    "Utilde": (1, build_Utilde, lambda n: ((SEED_02, n), (DOUBLING_BLOCK, _u_blocks(n) + 1))),
+    "Bcal": (1, build_Bcal, lambda n: ((build_Bcal(n), 1),)),
+    "At": (1, build_At, lambda t: ((build_At(t), 1),)),
+    "Atk": (2, build_Atk, lambda t, k: ((build_At(t), 1),)),
+    "C": (1, lambda n: build_CDEF(n, "C"), lambda n: ((build_At(n + 1), 1), (MOD10_A, 1))),
+    "D": (1, lambda n: build_CDEF(n, "D"), lambda n: ((build_At(n + 1), 1), (MOD10_A, 1))),
+    "E": (1, lambda n: build_CDEF(n, "E"), lambda n: ((build_At(n + 1), 1), (MOD10_B, 1))),
+    "F": (1, lambda n: build_CDEF(n, "F"), lambda n: ((build_At(n + 1), 1), (MOD10_B, 1))),
 }
 
 FAMILY_NAMES = tuple(_FAMILY_BUILDERS)
@@ -165,3 +189,15 @@ def parse_family(text: str) -> FamilyId:
 def build_family(family: Union[FamilyId, str]) -> ResidueSet:
     fid = family if isinstance(family, FamilyId) else parse_family(family)
     return _FAMILY_BUILDERS[fid.name][1](*fid.params)
+
+
+def family_leaves(family: Union[FamilyId, str]) -> tuple[tuple[ResidueSet, int], ...]:
+    """Each leaf a member is assembled from, with the number of times it is used.
+
+    Only the leaves are built.  ``build_family`` assembles the member from them
+    by ``product``, ``scale`` with gcd(c, N) = 1 and ``shift_max`` alone, and each
+    of these keeps a near-modular set near-modular, so the member is near-modular
+    when every leaf is.  The ladder A_t is a leaf: its pivot edit is no such law.
+    """
+    fid = family if isinstance(family, FamilyId) else parse_family(family)
+    return _FAMILY_BUILDERS[fid.name][2](*fid.params)

@@ -115,7 +115,9 @@ def verify(a: ResidueSet) -> VerificationReport:
     ``cover`` collects those bits for x <= y, and ``hits`` counts how many
     shifted bits of every element land on the residue mask repeated over 2N
     bits.  y always hits itself, so A is 3-free exactly when its residues are
-    distinct (a popcount of |A|) and the hits number |A|.  A doubled residue
+    distinct (a popcount of |A|) and the hits number |A|; a repeated residue
+    already decides, so the hits are counted only when the residues are
+    distinct, while ``cover`` is always collected.  A doubled residue
     shared by y != y' needs no test of its own: x = y' lands on 2y - y' = y'
     (mod N), a second hit for y.  Only a set that is not 3-free walks its
     elements once more, in ``_first_violation``, to name the triple.  A modulus
@@ -130,16 +132,18 @@ def verify(a: ResidueSet) -> VerificationReport:
         residues |= 1 << r
         neg_all |= 1 << (-r % n)
 
+    distinct = residues.bit_count() == len(elements)
     residues_2n = residues | residues << n
     neg = cover = hits = 0
     for y in elements:
         s = 2 * y % n
         neg |= 1 << (-y % n)
         cover |= neg << s
-        hits += ((neg_all << s) & residues_2n).bit_count()
+        if distinct:
+            hits += ((neg_all << s) & residues_2n).bit_count()
 
     free = ~(cover | cover >> n) & ((1 << n) - 1)
-    three_free = residues.bit_count() == len(elements) == hits
+    three_free = distinct and hits == len(elements)
     near = three_free and not free
     return VerificationReport(
         is_three_free_mod=three_free,

@@ -32,7 +32,7 @@ from .errors import (
     StanleyError,
     VerificationError,
 )
-from .families import UNIT, FamilyId, build_family
+from .families import UNIT, FamilyId, build_family, family_leaves
 from .modset import (
     ResidueSet,
     character_of,
@@ -384,7 +384,11 @@ def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> Verified
 
     Static checks always run: near-modularity and the expected top element and
     modulus, which settle the character 2*max+1-M (the recipe pins it to the
-    target).  With ``deep``, ``doubling_reduction`` of the top and modulus M of
+    target).  A family witness is near-modular when every leaf of
+    ``family_leaves`` passes ``verify`` in this call: the family and the
+    recipe's max shifts assemble it by laws that keep the verdict.  Any other
+    base, or a family with a failing leaf, gets ``verify`` of the whole
+    witness.  With ``deep``, ``doubling_reduction`` of the top and modulus M of
     the witness W gives the s steps to its fully modular form A = W + M*B_s mod
     N = M*3^s, and ``doubled_prefix`` proves from W alone, never regrowing A, that
     greedy growth from A yields P = A + {0, N, 3N, 4N}, and reads P's character
@@ -397,11 +401,13 @@ def execute_and_verify(recipe: WitnessRecipe, *, deep: bool = False) -> Verified
     """
     base = _resolve_base(recipe.base)
     witness = shift_max(base, recipe.shift_count) if recipe.shift_count else base
-    report = verify(witness)
-    if not report.is_near_modular:
-        raise VerificationError(
-            "near-modular", f"{format_set(witness)} violates {report.witness_violation}"
-        )
+    if not (isinstance(recipe.base, FamilyId)
+            and all(verify(leaf).is_near_modular for leaf, _ in family_leaves(recipe.base))):
+        report = verify(witness)
+        if not report.is_near_modular:
+            raise VerificationError(
+                "near-modular", f"{format_set(witness)} violates {report.witness_violation}"
+            )
     if witness.max_element != recipe.expected_max:
         raise VerificationError(
             "max-element", f"expected {recipe.expected_max}, got {witness.max_element}"

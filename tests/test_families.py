@@ -1,11 +1,15 @@
-"""Named families: exact fixtures, scaling laws, and builder validation."""
+"""Named families: exact fixtures, scaling laws, builder validation, the
+ladder memo and the leaves each family is assembled from."""
+
+import inspect
+import math
 
 import pytest
 
 import stanley as st
 from stanley.families import BLOCK, DOUBLING_BLOCK, MOD10_A, MOD10_B, SEED_02, UNIT
 
-from conftest import naive_ladder
+from conftest import family_names, naive_ladder
 
 
 def test_elementary_blocks():
@@ -86,6 +90,20 @@ def test_At_ladder():
     for build in (st.build_Acal, st.build_Bcal):
         with pytest.raises(st.ResourceLimitError):
             build(2**62)
+
+
+def test_ladders_are_built_once_per_process():
+    # a ladder whose modulus fits the mask budget is the same object on every call;
+    # the first past it (3**18 > 2**28) is built afresh, so the memo stays bounded
+    assert 3**17 <= st.core.BIT_LIMIT < 3**18
+    for t in (1, 2, 10, 17):
+        assert st.build_At(t) is st.build_At(t)
+    assert st.build_Acal(3) is st.build_At(7) and st.build_Bcal(3) is st.build_At(6)
+    assert st.build_At(18) is not st.build_At(18)
+
+
+def test_build_At_keeps_its_signature():
+    assert str(inspect.signature(st.build_At)) == "(t: 'int') -> 'ResidueSet'"
 
 
 def test_At_alternates_between_swap_families():
@@ -191,3 +209,26 @@ def test_family_id_validation():
         st.parse_family("Acal:x")
     with pytest.raises(st.MalformedInputError):
         st.build_family("Acal:-1")
+
+
+def test_family_leaves_name_every_use():
+    # product multiplies moduli and sizes; scale and shift_max keep both
+    assert st.family_leaves("T:0") == ((UNIT, 1), (DOUBLING_BLOCK, 0), (SEED_02, 0))
+    assert st.family_leaves("U:3") == ((SEED_02, 3), (DOUBLING_BLOCK, 2))
+    assert st.family_leaves("Atk:4,7") == ((st.build_At(4), 1),)
+    assert st.family_leaves(st.FamilyId("F", (2,))) == ((st.build_At(3), 1), (MOD10_B, 1))
+    for name in family_names():
+        member, leaves = st.build_family(name), st.family_leaves(name)
+        assert math.prod(leaf.modulus**uses for leaf, uses in leaves) == member.modulus
+        assert math.prod(len(leaf) ** uses for leaf, uses in leaves) == len(member)
+
+
+def test_family_leaves_check_what_they_build():
+    with pytest.raises(st.MalformedInputError, match="U requires n >= 1"):
+        st.family_leaves("Utilde:0")
+    with pytest.raises(st.MalformedInputError, match="Bcal requires n >= 1"):
+        st.family_leaves("Bcal:0")
+    with pytest.raises(st.ResourceLimitError):
+        st.family_leaves("C:62")
+    with pytest.raises(st.MalformedInputError, match="unknown family"):
+        st.family_leaves("Q:1")

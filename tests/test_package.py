@@ -328,3 +328,13 @@ def test_out_of_range_inputs_raise_their_error(error, message, call):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_warm_ladder_memo_still_checks_its_argument():
+    # the memo is read after the checks, so a cached A_1 answers neither True nor 0
+    assert stanley.build_At(1) is stanley.build_At(1)
+    test_integer_parameters_go_through_check_int(INTEGER_PARAMETERS["build_At.t"], True)
+    test_out_of_range_inputs_raise_their_error(*INPUT_RANGE_ERRORS["build_At.t"])
+    with pytest.raises(stanley.MalformedInputError) as info:
+        stanley.build_At(-1)
+    assert str(info.value) == "At parameter t -1 is negative"

@@ -37,7 +37,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as hs
 
 import stanley as st
-from stanley import core
+from stanley import core, witness
 from stanley.cli import _parse_terms
 from stanley.core import INT_LIMIT, _doubled_profile, _reflect, check_terms, set_bits
 from stanley.families import FAMILY_NAMES
@@ -210,6 +210,62 @@ def test_verify_matches_oracle_on_a_shared_doubled_residue(a):
     report = st.verify(a)
     assert report == naive_verify(a)
     assert not report.is_three_free_mod
+
+
+@given(data=hs.data())
+def test_verify_matches_oracle_on_a_repeated_residue(small_corpus, data):
+    # one element moved k moduli past another's residue class, as the benchmark
+    # corrupts a witness: the repeated residue decides the verdict before any hit
+    # is counted, and the coverage fields are still the oracle's
+    a = data.draw(hs.sampled_from([b for b in small_corpus if len(b) > 1]))
+    i = data.draw(hs.integers(min_value=1, max_value=len(a) - 1))
+    j = data.draw(hs.integers(min_value=0, max_value=len(a) - 1).filter(lambda j: j != i))
+    rest = set(a.elements) - {a.elements[i]}
+    moved = a.elements[j] + data.draw(hs.integers(min_value=1, max_value=3)) * a.modulus
+    while moved in rest:
+        moved += a.modulus
+    corrupted = st.ResidueSet.of(a.modulus, rest | {moved})
+    report = st.verify(corrupted)
+    assert report == naive_verify(corrupted)
+    assert not report.is_three_free_mod
+
+
+#: the largest parameter drawn for each family: ladders to t = 8, C..F to n = 6,
+#: and T, U and their widenings to moduli of at most 3**8
+FAMILY_TOPS = {"T": 4, "Ttilde": 3, "U": 4, "Utilde": 4, "Acal": 3, "Bcal": 4, "At": 8,
+               "Atk": 8, "C": 6, "D": 6, "E": 6, "F": 6}
+
+
+@hs.composite
+def small_families(draw):
+    name = draw(hs.sampled_from(FAMILY_NAMES))
+    low = 1 if name in ("U", "Utilde", "Bcal", "At", "Atk") else 0
+    params = (draw(hs.integers(min_value=low, max_value=FAMILY_TOPS[name])),)
+    if name == "Atk":
+        params += (draw(hs.integers(min_value=2, max_value=40).filter(lambda k: k % 3)),)
+    return st.FamilyId(name, params)
+
+
+@given(fid=small_families(), shifts=hs.integers(min_value=0, max_value=2))
+@settings(deadline=None)
+def test_family_verdict_from_its_leaves(fid, shifts):
+    # every use of a leaf is listed (product multiplies moduli and sizes, scale and
+    # shift_max keep them), the leaves' verdict is the full verdict of the member,
+    # and execute_and_verify reaches it by verifying the leaves alone
+    member, leaves = st.build_family(fid), st.family_leaves(fid)
+    assert math.prod(leaf.modulus**uses for leaf, uses in leaves) == member.modulus
+    assert math.prod(len(leaf) ** uses for leaf, uses in leaves) == len(member)
+    assert all(st.verify(leaf).is_near_modular for leaf, _ in leaves)
+    assert st.verify(member).is_near_modular
+    assume(shifts == 0 or len(member) > 1)
+    top = member.max_element + shifts * member.modulus
+    recipe = st.WitnessRecipe(2 * top + 1 - member.modulus, "mod60-family", fid, shifts,
+                              top, member.modulus)
+    checked = []
+    with mock.patch.object(witness, "verify", lambda a: checked.append(a) or st.verify(a)):
+        result = st.execute_and_verify(recipe)
+    assert checked == [leaf for leaf, _ in leaves]
+    assert result.witness.max_element == top and result.checks == witness.STATIC_CHECKS
 
 
 @given(terms=increasing, grow=hs.integers(min_value=0, max_value=6),

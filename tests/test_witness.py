@@ -326,6 +326,23 @@ def test_repr_of_a_wide_omitted_mask():
     assert f"OmittedSet(omega={result.omitted.omega}, count=" in repr(result)
 
 
+def test_a_failing_leaf_falls_back_to_verify_of_the_witness(monkeypatch):
+    # the laws promote only a passing leaf verdict; past a failing leaf the whole
+    # witness decides, here E:2 = A_3 shifted and widened by {0,1,7,8} mod 10
+    recipe, ladder = st.witness_for(40 * 3**2 + 1), st.build_At(3)
+    checked = []
+
+    def ladder_fails(a):
+        checked.append(a)
+        report = st.verify(a)
+        return dataclasses.replace(report, is_near_modular=False) if a is ladder else report
+
+    monkeypatch.setattr(witness, "verify", ladder_fails)
+    result = st.execute_and_verify(recipe)
+    assert recipe.base == st.FamilyId("E", (2,))
+    assert checked == [ladder, result.witness]
+
+
 def test_execute_search_strategy(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a bundled small-case row ran a search")
