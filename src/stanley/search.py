@@ -28,7 +28,7 @@ class SearchSpec:
 
     The space is every ``cardinality``-element set holding 0 and
     ``max_element``, whose other members (the middles) lie strictly between
-    them.  ``budget`` bounds the number of candidate placements examined.
+    them.  ``budget`` bounds the number of candidate values examined.
     The search's masks are ``modulus`` bits wide (up to 4 * ``modulus``) and
     each of its ``cardinality`` frames holds some, so ``modulus * cardinality``
     above ``BIT_LIMIT`` raises ResourceLimitError before any is built.
@@ -96,9 +96,10 @@ def _searcher(n: int, top: int, need: list[int], budget: int) -> tuple[Callable,
     ``cov`` falls short of ``need[depth]`` or nothing below completes a
     witness.  At the last depth, ``len(need) - 1``, it returns the masks after
     the value; before it, it visits the values the next element may take and
-    returns the first witness's last masks.  Each middle visited is a node;
-    node ``budget + 1`` and every frame above it return None.  ``progress()``
-    reads the elements placed and the node count.
+    returns the first witness's last masks.  Each middle visited is a node,
+    and so is a middle proved a dead end before it is placed, which is counted
+    without a visit; node ``budget + 1`` and every frame above it return None.
+    ``progress()`` reads the elements placed and the node count.
     """
     n2 = 2 * n
     full = (1 << n) - 1
@@ -139,6 +140,14 @@ def _searcher(n: int, top: int, need: list[int], budget: int) -> tuple[Callable,
         if depth > 2:  # the next middle: from the least that leaves room for the rest
             low = last + 1 - depth
             window = (free * repunit & (1 << value) - 1) >> low << low
+            # A child's free values are a subset of free, so the middle after it is
+            # a free value below it, at least low - 1.  Below the least child only
+            # low - 1 is left: if that is blocked too, the least child is a dead end.
+            if window and depth < last and not free >> (low - 1) % n & 1:
+                window &= window - 1
+                nodes += 1
+                if nodes > budget:
+                    return None
             while window:
                 bit = window & -window
                 window ^= bit

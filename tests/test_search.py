@@ -10,7 +10,7 @@ import stanley as st
 from stanley.core import BIT_LIMIT
 from stanley.witness import SMALL_CASE_BASES
 
-from conftest import brute_character, naive_greedy
+from conftest import brute_character, naive_greedy, naive_search
 
 
 def brute_first_witness(spec: st.SearchSpec) -> st.ResidueSet | None:
@@ -79,6 +79,26 @@ def test_budget_stop():
     assert cut.status == "budget_exceeded"
     assert cut.witness is None
     assert cut.nodes <= 301
+
+
+def test_budget_stop_on_a_dead_end():
+    # node 2 of this space, the middle 2 after 0, 9 and 5, is a dead end: no free
+    # value is left below it, so it is counted without being placed
+    assert st.search_near_modular(st.SearchSpec(10, 9, 5)) == st.SearchResult("exhausted", None, 5)
+    spec = st.SearchSpec(10, 9, 5, budget=1)
+    got = st.search_near_modular(spec)
+    assert (got.status, got.witness, got.nodes) == ("budget_exceeded", None, 2) == naive_search(spec)
+
+
+def test_search_matches_the_plain_walk_at_sizes_7_and_8():
+    # dead ends are most common at these sizes; about 0.4 s
+    rng = random.Random(8)
+    for _ in range(30):
+        modulus = rng.randint(20, 36)
+        top = rng.randint(modulus // 2, 3 * modulus // 2)
+        spec = st.SearchSpec(modulus, top, rng.choice((7, 8)), budget=rng.choice((50, 400)))
+        got = st.search_near_modular(spec)
+        assert (got.status, got.witness, got.nodes) == naive_search(spec), spec
 
 
 @pytest.mark.parametrize(
