@@ -28,7 +28,8 @@ from .errors import (
 INT_LIMIT = (1 << 63) - 1
 
 #: Widest span or modulus a bit mask may cover; ``check_bits`` raises beyond it before allocating.
-#: A shift-OR pass over terms within it may build a cover mask up to twice as wide.
+#: A shift-OR pass over terms within it may build a cover mask up to twice as wide, and a
+#: greedy doubling within it a D mask (values 2b - a over the prefix) about three times as wide.
 BIT_LIMIT = 1 << 28
 
 #: Most elements a residue-set product may hold; ``check_count`` raises beyond it before building.
@@ -223,14 +224,70 @@ def _trusted(terms: tuple[int, ...], settled: int) -> StanleyPrefix:
     return prefix
 
 
+def _across(shifts: Iterable[int], across: int = 0, terms: Sequence[int] = ()) -> int:
+    """D = {2b - a : a, b in X} at bit 2b - a - (2 min X - max X), stepped to X | X + q for
+    each q of ``shifts`` in turn (README, "Deep certificate"): D gains D - q, D + q and D + 2q.
+    D(X) is ``across``, or walked from the ``terms`` of X: one shift-OR per term of the
+    reflected mask, bit max X - a for each term a."""
+    if terms:
+        base, rev = terms[0], sum(1 << (terms[-1] - a) for a in terms)
+        for b in terms:
+            across |= rev << 2 * (b - base)
+    for q in shifts:
+        across |= across << q
+        across |= across << 2 * q
+    return across
+
+
+def _doubled(grown: list[int], target: int) -> tuple[int, int] | None:
+    """Double ``grown`` = X in place while a certificate proves that greedy growth
+    continues with X + q, q = g - min X for the next greedy term g, up to ``target``
+    terms (README, "Greedy growth").  Returns ``(ahead, pairs)`` after the last
+    doubling, or None when the first fails or its span would pass ``BIT_LIMIT``.
+
+    X must have doubled at its last level, X = Z | Z + p with p = X[m/2] - min X;
+    D(X) follows by the step rule from the least Z that did not.
+    """
+    core, shifts = grown, []
+    while (half := len(core) // 2) and all(y - x == core[half] - core[0] for x, y in zip(core, core[half:])):
+        core, shifts = core[:half], [core[half] - core[0], *shifts]
+    if not shifts:
+        return None
+    base, placed, across = grown[0], len(grown), 0
+    rev, within = _cover(grown)  # D< = {2b - a : a < b}, at bit v - base
+    fwd = _reflect(rev)
+    while 2 * len(grown) <= target:
+        span = grown[-1] - base
+        ahead = within >> (span + 1)
+        q = span + (ahead ^ (ahead + 1)).bit_length()  # the next greedy term, less base
+        try:
+            check_bits(span + q, "prefix span")
+        except ResourceLimitError:
+            break
+        # halves apart (q > span): Y's pairs are X's, X + q's and the cross pairs, D + 2q
+        across = _across(shifts, across, core)  # D(X): the core walked once, then stepped
+        core, shifts = (), []
+        fwd_y = fwd | fwd << q
+        within_y = within | within << q | across << (2 * q - span)
+        gaps = (1 << (span + q + 1)) - (1 << (span + 1))  # bits of (max X, max Y]
+        if within_y & fwd_y or gaps & ~(within_y | fwd_y):
+            break
+        grown += [x + q for x in grown]
+        fwd, within, shifts = fwd_y, within_y, [q]
+    if len(grown) == placed:
+        return None
+    return within >> (grown[-1] - base + 1), _reflect(fwd) >> 1
+
+
 def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
     """Extend ``seed`` greedily until it has ``target_len`` terms, each the lowest
     value above the last that no pair covers (README, "Greedy growth"): placed in
     windows of ``_REACH`` values on the low bits of the masks, then folded into the
     span-wide masks with one shift and one OR per term, unless nothing was cut off.
-    A seed with a progression raises MalformedInputError; a span above ``BIT_LIMIT``
-    raises ResourceLimitError, checked before the seed pass, at each gap above 64
-    and at the end."""
+    At each power-of-two length whose last level doubled, ``_doubled`` first tries
+    to double the prefix by certificate.  A seed with a progression raises
+    MalformedInputError; a span above ``BIT_LIMIT`` raises ResourceLimitError,
+    checked before the seed pass, at each gap above 64 and at the end."""
     terms = _terms_of(seed)
     base = terms[0]
     target = check_int(target_len, "target_len")
@@ -247,12 +304,17 @@ def greedy_extend(seed: SeedLike, target_len: int) -> StanleyPrefix:
     pairs = rev >> 1  # bit last - 1 - x for each earlier term x
     window = (1 << _REACH) - 1
     while len(grown) < target:
+        placed = len(grown)
+        if placed & (placed - 1) == 0 and 2 * placed <= target and (masks := _doubled(grown, target)):
+            (ahead, pairs), placed, last = masks, len(grown), grown[-1]
+        stop = 1 << placed.bit_length()  # the next length that may double
+        stop = stop if 2 * stop <= target else target
         # a new term t pairs up to end only with terms within _REACH below t
-        start, placed, end = last, len(grown), last + _REACH
+        start, end = last, last + _REACH
         near, near_pairs = ahead & window, pairs & window
         if near == window:  # a covered run past the window: one step read off the whole mask
             near, end = ahead, last + (ahead ^ (ahead + 1)).bit_length()
-        for _ in range(target - placed):
+        for _ in range(stop - placed):
             gap = (near ^ (near + 1)).bit_length()  # trailing ones of near, plus one
             if last + gap > end:
                 break
@@ -452,8 +514,9 @@ def doubled_prefix(
     3N, 4N}, without building P.  Returns ``(profile, omitted)``, ``detect_character(P)``
     and P's omitted set read off A, or None when the proof fails (README, "Deep certificate").
 
-    Up to max P, P is covered by D< + {0, N, 3N, 4N} and D + 2N.  D = {2b - a} and
-    fwd(A) follow from the seed by the step rule; only D< = {2b - a : a < b} walks A.
+    Up to max P, P is covered by D< + {0, N, 3N, 4N} and D + 2N.  D = {2b - a} follows
+    from the seed by the step rule (``_across``); only D< = {2b - a : a < b} walks A,
+    and its reflected mask gives fwd(A).
     A modulus of 0 raises MalformedInputError; a prefix ending above ``BIT_LIMIT``
     raises ResourceLimitError before any mask is built, and A is built as
     ``doubled_terms`` builds it, with its checks.
@@ -464,16 +527,9 @@ def doubled_prefix(
     end = check_bits(top + 4 * n, "prefix end")
     terms = doubled_terms(seed, modulus)
 
-    rev, across = sum(1 << (seed[-1] - a) for a in seed), 0  # rev: bit max seed - a
-    for b in seed:  # D(seed), at bit 2b - a - (2 base - max seed)
-        across |= rev << 2 * (b - base)
-    fwd_a, q = _reflect(rev), modulus
-    for _ in range(steps):  # X | X + q: D gains D - q, D + q, D + 2q; fwd gains fwd + q
-        across |= across << q
-        across |= across << 2 * q
-        fwd_a |= fwd_a << q
-        q *= 3
-    _, within = _cover(terms)  # D<, at bit v - base
+    across = _across([modulus * 3**i for i in range(steps)], terms=seed)
+    rev, within = _cover(terms)  # D<, at bit v - base
+    fwd_a = _reflect(rev)
     cover = across << (2 * n - (top - base))  # D + 2N, at bit v - base
     fwd = 0
     for k in (0, n, 3 * n, 4 * n):

@@ -111,10 +111,30 @@ def test_greedy_from_zero():
     assert st.greedy_extend([0], 8).terms == (0, 1, 3, 4, 9, 10, 12, 13)
     # Odlyzko & Stanley: S(0) is the integers with no digit 2 in base 3.  Its
     # covered runs reach thousands of values, far past the 1024-value window
-    # the gap is read from first.
-    for k in range(12):
+    # the gap is read from first; from two terms on each level doubles by certificate.
+    for k in range(17):
         expected = tuple(int(bin(n)[2:], 3) for n in range(2**k))
         assert st.greedy_extend([0], 2**k).terms == expected
+
+
+def test_greedy_doubles_the_modular_form_of_every_witness(monkeypatch):
+    # greedy grows A to A + {0, N, 3N, 4N} (doubled_prefix's certificate); the
+    # second half, 3N + (A | A + N), is one doubling by greedy's own certificate
+    doubled, real = [], core._doubled
+
+    def spy(grown, target):
+        doubled.append(real(grown, target))
+        return doubled[-1]
+
+    monkeypatch.setattr(core, "_doubled", spy)
+    for lam in range(301):
+        if lam in st.FORBIDDEN_CHARACTERS:
+            continue
+        form, _ = st.to_modular(st.execute_and_verify(st.witness_for(lam)).witness)
+        a, n = form.elements, form.modulus
+        doubled.clear()
+        assert st.greedy_extend(a, 4 * len(a)).terms == tuple(x + k * n for k in (0, 1, 3, 4) for x in a)
+        assert doubled[-1] is not None, lam
 
 
 def test_greedy_across_covered_runs_longer_than_a_word():
@@ -208,6 +228,20 @@ def test_greedy_growth_budget(monkeypatch):
     monkeypatch.setattr(core, "BIT_LIMIT", 242)
     with pytest.raises(st.ResourceLimitError, match="prefix span 243 "):  # at the jump
         st.greedy_extend([0], 40)
+
+
+def test_greedy_doubling_past_the_budget_grows_term_by_term(monkeypatch):
+    # S(0) doubles from 32 terms (span 121) to 64 (span 364) only where 364 fits;
+    # otherwise growth goes on term by term and stops where it always did
+    monkeypatch.setattr(core, "BIT_LIMIT", 364)
+    assert st.greedy_extend([0], 64).last == 364
+    monkeypatch.setattr(core, "BIT_LIMIT", 363)
+    assert st.greedy_extend([0], 63).last == 363
+    with pytest.raises(st.ResourceLimitError, match="prefix span 364 "):
+        st.greedy_extend([0], 64)
+    monkeypatch.setattr(core, "BIT_LIMIT", 242)
+    with pytest.raises(st.ResourceLimitError, match="prefix span 243 "):
+        st.greedy_extend([0], 64)
 
 
 def test_greedy_stops_at_the_checked_range():

@@ -2,7 +2,9 @@
 
 The product law is exercised part by part: the result keeps 0, keeps the
 no-progression property, and keeps full coverage.  Transforms must preserve
-the near-modular verdict, and the greedy generator must be prefix-stable.
+the near-modular verdict, and the greedy generator must be prefix-stable,
+also when growth doubles by certificate (witness modular forms, S(0) and
+seeds Z | Z + p), where it must match the table oracle too.
 The shift-OR sequence core, on seeds within one greedy window and spread
 past it, the residue-mask ``verify`` and the search's
 rotated placement masks must agree with the pair-by-pair oracles in
@@ -315,6 +317,61 @@ def test_greedy_matches_table_oracle_across_folds(seed, grow, cut, reach):
         # growth stopped mid-window and restarted lands on the same prefix
         step = st.greedy_extend(seed, len(seed) + int(cut * grow))
         assert st.greedy_extend(step, target) == once
+
+
+# seeds whose growth doubles by certificate: the modular forms A of witnesses,
+# which double from 2|A| terms on, and prefixes of S(0), the integers with no
+# digit 2 in base 3, which double from two terms on; and seeds Z | Z + p of 2, 4
+# or 8 terms, whose last level doubled, so growth tries to double them at once
+# and the certificate may refuse on either half
+S0 = tuple(int(bin(n)[2:], 3) for n in range(64))
+doubling_growth = hs.one_of(
+    hs.integers(min_value=0, max_value=2000).filter(lambda lam: lam not in st.FORBIDDEN_CHARACTERS).map(
+        lambda lam: st.to_modular(st.execute_and_verify(st.witness_for(lam)).witness)[0].elements
+    ),
+    hs.integers(min_value=1, max_value=len(S0)).map(lambda n: S0[:n]),
+    hs.builds(
+        lambda z, p: z + tuple(x + z[-1] + p for x in z),
+        hs.sets(hs.integers(min_value=0, max_value=30), min_size=1, max_size=4)
+        .filter(lambda z: len(z) in (1, 2, 4)).map(sorted).map(tuple),
+        hs.integers(min_value=1, max_value=40),
+    ).filter(naive_is_3_free),
+)
+
+
+def length_through_doublings(seed, level, extra, top):
+    """A target of 2^k terms, or between 2^k and 2^(k + 1) (a doubling, then a
+    term-by-term tail), with k ``level`` levels above the seed's, capped at ``top``."""
+    k = min((len(seed) - 1).bit_length() + level, top.bit_length() - 1)
+    return max(len(seed), min((1 << k) + extra % (1 << k), top))
+
+
+levels = hs.integers(min_value=0, max_value=12)
+extras = hs.sampled_from((0, 1)) | hs.integers(min_value=0, max_value=1 << 13)
+
+
+@given(seed=doubling_growth, level=levels, extra=extras)
+@settings(deadline=None, max_examples=40)
+# 0, 4 is {0} | {0} + 4, and 0, 4, 5, 9 leaves 7 neither a term nor covered: the gap
+# half refuses.  0, 1, 5, 6 is {0, 1} | {0, 1} + 5, and 0, 1, 5, 6, 8, 9, 13, 14 leaves
+# no gap, but its term 9 = 2*5 - 1 is covered: the 3-free half refuses
+@example(seed=(0, 4), level=1, extra=0)
+@example(seed=(0, 1, 5, 6), level=1, extra=0)
+def test_greedy_matches_table_oracle_through_doublings(seed, level, extra):
+    target = length_through_doublings(seed, level, extra, 600)
+    assert st.greedy_extend(seed, target).terms == naive_greedy_table(seed, target)
+
+
+@given(seed=doubling_growth, level=levels, extra=extras, cut=hs.floats(0, 1))
+@settings(deadline=None, max_examples=40)
+def test_greedy_is_prefix_stable_through_doublings(seed, level, extra, cut):
+    target = length_through_doublings(seed, level, extra, 4096)
+    cut = len(seed) + int(cut * (target - len(seed)))
+    whole = st.greedy_extend(seed, target)
+    # growth chained through a cut, from the prefix or from its bare terms, lands on
+    # the same sequence whichever doublings the two legs take
+    assert st.greedy_extend(st.greedy_extend(seed, cut), target) == whole
+    assert st.greedy_extend(whole.terms[:cut], target) == whole
 
 
 @given(seed=seeds, grow=hs.integers(min_value=0, max_value=40))
